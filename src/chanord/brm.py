@@ -21,7 +21,7 @@ from .channel_core import (
 )
 from .cpc import DEFAULT_MAX_PAIRS, CpcChannel, CpcTerm, enumerate_det_pairs
 from .errors import DimensionMismatchError, ResourceLimitError
-from .lp_solver import DEFAULT_MAX_PIVOTS, FEASIBLE, StandardLp, solve_feasibility
+from .lp_solver import DEFAULT_MAX_PIVOTS, FEASIBLE, hull_lp, solve_feasibility
 from .rational import ONE, ZERO, Rat, parse_rat, rat_str
 
 
@@ -225,10 +225,6 @@ def region_subset(
         if point not in b_seen:
             b_seen.add(point)
             b_unique.append(point)
-    matrix = [
-        tuple(point[coord] for point in b_unique) for coord in range(a.u_size)
-    ]
-    matrix.append((ONE,) * len(b_unique))
     verdicts = {}
     for point in a.points:
         if point in verdicts:
@@ -236,9 +232,7 @@ def region_subset(
         if point in b_seen:
             verdicts[point] = True
             continue
-        lp = StandardLp(
-            tuple(matrix), tuple(point) + (ONE,), (ZERO,) * len(b_unique)
-        )
+        lp = hull_lp(point, b_unique)
         inside = solve_feasibility(lp, max_pivots=max_pivots).tag == FEASIBLE
         verdicts[point] = inside
         if not inside:

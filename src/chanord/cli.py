@@ -2,8 +2,10 @@
 
 Every subcommand prints a single machine-parseable JSON report to stdout;
 verdicts always ship with their verifying object. Exit codes: 0 answered,
-2 resource cap exceeded, 1 usage or input error. Reports are
-deterministic given inputs and seeds, except for the timing field.
+1 usage or input error, 2 resource cap exceeded, 3 internal check failed
+(any other library error, such as a certificate failing its own
+re-verification). Reports are deterministic given inputs and seeds,
+except for the timing field.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import time
 
 from .brm import game_from_json, optimal_average_payoff, region_generators, region_subset
 from .channel_core import channel_from_json, channel_to_json, random_channel, tv_distance
-from .errors import ResourceLimitError
+from .cpc import DEFAULT_MAX_PAIRS
+from .errors import ChanordError, ResourceLimitError
 from .metric import brm_distance_lower_bound, metric_estimate_to_json
 from .ordering import (
     contains,
@@ -65,8 +68,8 @@ def _build_parser() -> _Parser:
     caps.add_argument(
         "--max-pairs",
         type=int,
-        default=65536,
-        help="cap on deterministic-pair enumerations (default 65536)",
+        default=DEFAULT_MAX_PAIRS,
+        help=f"cap on deterministic-pair enumerations (default {DEFAULT_MAX_PAIRS})",
     )
     caps.add_argument(
         "--max-outputs-pow",
@@ -188,7 +191,13 @@ def _dispatch(args) -> dict:
     elif args.command == "dist-brm":
         a, b = _load_channel(args.a), _load_channel(args.b)
         estimate = brm_distance_lower_bound(
-            a, b, n_max=args.nmax, m_max=args.mmax, budget=args.budget, seed=args.seed
+            a,
+            b,
+            n_max=args.nmax,
+            m_max=args.mmax,
+            budget=args.budget,
+            seed=args.seed,
+            max_encoders=args.max_pairs,
         )
         report["estimate"] = metric_estimate_to_json(estimate)
     elif args.command == "dist-tv":
@@ -250,6 +259,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
+    except ChanordError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return 3
     report["elapsed_ms"] = round((time.perf_counter() - started) * 1000.0, 3)
     json.dump(report, sys.stdout, indent=2)
     sys.stdout.write("\n")

@@ -9,6 +9,16 @@ the simulated channel Σ_i α_i · T_i ∘ W' ∘ R_i.
 Skew-composition is only exposed on CpcChannel values: applied to a
 non-convex-product joint channel the same contraction formula need not
 produce a channel at all, so the type is the guard.
+
+The deterministic pairs (f, g) are the extreme points of this set. They are
+enumerated here once: as a lexicographic basis (enumerate_det_pairs) and
+as the distinct simulated columns D_g ∘ W' ∘ D_f (simulation_columns),
+under one shared pair-count cap. Carathéodory reduction is a hull question
+like every other in the library and goes through lp_solver.hull_lp: the
+flattened channel lies in the hull of its term atoms, and one vertex solve
+of that program keeps a basic solution. Its support is a set of linearly
+independent columns of [1; atoms], hence at most dim + 1 affinely
+independent atoms.
 """
 
 from __future__ import annotations
@@ -24,10 +34,14 @@ from .channel_core import (
     compose,
     deterministic,
 )
-from .errors import DimensionMismatchError, ResourceLimitError
+from .errors import DimensionMismatchError, InternalCheckError, ResourceLimitError
+from .lp_solver import FEASIBLE, hull_lp, solve_feasibility
 from .rational import ONE, ZERO, Rat, parse_rat, rat_str
 
-# Sized for alphabets up to four letters: 4^4 * 4^4 deterministic pairs.
+# Equals 4^4 · 4^4, the pair count of a 4×4 channel simulating a 4×4 one,
+# but the exact containment LP at that size ran for more than 900 s on the
+# Fraction backend (2-core machine, Python 3.11): the cap bounds the
+# enumeration size, not the run time.
 DEFAULT_MAX_PAIRS = 65536
 
 
@@ -151,6 +165,13 @@ def skew_compose_channel(v: CpcChannel, wp: Channel) -> Channel:
     return Channel(v.x_size, v.y_size, tuple(tuple(row) for row in rows))
 
 
+def _check_pair_count(count: int, max_pairs: int):
+    if count > max_pairs:
+        raise ResourceLimitError(
+            f"deterministic-pair basis has {count} elements (cap {max_pairs})"
+        )
+
+
 def enumerate_det_pairs(
     x_size: int,
     xp_size: int,
@@ -166,11 +187,7 @@ def enumerate_det_pairs(
     for size in (x_size, xp_size, yp_size, y_size):
         if size < 1:
             raise ValueError("alphabet sizes must be >= 1")
-    count = xp_size**x_size * y_size**yp_size
-    if count > max_pairs:
-        raise ResourceLimitError(
-            f"deterministic-pair basis has {count} elements (cap {max_pairs})"
-        )
+    _check_pair_count(xp_size**x_size * y_size**yp_size, max_pairs)
     pairs = tuple(
         (
             DeterministicMap(x_size, xp_size, f_img),
@@ -182,6 +199,46 @@ def enumerate_det_pairs(
     return DetPairBasis(x_size, xp_size, yp_size, y_size, pairs)
 
 
+def simulation_columns(wp: Channel, x_size: int, y_size: int, max_pairs: int):
+    """Distinct columns D_g ∘ wp ∘ D_f, each with its lex-first (f, g) pair.
+
+    A column is the simulated x_size × y_size channel flattened row-major.
+    The full basis has |X'|^|X| · |Y|^|Y'| pairs (checked against
+    max_pairs); duplicates are collapsed in two stages (f only acts through
+    the rows it selects, g only through the output columns of wp that carry
+    mass) so the programs built on the columns stay small. Column order is
+    deterministic.
+    """
+    _check_pair_count(wp.input_size**x_size * y_size**wp.output_size, max_pairs)
+    row_choices = {}
+    for f_img in product(range(1, wp.input_size + 1), repeat=x_size):
+        key = tuple(wp.rows[i - 1] for i in f_img)
+        if key not in row_choices:
+            row_choices[key] = f_img
+    live_outputs = [
+        any(row[y] != 0 for row in wp.rows) for y in range(wp.output_size)
+    ]
+    merge_choices = {}
+    for g_img in product(range(1, y_size + 1), repeat=wp.output_size):
+        key = tuple(v for v, live in zip(g_img, live_outputs) if live)
+        if key not in merge_choices:
+            merge_choices[key] = g_img
+    columns = {}
+    for selected_rows, f_img in row_choices.items():
+        for g_img in merge_choices.values():
+            flat = []
+            for row in selected_rows:
+                out = [ZERO] * y_size
+                for yp, p in enumerate(row):
+                    if p != 0:
+                        out[g_img[yp] - 1] += p
+                flat.extend(out)
+            key = tuple(flat)
+            if key not in columns:
+                columns[key] = (f_img, g_img)
+    return list(columns.items())
+
+
 def _flat_atom(term: CpcTerm, v: CpcChannel) -> tuple:
     """Flattened R⊗T matrix of one term (the term's as_channel, weight 1)."""
     single = CpcChannel(
@@ -191,54 +248,15 @@ def _flat_atom(term: CpcTerm, v: CpcChannel) -> tuple:
     return tuple(p for row in flat.rows for p in row)
 
 
-def _affine_dependence(atoms):
-    """A nonzero vector γ with Σγ_i = 0 and Σγ_i·atom_i = 0, or None.
-
-    Gaussian elimination over exact rationals on the matrix whose columns
-    are (1, atom_i): the first column found to be dependent on the pivot
-    columns before it yields a kernel vector.
-    """
-    k = len(atoms)
-    if k < 2:
-        return None
-    dim = len(atoms[0]) + 1
-    matrix = [
-        [ONE if i == 0 else atoms[j][i - 1] for j in range(k)] for i in range(dim)
-    ]
-    col_of_row = []  # pivot column owned by each reduced row, in order
-    for j in range(k):
-        rank = len(col_of_row)
-        pivot = -1
-        for i in range(rank, dim):
-            if matrix[i][j] != 0:
-                pivot = i
-                break
-        if pivot < 0:
-            gamma = [ZERO] * k
-            gamma[j] = -ONE
-            for i in range(rank):
-                if matrix[i][j] != 0:
-                    gamma[col_of_row[i]] = matrix[i][j]
-            return gamma
-        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
-        inv = 1 / matrix[rank][j]
-        if inv != 1:
-            matrix[rank] = [val * inv for val in matrix[rank]]
-        for i in range(dim):
-            if i != rank and matrix[i][j] != 0:
-                factor = matrix[i][j]
-                matrix[i] = [a - factor * b for a, b in zip(matrix[i], matrix[rank])]
-        col_of_row.append(j)
-    return None
-
-
 def caratheodory_reduce(v: CpcChannel) -> CpcChannel:
     """Shrink the term list without changing the flattened channel.
 
-    Identical (R, T) atoms are merged, then affine dependences among the
-    remaining atoms are eliminated one at a time, each step shifting weight
-    along the dependence until some term's weight hits zero. The result has
-    at most x·y'·x'·y + 1 terms and flattens to exactly the same channel.
+    Identical (R, T) atoms are merged, then one vertex solve of
+    hull_lp(flattened v, atoms) re-weights them. Phase one of the simplex
+    returns a basic solution, whose nonzero weights sit on linearly
+    independent columns of [1; atoms]: the kept atoms are affinely
+    independent and number at most x·y'·x'·y + 1. The solver re-verifies
+    that the new weights flatten to exactly the same channel.
     """
     merged = {}
     order = []
@@ -255,29 +273,16 @@ def caratheodory_reduce(v: CpcChannel) -> CpcChannel:
     if not terms:
         raise ValueError("convex-product channel has no mass")
     atoms = [_flat_atom(term, v) for term in terms]
-    while True:
-        gamma = _affine_dependence(atoms)
-        if gamma is None:
-            break
-        if not any(g > 0 for g in gamma):
-            gamma = [-g for g in gamma]
-        step = None
-        for term, g in zip(terms, gamma):
-            if g > 0:
-                ratio = term.weight / g
-                if step is None or ratio < step:
-                    step = ratio
-        next_terms = []
-        next_atoms = []
-        for term, atom, g in zip(terms, atoms, gamma):
-            w = term.weight - step * g
-            if w < 0:
-                raise AssertionError("dependence elimination produced negative weight")
-            if w != 0:
-                next_terms.append(CpcTerm(w, term.r, term.t))
-                next_atoms.append(atom)
-        terms, atoms = next_terms, next_atoms
-    return CpcChannel(v.x_size, v.xp_size, v.yp_size, v.y_size, tuple(terms))
+    point = tuple(p for row in as_channel(v).rows for p in row)
+    outcome = solve_feasibility(hull_lp(point, atoms))
+    if outcome.tag != FEASIBLE:
+        raise InternalCheckError("convex-product channel is outside its atoms' hull")
+    kept = tuple(
+        CpcTerm(weight, term.r, term.t)
+        for weight, term in zip(outcome.primal, terms)
+        if weight != 0
+    )
+    return CpcChannel(v.x_size, v.xp_size, v.yp_size, v.y_size, kept)
 
 
 def cpc_to_json(v: CpcChannel) -> dict:

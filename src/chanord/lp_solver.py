@@ -77,6 +77,22 @@ def standard_lp(matrix, rhs, objective=None) -> StandardLp:
     return StandardLp(mat, b, c)
 
 
+def hull_lp(point, generators) -> StandardLp:
+    """Feasibility program: is point a convex combination of generators?
+
+    One row per coordinate (Σ_j λ_j · g_j = point), then the convexity row
+    of ones (Σ_j λ_j = 1), with a zero objective; entries must already be
+    exact rationals. A FEASIBLE primal is the vector of generator weights
+    λ. An INFEASIBLE Farkas dual is (l, c), l over the coordinates and c
+    on the convexity row, with l·g + c ≤ 0 for every generator g and
+    l·point + c > 0: the hyperplane l strictly separates the point from
+    the hull.
+    """
+    rows = [tuple(gen[coord] for gen in generators) for coord in range(len(point))]
+    rows.append((ONE,) * len(generators))
+    return StandardLp(tuple(rows), tuple(point) + (ONE,), (ZERO,) * len(generators))
+
+
 @dataclass(frozen=True)
 class LpOutcome:
     tag: str

@@ -20,10 +20,10 @@ step strictly increases the true difference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .brm import BrmGame, optimal_average_payoff
 from .channel_core import Channel, tv_distance
+from .cpc import simulation_columns
 from .errors import DimensionMismatchError, InternalCheckError
 from .lp_solver import DEFAULT_MAX_PIVOTS, StandardLp, maximize
 from .prng import counter_int
@@ -80,49 +80,23 @@ def _pair_coefficients(w: Channel, n: int, m: int, f_img, g_img) -> tuple:
     return tuple(rows)
 
 
-def _piece_matrices(w: Channel, n: int, m: int):
-    """Distinct coefficient matrices over all deterministic pairs.
-
-    Encoders only act through the rows they select and decoders only
-    through outputs carrying mass, which keeps the list small.
-    """
-    row_choices = {}
-    for f_img in product(range(1, w.input_size + 1), repeat=n):
-        key = tuple(w.rows[i - 1] for i in f_img)
-        if key not in row_choices:
-            row_choices[key] = f_img
-    live = [any(row[y] != 0 for row in w.rows) for y in range(w.output_size)]
-    merge_choices = {}
-    for g_img in product(range(1, m + 1), repeat=w.output_size):
-        key = tuple(v for v, lv in zip(g_img, live) if lv)
-        if key not in merge_choices:
-            merge_choices[key] = g_img
-    pieces = {}
-    for f_img in row_choices.values():
-        for g_img in merge_choices.values():
-            piece = _pair_coefficients(w, n, m, f_img, g_img)
-            if piece not in pieces:
-                pieces[piece] = True
-    return list(pieces)
-
-
 def _ascent_step(active, pieces, n, m, max_pivots):
     """Exact maximizer of ⟨active, l⟩ − max_j ⟨piece_j, l⟩ over the simplex.
 
-    Solved in the orientation whose row count is the payoff dimension; the
-    optimal payoff is the vector of dual prices on those rows.
+    Each piece is a coefficient matrix flattened row-major. Solved in the
+    orientation whose row count is the payoff dimension; the optimal
+    payoff is the vector of dual prices on those rows.
     """
     dim = n * m
     flat_active = [v for row in active for v in row]
-    flat_pieces = [[v for row in piece for v in row] for piece in pieces]
-    k = len(flat_pieces)
+    k = len(pieces)
     ncols = k + dim + 2  # piece mixture, slacks, z+ and z-
     rows = []
     rhs = []
     for coord in range(dim):
         row = [ZERO] * ncols
         for j in range(k):
-            row[j] = flat_active[coord] - flat_pieces[j][coord]
+            row[j] = flat_active[coord] - pieces[j][coord]
         row[k + coord] = ONE
         row[k + dim] = -ONE
         row[k + dim + 1] = ONE
@@ -183,9 +157,15 @@ def brm_distance_lower_bound(
     pieces_cache = {}
 
     def pieces_for(which: int, w: Channel, n: int, m: int):
+        """Distinct flattened coefficient matrices over all deterministic
+        pairs: the simulation columns of w, scaled by 1/n."""
         key = (which, n, m)
         if key not in pieces_cache:
-            pieces_cache[key] = _piece_matrices(w, n, m)
+            inv_n = Rat(1, n)
+            pieces_cache[key] = [
+                tuple(inv_n * v for v in col)
+                for col, _pair in simulation_columns(w, n, m, max_encoders)
+            ]
         return pieces_cache[key]
 
     def diff(n, m, payoff):

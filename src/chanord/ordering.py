@@ -7,25 +7,34 @@ is returned as an explicit mixture that reconstructs W; an infeasible one
 is converted into a normalized positive payoff function whose optimal
 average payoff strictly separates the two channels. Both objects are
 re-verified exactly before being returned.
+
+Every hull question here goes through lp_solver.hull_lp: the flattened
+target against the simulation columns of cpc.simulation_columns
+(containment), a row of w against the rows of wp (input-degradedness,
+one program per row), and a row against the other rows (the srank input
+reduction). Only output-degradedness keeps its own program, whose hull
+form would need |Y|^|Y'| generators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .brm import BrmGame, optimal_average_payoff
-from .channel_core import Channel, DeterministicMap, compose
-from .cpc import DEFAULT_MAX_PAIRS, CpcChannel, cpc_from_pairs, skew_compose_channel
-from .errors import (
-    DimensionMismatchError,
-    InternalCheckError,
-    ResourceLimitError,
+from .channel_core import Channel, DeterministicMap, compose, identity_channel
+from .cpc import (
+    DEFAULT_MAX_PAIRS,
+    CpcChannel,
+    cpc_from_pairs,
+    simulation_columns,
+    skew_compose_channel,
 )
+from .errors import DimensionMismatchError, InternalCheckError
 from .lp_solver import (
     DEFAULT_MAX_PIVOTS,
     FEASIBLE,
     StandardLp,
+    hull_lp,
     solve_feasibility,
 )
 from .rational import ONE, ZERO, parse_rat, rat_str
@@ -117,49 +126,6 @@ def _reduce_target(w: Channel):
     return reduced, input_map, output_injection
 
 
-def _simulation_columns(wp: Channel, x_size: int, y_size: int, max_pairs: int):
-    """Distinct columns D_g ∘ wp ∘ D_f, each with its lex-first (f, g) pair.
-
-    The full basis has |X'|^|X| · |Y|^|Y'| pairs (checked against
-    max_pairs); duplicates are collapsed in two stages (f only acts through
-    the rows it selects, g only through the output columns of wp that carry
-    mass) so the feasibility program stays small. Column order is
-    deterministic.
-    """
-    count = wp.input_size**x_size * y_size**wp.output_size
-    if count > max_pairs:
-        raise ResourceLimitError(
-            f"deterministic-pair basis has {count} elements (cap {max_pairs})"
-        )
-    row_choices = {}
-    for f_img in product(range(1, wp.input_size + 1), repeat=x_size):
-        key = tuple(wp.rows[i - 1] for i in f_img)
-        if key not in row_choices:
-            row_choices[key] = f_img
-    live_outputs = [
-        any(row[y] != 0 for row in wp.rows) for y in range(wp.output_size)
-    ]
-    merge_choices = {}
-    for g_img in product(range(1, y_size + 1), repeat=wp.output_size):
-        key = tuple(v for v, live in zip(g_img, live_outputs) if live)
-        if key not in merge_choices:
-            merge_choices[key] = g_img
-    columns = {}
-    for selected_rows, f_img in row_choices.items():
-        for g_img in merge_choices.values():
-            flat = []
-            for row in selected_rows:
-                out = [ZERO] * y_size
-                for yp, p in enumerate(row):
-                    if p != 0:
-                        out[g_img[yp] - 1] += p
-                flat.extend(out)
-            key = tuple(flat)
-            if key not in columns:
-                columns[key] = (f_img, g_img)
-    return list(columns.items())
-
-
 def _certificate_from_farkas(wp, w, w_red, dual, max_pairs):
     """Turn a Farkas dual over the reduced (x, y) rows into a separating payoff.
 
@@ -207,14 +173,9 @@ def contains(
         _verify_witness(witness, wp, w)
         return OrderingVerdict(tag=CONTAINS, witness=witness)
     w_red, input_map, output_injection = _reduce_target(w)
-    columns = _simulation_columns(wp, w_red.input_size, w_red.output_size, max_pairs)
+    columns = simulation_columns(wp, w_red.input_size, w_red.output_size, max_pairs)
     target = [p for row in w_red.rows for p in row]
-    matrix = []
-    for r in range(len(target)):
-        matrix.append(tuple(col[r] for col, _pair in columns))
-    matrix.append((ONE,) * len(columns))
-    lp = StandardLp(tuple(matrix), tuple(target) + (ONE,),
-                    (ZERO,) * len(columns))
+    lp = hull_lp(target, [col for col, _pair in columns])
     outcome = solve_feasibility(lp, max_pivots=max_pivots)
     if outcome.tag == FEASIBLE:
         weights = []
@@ -275,7 +236,7 @@ def degraded_from(
     if w.input_size != wp.input_size:
         raise DimensionMismatchError("degraded_from: input alphabets differ")
     if w == wp:
-        return _identity(w.output_size)
+        return identity_channel(w.output_size)
     n = w.input_size
     m_from, m_to = wp.output_size, w.output_size
     # Variables t[y2][y1] flattened y2-major.
@@ -311,47 +272,26 @@ def degraded_from(
 def input_degraded_from(
     w: Channel, wp: Channel, max_pivots: int = DEFAULT_MAX_PIVOTS
 ) -> Channel | None:
-    """Some input randomizer R with w = wp ∘ R, or None if none exists."""
+    """Some input randomizer R with w = wp ∘ R, or None if none exists.
+
+    Row x of R is the weight vector of row x of w as a convex combination
+    of the rows of wp, one hull program per row; max_pivots bounds each
+    row's solve.
+    """
     if w.output_size != wp.output_size:
         raise DimensionMismatchError("input_degraded_from: output alphabets differ")
     if w == wp:
-        return _identity(w.input_size)
-    n_from, n_to = w.input_size, wp.input_size
-    m = w.output_size
-    # Variables r[x1][x2] flattened x1-major.
-    rows = []
-    rhs = []
-    for x1 in range(n_from):
-        for y in range(m):
-            coeff = [ZERO] * (n_from * n_to)
-            for x2 in range(n_to):
-                coeff[x1 * n_to + x2] = wp.rows[x2][y]
-            rows.append(tuple(coeff))
-            rhs.append(w.rows[x1][y])
-    for x1 in range(n_from):
-        coeff = [ZERO] * (n_from * n_to)
-        for x2 in range(n_to):
-            coeff[x1 * n_to + x2] = ONE
-        rows.append(tuple(coeff))
-        rhs.append(ONE)
-    lp = StandardLp(tuple(rows), tuple(rhs), (ZERO,) * (n_from * n_to))
-    outcome = solve_feasibility(lp, max_pivots=max_pivots)
-    if outcome.tag != FEASIBLE:
-        return None
-    r_rows = tuple(
-        tuple(outcome.primal[x1 * n_to + x2] for x2 in range(n_to))
-        for x1 in range(n_from)
-    )
-    witness = Channel(n_from, n_to, r_rows)
+        return identity_channel(w.input_size)
+    r_rows = []
+    for row in w.rows:
+        outcome = solve_feasibility(hull_lp(row, wp.rows), max_pivots=max_pivots)
+        if outcome.tag != FEASIBLE:
+            return None
+        r_rows.append(outcome.primal)
+    witness = Channel(w.input_size, wp.input_size, tuple(r_rows))
     if compose(wp, witness) != w:
         raise InternalCheckError("input-degradation witness failed verification")
     return witness
-
-
-def _identity(n: int) -> Channel:
-    return Channel(
-        n, n, tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-    )
 
 
 def embed(w: Channel, n2: int, m2: int) -> Channel:
@@ -368,18 +308,6 @@ def embed(w: Channel, n2: int, m2: int) -> Channel:
         src = min(i, w.input_size)
         rows.append(w.rows[src - 1] + (ZERO,) * (m2 - w.output_size))
     return Channel(n2, m2, tuple(rows))
-
-
-def _in_hull_of_rows(target, others, max_pivots):
-    """Exact test: is target a convex combination of the given rows?"""
-    if not others:
-        return False
-    rows = []
-    for coord in range(len(target)):
-        rows.append(tuple(other[coord] for other in others))
-    rows.append((ONE,) * len(others))
-    lp = StandardLp(tuple(rows), tuple(target) + (ONE,), (ZERO,) * len(others))
-    return solve_feasibility(lp, max_pivots=max_pivots).tag == FEASIBLE
 
 
 def _proportional(col1, col2) -> bool:
@@ -411,7 +339,9 @@ def srank_upper_bound(
         changed = False
         for idx in list(kept):
             others = [w.rows[i] for i in kept if i != idx]
-            if _in_hull_of_rows(w.rows[idx], others, max_pivots):
+            if others and solve_feasibility(
+                hull_lp(w.rows[idx], others), max_pivots=max_pivots
+            ).tag == FEASIBLE:
                 kept.remove(idx)
                 changed = True
                 break

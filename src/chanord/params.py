@@ -79,7 +79,9 @@ def capacity(w: Channel, eps: float) -> float:
         weights = [px * math.exp(dx - shift) for px, dx in zip(p, dens)]
         total = sum(weights)
         p = [wgt / total for wgt in weights]
-    raise RuntimeError("capacity iteration failed to converge")
+    raise ResourceLimitError(
+        f"capacity iteration did not reach eps within {_MAX_CAPACITY_ROUNDS} rounds"
+    )
 
 
 def ml_error_probability(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 try:
     from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # no gmpy2 (as in CI): the stdlib Fraction backend runs
     from fractions import Fraction as Rat
 
 ZERO = Rat(0)

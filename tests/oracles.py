@@ -27,6 +27,23 @@ def solve_square(matrix, rhs):
     return [aug[i][-1] for i in range(n)]
 
 
+def matrix_rank(rows):
+    """Rank of a rational matrix by exact row reduction."""
+    work = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(work[0]) if work else 0):
+        pivot = next((r for r in range(rank, len(work)) if work[r][col] != 0), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        for r in range(len(work)):
+            if r != rank and work[r][col] != 0:
+                factor = work[r][col] / work[rank][col]
+                work[r] = [a - factor * b for a, b in zip(work[r], work[rank])]
+        rank += 1
+    return rank
+
+
 def vertex_enumeration_maximum(matrix, rhs, objective):
     """Best objective over all basic feasible solutions of A·x=b, x>=0.
 

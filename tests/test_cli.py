@@ -10,7 +10,9 @@ from chanord.channel_core import (
     identity_channel,
     random_channel,
 )
+from chanord import cli, params
 from chanord.cli import main
+from chanord.errors import InternalCheckError
 from chanord.ordering import witness_from_json, apply_witness
 from chanord.rational import Rat
 
@@ -168,6 +170,32 @@ def test_exit_codes(capsys, write_channel, tmp_path):
     code, report, err = run_cli(capsys, "contain", a, b, "--max-pairs", "5")
     assert code == 2 and report is None and "resource" in err.lower()
 
+    # The game-metric search honours the same cap.
+    code, report, err = run_cli(capsys, "dist-brm", a, b, "--max-pairs", "1")
+    assert code == 2 and report is None and "resource" in err.lower()
+
+    # Alphabet mismatch is an input error, not an internal failure.
+    c = write_channel("c.json", random_channel(2, 3, 3, 6))
+    code, report, err = run_cli(capsys, "degrade", a, c)
+    assert code == 1 and report is None
+
     # Missing file.
     code, report, err = run_cli(capsys, "dist-tv", str(tmp_path / "ghost.json"), a)
     assert code == 1 and report is None
+
+
+def test_capacity_budget_exhaustion_is_a_resource_failure(capsys, write_channel, monkeypatch):
+    a = write_channel("a.json", bsc("11/100"))
+    monkeypatch.setattr(params, "_MAX_CAPACITY_ROUNDS", 0)
+    code, report, err = run_cli(capsys, "capacity", a, "--eps", "1e-9")
+    assert code == 2 and report is None and "resource" in err.lower()
+
+
+def test_internal_check_failure_exit_code(capsys, write_channel, monkeypatch):
+    def broken(*_args, **_kwargs):
+        raise InternalCheckError("witness failed verification")
+
+    monkeypatch.setattr(cli, "contains", broken)
+    path = write_channel("a.json", bsc("1/10"))
+    code, report, err = run_cli(capsys, "contain", path, path)
+    assert code == 3 and report is None and "internal check failed" in err

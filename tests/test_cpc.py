@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import cpc_entry, flat_skew_contraction
+from oracles import cpc_entry, flat_skew_contraction, matrix_rank
 
 from chanord.channel_core import (
     DeterministicMap,
@@ -22,6 +22,7 @@ from chanord.cpc import (
     skew_compose_cpc,
 )
 from chanord.errors import DimensionMismatchError, ResourceLimitError
+from chanord.ordering import contains, witness_to_cpc
 from chanord.rational import ONE, ZERO, Rat
 
 
@@ -214,21 +215,55 @@ def test_caratheodory_reduce_trivial_cases():
     assert as_channel(reduced) == as_channel(dup)
 
 
-def test_caratheodory_reduce_large_mixture():
-    terms = []
-    for i in range(10):
-        terms.append(
+def random_mixture(x, xp, yp, y, seed, n_terms, den=6):
+    return CpcChannel(
+        x, xp, yp, y,
+        tuple(
             CpcTerm(
-                Rat(1, 10),
-                random_channel(2, 2, 900 + i, 6),
-                random_channel(2, 2, 950 + i, 6),
+                Rat(1, n_terms),
+                random_channel(x, xp, seed + i, den),
+                random_channel(yp, y, seed + 50 + i, den),
             )
-        )
-    v = CpcChannel(2, 2, 2, 2, tuple(terms))
-    reduced = caratheodory_reduce(v)
-    assert len(reduced.terms) <= 17  # |X×Y'×X'×Y| + 1
-    assert len(reduced.terms) <= len(v.terms)
-    assert as_channel(reduced) == as_channel(v)
+            for i in range(n_terms)
+        ),
+    )
+
+
+def witness_chain(seed):
+    """W1 ⊒ W2 ⊒ W3 with the two deterministic-pair witnesses chained."""
+    w1 = random_channel(2, 3, seed, 6)
+    w2 = skew_compose_channel(random_cpc(3, 2, 3, 2, seed=seed + 1), w1)
+    w3 = skew_compose_channel(random_cpc(2, 3, 2, 2, seed=seed + 2), w2)
+    v21 = witness_to_cpc(contains(w1, w2).witness)
+    v32 = witness_to_cpc(contains(w2, w3).witness)
+    return skew_compose_cpc(v32, v21)
+
+
+def atom(term, v):
+    single = CpcChannel(
+        v.x_size, v.xp_size, v.yp_size, v.y_size, (CpcTerm(ONE, term.r, term.t),)
+    )
+    return [p for row in as_channel(single).rows for p in row]
+
+
+def test_caratheodory_reduce_large_mixture():
+    inputs = [
+        random_mixture(2, 2, 2, 2, seed=900, n_terms=10),
+        random_mixture(2, 2, 2, 2, seed=910, n_terms=24),
+        random_mixture(2, 3, 2, 2, seed=920, n_terms=30),
+        random_mixture(3, 2, 2, 3, seed=930, n_terms=40),
+        witness_chain(940),
+        witness_chain(950),
+    ]
+    for v in inputs:
+        reduced = caratheodory_reduce(v)
+        dim = v.x_size * v.yp_size * v.xp_size * v.y_size
+        assert len(reduced.terms) <= dim + 1
+        assert len(reduced.terms) <= len(v.terms)
+        assert as_channel(reduced) == as_channel(v)
+        # Affinely independent atoms: [1; atoms] has full column rank.
+        columns = [[ONE] + atom(term, v) for term in reduced.terms]
+        assert matrix_rank(columns) == len(reduced.terms)
 
 
 def test_cpc_json_round_trip():

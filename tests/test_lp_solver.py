@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import vertex_enumeration_maximum
 
@@ -11,6 +13,7 @@ from chanord.lp_solver import (
     FEASIBLE,
     INFEASIBLE,
     OPTIMAL,
+    hull_lp,
     maximize,
     solve_feasibility,
     standard_lp,
@@ -151,3 +154,55 @@ def test_optimal_dual_prices_certify_value():
             >= lp.objective[j]
         )
     assert sum((y[i] * lp.rhs[i] for i in range(2)), start=ZERO) == out.value
+
+
+def small_rationals():
+    return st.builds(Rat, st.integers(-3, 3), st.integers(1, 4))
+
+
+@st.composite
+def hull_instances(draw):
+    """A point and generators in a small dimension; half the points are
+    drawn as convex combinations of the generators, so both answers occur."""
+    dim = draw(st.integers(1, 3))
+    count = draw(st.integers(1, 5))
+    generators = [
+        tuple(draw(small_rationals()) for _ in range(dim)) for _ in range(count)
+    ]
+    if draw(st.booleans()):
+        raw = [draw(st.integers(0, 3)) for _ in range(count)]
+        if not any(raw):
+            raw[0] = 1
+        mix = [Rat(k, sum(raw)) for k in raw]
+        point = tuple(
+            sum((m * gen[i] for m, gen in zip(mix, generators)), start=ZERO)
+            for i in range(dim)
+        )
+    else:
+        point = tuple(draw(small_rationals()) for _ in range(dim))
+    return point, generators
+
+
+@settings(max_examples=150)
+@given(instance=hull_instances())
+def test_hull_lp_weights_or_separating_hyperplane(instance):
+    point, generators = instance
+    out = solve_feasibility(hull_lp(point, generators))
+    if out.tag == FEASIBLE:
+        weights = out.primal
+        assert all(v >= 0 for v in weights)
+        assert sum(weights, start=ZERO) == ONE
+        for i in range(len(point)):
+            assert sum(
+                (v * gen[i] for v, gen in zip(weights, generators)), start=ZERO
+            ) == point[i]
+    else:
+        assert out.tag == INFEASIBLE
+        *normal, offset = out.dual_certificate
+        assert len(normal) == len(point)
+
+        def level(p):
+            return sum((a * b for a, b in zip(normal, p)), start=ZERO) + offset
+
+        assert all(level(gen) <= 0 for gen in generators)
+        assert level(point) > 0

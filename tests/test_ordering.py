@@ -117,6 +117,14 @@ def test_input_degraded_cases():
 
     useless = make_channel([["1/2", "1/2"], ["1/2", "1/2"]])
     assert input_degraded_from(identity_channel(2), useless) is None
+
+    # Rows of wp span p(1) in [1/4, 3/4]; the middle row of w lies outside.
+    wp = make_channel([["1/4", "3/4"], ["3/4", "1/4"]])
+    inside = make_channel([["1/2", "1/2"], ["1/4", "3/4"], ["2/3", "1/3"]])
+    witness = input_degraded_from(inside, wp)
+    assert witness is not None and compose(wp, witness) == inside
+    one_outside = make_channel([["1/2", "1/2"], ["9/10", "1/10"], ["2/3", "1/3"]])
+    assert input_degraded_from(one_outside, wp) is None
     with pytest.raises(DimensionMismatchError):
         input_degraded_from(random_channel(2, 2, 1, 4), random_channel(2, 3, 1, 4))
 
