@@ -69,7 +69,8 @@ def _build_parser() -> _Parser:
         "--max-pairs",
         type=int,
         default=DEFAULT_MAX_PAIRS,
-        help=f"cap on deterministic-pair enumerations (default {DEFAULT_MAX_PAIRS})",
+        help="cap on enumerations: encoders per game optimum, whole pairs for "
+        f"regions (default {DEFAULT_MAX_PAIRS})",
     )
     caps.add_argument(
         "--max-outputs-pow",

@@ -10,10 +10,11 @@ Skew-composition is only exposed on CpcChannel values: applied to a
 non-convex-product joint channel the same contraction formula need not
 produce a channel at all, so the type is the guard.
 
-The deterministic pairs (f, g) are the extreme points of this set. They are
-enumerated here once: as a lexicographic basis (enumerate_det_pairs) and
-as the distinct simulated columns D_g ∘ W' ∘ D_f (simulation_columns),
-under one shared pair-count cap. Carathéodory reduction is a hull question
+The deterministic pairs (f, g) are the extreme points of this set.
+enumerate_det_pairs lists them all in lexicographic order; pair_column
+builds the simulated column D_g ∘ W' ∘ D_f of one pair, which is how the
+containment and metric searches add the pairs a game prices, one at a
+time, instead of listing them. Carathéodory reduction is a hull question
 like every other in the library and goes through lp_solver.hull_lp: the
 flattened channel lies in the hull of its term atoms, and one vertex solve
 of that program keeps a basic solution. Its support is a set of linearly
@@ -38,10 +39,11 @@ from .errors import DimensionMismatchError, InternalCheckError, ResourceLimitErr
 from .lp_solver import FEASIBLE, hull_lp, solve_feasibility
 from .rational import ONE, ZERO, Rat, parse_rat, rat_str
 
-# Equals 4^4 · 4^4, the pair count of a 4×4 channel simulating a 4×4 one,
-# but the exact containment LP at that size ran for more than 900 s on the
-# Fraction backend (2-core machine, Python 3.11): the cap bounds the
-# enumeration size, not the run time.
+# One cap for every enumeration of deterministic maps. For contains, the
+# metric search and brm-opt it bounds the encoders |X'|^|X| that one game
+# optimum scans (after target reduction, for contains); only
+# enumerate_det_pairs and the region generators count whole pairs
+# |X'|^|X| · |Y|^|Y'| against it. It bounds enumeration size, not run time.
 DEFAULT_MAX_PAIRS = 65536
 
 
@@ -165,13 +167,6 @@ def skew_compose_channel(v: CpcChannel, wp: Channel) -> Channel:
     return Channel(v.x_size, v.y_size, tuple(tuple(row) for row in rows))
 
 
-def _check_pair_count(count: int, max_pairs: int):
-    if count > max_pairs:
-        raise ResourceLimitError(
-            f"deterministic-pair basis has {count} elements (cap {max_pairs})"
-        )
-
-
 def enumerate_det_pairs(
     x_size: int,
     xp_size: int,
@@ -187,7 +182,11 @@ def enumerate_det_pairs(
     for size in (x_size, xp_size, yp_size, y_size):
         if size < 1:
             raise ValueError("alphabet sizes must be >= 1")
-    _check_pair_count(xp_size**x_size * y_size**yp_size, max_pairs)
+    count = xp_size**x_size * y_size**yp_size
+    if count > max_pairs:
+        raise ResourceLimitError(
+            f"deterministic-pair basis has {count} elements (cap {max_pairs})"
+        )
     pairs = tuple(
         (
             DeterministicMap(x_size, xp_size, f_img),
@@ -199,44 +198,20 @@ def enumerate_det_pairs(
     return DetPairBasis(x_size, xp_size, yp_size, y_size, pairs)
 
 
-def simulation_columns(wp: Channel, x_size: int, y_size: int, max_pairs: int):
-    """Distinct columns D_g ∘ wp ∘ D_f, each with its lex-first (f, g) pair.
+def pair_column(wp: Channel, f: DeterministicMap, g: DeterministicMap) -> tuple:
+    """The simulated channel D_g ∘ wp ∘ D_f flattened row-major.
 
-    A column is the simulated x_size × y_size channel flattened row-major.
-    The full basis has |X'|^|X| · |Y|^|Y'| pairs (checked against
-    max_pairs); duplicates are collapsed in two stages (f only acts through
-    the rows it selects, g only through the output columns of wp that carry
-    mass) so the programs built on the columns stay small. Column order is
-    deterministic.
+    f maps the simulated inputs into wp's inputs, g maps wp's outputs onto
+    the simulated outputs; this is one generator of the containment hull.
     """
-    _check_pair_count(wp.input_size**x_size * y_size**wp.output_size, max_pairs)
-    row_choices = {}
-    for f_img in product(range(1, wp.input_size + 1), repeat=x_size):
-        key = tuple(wp.rows[i - 1] for i in f_img)
-        if key not in row_choices:
-            row_choices[key] = f_img
-    live_outputs = [
-        any(row[y] != 0 for row in wp.rows) for y in range(wp.output_size)
-    ]
-    merge_choices = {}
-    for g_img in product(range(1, y_size + 1), repeat=wp.output_size):
-        key = tuple(v for v, live in zip(g_img, live_outputs) if live)
-        if key not in merge_choices:
-            merge_choices[key] = g_img
-    columns = {}
-    for selected_rows, f_img in row_choices.items():
-        for g_img in merge_choices.values():
-            flat = []
-            for row in selected_rows:
-                out = [ZERO] * y_size
-                for yp, p in enumerate(row):
-                    if p != 0:
-                        out[g_img[yp] - 1] += p
-                flat.extend(out)
-            key = tuple(flat)
-            if key not in columns:
-                columns[key] = (f_img, g_img)
-    return list(columns.items())
+    flat = []
+    for x in f.image:
+        out = [ZERO] * g.codomain_size
+        for yp, p in enumerate(wp.rows[x - 1]):
+            if p != 0:
+                out[g.image[yp] - 1] += p
+        flat.extend(out)
+    return tuple(flat)
 
 
 def _flat_atom(term: CpcTerm, v: CpcChannel) -> tuple:

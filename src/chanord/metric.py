@@ -10,11 +10,13 @@ supremum dominates every candidate, the bound is sound by construction.
 
 The search samples normalized payoffs and refines each by
 difference-of-convex ascent. Both optimal payoffs are pointwise maxima of
-linear functions of l, so fixing the active deterministic pair of the
-first channel and keeping the second channel's full piecewise description
-gives a concave subproblem over the payoff simplex; its exact optimum is
-read off the dual prices of a small rational program, and each accepted
-step strictly increases the true difference.
+linear functions of l, one piece per deterministic pair, so fixing the
+active pair of the first channel gives a concave subproblem over the
+payoff simplex. Its exact optimum is read off the dual prices of a small
+rational program over the second channel's pieces, which are generated
+as needed: each optimum is priced with the second channel's optimal pair,
+until that pair is one the program already has. Each accepted step
+strictly increases the true difference.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 from .brm import BrmGame, optimal_average_payoff
 from .channel_core import Channel, tv_distance
-from .cpc import simulation_columns
+from .cpc import DEFAULT_MAX_PAIRS, pair_column
 from .errors import DimensionMismatchError, InternalCheckError
 from .lp_solver import DEFAULT_MAX_PIVOTS, StandardLp, maximize
 from .prng import counter_int
@@ -65,30 +67,21 @@ def _opt(w: Channel, n: int, m: int, payoff, max_encoders):
     return value, pair
 
 
-def _pair_coefficients(w: Channel, n: int, m: int, f_img, g_img) -> tuple:
-    """Coefficient matrix of one deterministic pair: the pair's average
-    payoff is the entrywise product of this matrix with the payoff l."""
+def _pair_coefficients(w: Channel, n: int, pair) -> tuple:
+    """Flattened coefficient matrix of one deterministic pair: the pair's
+    average payoff is the inner product of this vector with the payoff l."""
     inv_n = Rat(1, n)
-    rows = []
-    for u in range(n):
-        row = [ZERO] * m
-        wrow = w.rows[f_img[u] - 1]
-        for y, p in enumerate(wrow):
-            if p != 0:
-                row[g_img[y] - 1] += p
-        rows.append(tuple(inv_n * v for v in row))
-    return tuple(rows)
+    return tuple(inv_n * v for v in pair_column(w, *pair))
 
 
-def _ascent_step(active, pieces, n, m, max_pivots):
+def _restricted_ascent(active, pieces, n, m, max_pivots):
     """Exact maximizer of ⟨active, l⟩ − max_j ⟨piece_j, l⟩ over the simplex.
 
-    Each piece is a coefficient matrix flattened row-major. Solved in the
+    Each piece is a flattened coefficient matrix. Solved in the
     orientation whose row count is the payoff dimension; the optimal
     payoff is the vector of dual prices on those rows.
     """
     dim = n * m
-    flat_active = [v for row in active for v in row]
     k = len(pieces)
     ncols = k + dim + 2  # piece mixture, slacks, z+ and z-
     rows = []
@@ -96,7 +89,7 @@ def _ascent_step(active, pieces, n, m, max_pivots):
     for coord in range(dim):
         row = [ZERO] * ncols
         for j in range(k):
-            row[j] = flat_active[coord] - pieces[j][coord]
+            row[j] = active[coord] - pieces[j][coord]
         row[k + coord] = ONE
         row[k + dim] = -ONE
         row[k + dim + 1] = ONE
@@ -120,6 +113,22 @@ def _ascent_step(active, pieces, n, m, max_pivots):
     return tuple(tuple(candidate[u * m + v] for v in range(m)) for u in range(n))
 
 
+def _ascent_step(active, other, other_pair, n, m, max_encoders, max_pivots):
+    """_restricted_ascent over every deterministic pair of `other`, by
+    column generation from other's active pair: each optimum l is priced
+    with other's optimal pair. Fewer pieces can only raise the objective,
+    so once the priced piece is already present, l is optimal for all.
+    """
+    pieces = [_pair_coefficients(other, n, other_pair)]
+    while True:
+        candidate = _restricted_ascent(active, pieces, n, m, max_pivots)
+        _value, pair = _opt(other, n, m, candidate, max_encoders)
+        piece = _pair_coefficients(other, n, pair)
+        if piece in pieces:
+            return candidate
+        pieces.append(piece)
+
+
 def _sample_payoff(seed: int, trial: int, n: int, m: int) -> tuple:
     draws = [
         [
@@ -139,7 +148,7 @@ def brm_distance_lower_bound(
     m_max: int = DEFAULT_DIM_CAP,
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
-    max_encoders: int = 1 << 20,
+    max_encoders: int = DEFAULT_MAX_PAIRS,
     max_pivots: int = DEFAULT_MAX_PIVOTS,
 ) -> MetricEstimate:
     """Seeded search for a payoff separating the two channels.
@@ -154,20 +163,6 @@ def brm_distance_lower_bound(
         ((n, m) for n in range(1, n_max + 1) for m in range(1, m_max + 1)),
         key=lambda nm: (nm[0] * nm[1], nm),
     )
-    pieces_cache = {}
-
-    def pieces_for(which: int, w: Channel, n: int, m: int):
-        """Distinct flattened coefficient matrices over all deterministic
-        pairs: the simulation columns of w, scaled by 1/n."""
-        key = (which, n, m)
-        if key not in pieces_cache:
-            inv_n = Rat(1, n)
-            pieces_cache[key] = [
-                tuple(inv_n * v for v in col)
-                for col, _pair in simulation_columns(w, n, m, max_encoders)
-            ]
-        return pieces_cache[key]
-
     def diff(n, m, payoff):
         v1, pair1 = _opt(w1, n, m, payoff, max_encoders)
         v2, pair2 = _opt(w2, n, m, payoff, max_encoders)
@@ -181,16 +176,14 @@ def brm_distance_lower_bound(
         score = abs(signed)
         for _step in range(_MAX_REFINE_STEPS):
             candidates = []
-            for first, pair in ((1, pair1), (2, pair2)):
-                own = w1 if first == 1 else w2
-                other = w2 if first == 1 else w1
-                active = _pair_coefficients(
-                    own, n, m, pair[0].image, pair[1].image
-                )
-                other_pieces = pieces_for(2 if first == 1 else 1, other, n, m)
+            for own, pair, other, other_pair in (
+                (w1, pair1, w2, pair2),
+                (w2, pair2, w1, pair1),
+            ):
+                active = _pair_coefficients(own, n, pair)
                 try:
                     candidate = _ascent_step(
-                        active, other_pieces, n, m, max_pivots
+                        active, other, other_pair, n, m, max_encoders, max_pivots
                     )
                 except InternalCheckError:
                     continue
@@ -225,7 +218,7 @@ def brm_vs_tv(
     m_max: int = DEFAULT_DIM_CAP,
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
-    max_encoders: int = 1 << 20,
+    max_encoders: int = DEFAULT_MAX_PAIRS,
     max_pivots: int = DEFAULT_MAX_PIVOTS,
 ):
     """(estimated lower bound, exact channel distance) for same-shape channels.

@@ -1,19 +1,20 @@
 """Containment, equivalence, and degradedness oracles with certificates.
 
-A channel W' contains W exactly when W is a convex combination of
-T ∘ W' ∘ R over deterministic pairs (R, T), so containment is a rational
-feasibility question over the deterministic-pair basis. A feasible answer
-is returned as an explicit mixture that reconstructs W; an infeasible one
-is converted into a normalized positive payoff function whose optimal
-average payoff strictly separates the two channels. Both objects are
-re-verified exactly before being returned.
+W' contains W exactly when W is a convex combination of T ∘ W' ∘ R over
+deterministic pairs (R, T), and, dually, exactly when every game pays at
+least as well with W' as with W. contains runs both sides as one column
+generation: while the hull program over the pairs found so far is
+infeasible, its Farkas dual is a payoff whose optimal pair against W'
+enters next. It ends with a mixture that reconstructs W, or with a dual no
+pair beats, turned into a normalized positive payoff that strictly
+separates the channels. Both are re-verified exactly before being returned.
 
 Every hull question here goes through lp_solver.hull_lp: the flattened
-target against the simulation columns of cpc.simulation_columns
-(containment), a row of w against the rows of wp (input-degradedness,
-one program per row), and a row against the other rows (the srank input
-reduction). Only output-degradedness keeps its own program, whose hull
-form would need |Y|^|Y'| generators.
+target against the generated columns (containment), a row of w against
+the rows of wp (input-degradedness, one program per row), and a row
+against the other rows (the srank input reduction). Only
+output-degradedness keeps its own program, whose hull form would need
+|Y|^|Y'| generators.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .cpc import (
     DEFAULT_MAX_PAIRS,
     CpcChannel,
     cpc_from_pairs,
-    simulation_columns,
+    pair_column,
     skew_compose_channel,
 )
 from .errors import DimensionMismatchError, InternalCheckError
@@ -163,7 +164,14 @@ def contains(
     max_pairs: int = DEFAULT_MAX_PAIRS,
     max_pivots: int = DEFAULT_MAX_PIVOTS,
 ) -> OrderingVerdict:
-    """Decide whether wp contains w, with a verified witness either way."""
+    """Decide whether wp contains w, with a verified witness either way.
+
+    max_pairs caps the encoders each game optimum scans: |X'|^|X| per
+    pricing step, after duplicate rows of w are merged, and also w's own
+    encoders when a certificate's gap is re-derived; max_pivots bounds
+    each restricted master solve. Exceeding either raises
+    ResourceLimitError, never a verdict.
+    """
     if wp == w:
         f = DeterministicMap(w.input_size, w.input_size,
                              tuple(range(1, w.input_size + 1)))
@@ -173,35 +181,50 @@ def contains(
         _verify_witness(witness, wp, w)
         return OrderingVerdict(tag=CONTAINS, witness=witness)
     w_red, input_map, output_injection = _reduce_target(w)
-    columns = simulation_columns(wp, w_red.input_size, w_red.output_size, max_pairs)
+    n, m = w_red.input_size, w_red.output_size
     target = [p for row in w_red.rows for p in row]
-    lp = hull_lp(target, [col for col, _pair in columns])
-    outcome = solve_feasibility(lp, max_pivots=max_pivots)
-    if outcome.tag == FEASIBLE:
-        weights = []
-        for alpha, (_col, (f_img, g_img)) in zip(outcome.primal, columns):
-            if alpha != 0:
-                # Pull the pair back through the reduction maps: inputs of w
-                # first collapse onto their representatives, and simulated
-                # outputs re-inject into w's full output alphabet.
-                f = DeterministicMap(
-                    w.input_size,
-                    wp.input_size,
-                    tuple(f_img[input_map(x) - 1] for x in range(1, w.input_size + 1)),
-                )
-                g = DeterministicMap(
-                    wp.output_size,
-                    w.output_size,
-                    tuple(output_injection(v) for v in g_img),
-                )
-                weights.append(((f, g), alpha))
-        witness = ContainmentWitness(tuple(weights))
-        _verify_witness(witness, wp, w)
-        return OrderingVerdict(tag=CONTAINS, witness=witness)
-    certificate = _certificate_from_farkas(
-        wp, w, w_red, outcome.dual_certificate, max_pairs
-    )
-    return OrderingVerdict(tag=DOES_NOT_CONTAIN, certificate=certificate)
+    # The master starts empty; its Farkas dual is then all ones, every pair
+    # ties, and the first column is the lexicographically first pair.
+    columns = []
+    pairs = []
+    while True:
+        outcome = solve_feasibility(hull_lp(target, columns), max_pivots=max_pivots)
+        if outcome.tag == FEASIBLE:
+            break
+        dual = outcome.dual_certificate
+        payoff = tuple(tuple(dual[x * m : (x + 1) * m]) for x in range(n))
+        game = BrmGame(n, wp.input_size, wp.output_size, m, payoff, wp)
+        value, (f, g) = optimal_average_payoff(game, max_encoders=max_pairs)
+        if n * value + dual[-1] <= 0:
+            # No pair prices positive: the restricted dual separates the
+            # target from every column, not only from the ones found.
+            certificate = _certificate_from_farkas(wp, w, w_red, dual, max_pairs)
+            return OrderingVerdict(tag=DOES_NOT_CONTAIN, certificate=certificate)
+        column = pair_column(wp, f, g)
+        if column in columns:
+            raise InternalCheckError("priced column is already in the master program")
+        columns.append(column)
+        pairs.append((f.image, g.image))
+    weights = []
+    for alpha, (f_img, g_img) in zip(outcome.primal, pairs):
+        if alpha != 0:
+            # Pull the pair back through the reduction maps: inputs of w
+            # first collapse onto their representatives, and simulated
+            # outputs re-inject into w's full output alphabet.
+            f = DeterministicMap(
+                w.input_size,
+                wp.input_size,
+                tuple(f_img[input_map(x) - 1] for x in range(1, w.input_size + 1)),
+            )
+            g = DeterministicMap(
+                wp.output_size,
+                w.output_size,
+                tuple(output_injection(v) for v in g_img),
+            )
+            weights.append(((f, g), alpha))
+    witness = ContainmentWitness(tuple(weights))
+    _verify_witness(witness, wp, w)
+    return OrderingVerdict(tag=CONTAINS, witness=witness)
 
 
 def _verify_witness(witness: ContainmentWitness, wp: Channel, w: Channel):

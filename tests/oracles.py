@@ -127,6 +127,20 @@ def brute_force_optimal_average(game):
     return best
 
 
+def all_simulation_columns(wp, x, y):
+    """Every column D_g ∘ wp ∘ D_f, one per deterministic pair, flattened
+    row-major: |X'|^x · y^|Y'| of them, duplicates kept."""
+    columns = []
+    for f_img in product(range(wp.input_size), repeat=x):
+        for g_img in product(range(y), repeat=wp.output_size):
+            flat = [ZERO] * (x * y)
+            for u, xp in enumerate(f_img):
+                for yp, p in enumerate(wp.rows[xp]):
+                    flat[u * y + g_img[yp]] += p
+            columns.append(tuple(flat))
+    return columns
+
+
 def binary_entropy_capacity_nats(p: float) -> float:
     """Closed form for the binary symmetric channel: ln2 + p·ln p + (1-p)·ln(1-p)."""
     import math

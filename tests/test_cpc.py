@@ -1,6 +1,11 @@
 import pytest
 
-from oracles import cpc_entry, flat_skew_contraction, matrix_rank
+from oracles import (
+    all_simulation_columns,
+    cpc_entry,
+    flat_skew_contraction,
+    matrix_rank,
+)
 
 from chanord.channel_core import (
     DeterministicMap,
@@ -18,6 +23,7 @@ from chanord.cpc import (
     cpc_from_json,
     cpc_to_json,
     enumerate_det_pairs,
+    pair_column,
     skew_compose_channel,
     skew_compose_cpc,
 )
@@ -200,6 +206,18 @@ def test_enumerate_det_pairs_counts_and_order():
     assert len(set(flat)) == len(flat)
     with pytest.raises(ResourceLimitError):
         enumerate_det_pairs(4, 4, 4, 4, max_pairs=100)
+
+
+def test_pair_column_matches_composition_and_brute_force():
+    wp = random_channel(3, 4, 64, 8)
+    columns = all_simulation_columns(wp, 2, 3)
+    basis = enumerate_det_pairs(2, 3, 4, 3)
+    assert len(basis.pairs) == len(columns)
+    for (f, g), column in zip(basis.pairs, columns):
+        built = pair_column(wp, f, g)
+        assert built == column
+        simulated = compose(deterministic(g), compose(wp, deterministic(f)))
+        assert built == tuple(p for row in simulated.rows for p in row)
 
 
 def test_caratheodory_reduce_trivial_cases():

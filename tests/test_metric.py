@@ -1,4 +1,5 @@
 import pytest
+from oracles import all_simulation_columns
 
 from chanord.brm import BrmGame, optimal_average_payoff
 from chanord.channel_core import (
@@ -8,8 +9,14 @@ from chanord.channel_core import (
     identity_channel,
     random_channel,
 )
+from chanord.cpc import DEFAULT_MAX_PAIRS
 from chanord.errors import DimensionMismatchError
+from chanord.lp_solver import DEFAULT_MAX_PIVOTS
 from chanord.metric import (
+    _ascent_step,
+    _pair_coefficients,
+    _restricted_ascent,
+    _sample_payoff,
     brm_distance_lower_bound,
     brm_vs_tv,
     metric_estimate_to_json,
@@ -102,3 +109,38 @@ def test_estimate_serializes():
     assert blob["game_dims"] == list(est.game_dims)
     assert blob["seed"] == 11 and blob["search_budget"] == 4
     assert isinstance(blob["lower_bound"], str)
+
+
+def test_generated_ascent_step_matches_the_full_program():
+    def objective(active, pieces, payoff):
+        flat = [v for row in payoff for v in row]
+
+        def dot(vec):
+            return sum((a * b for a, b in zip(vec, flat)), start=ZERO)
+
+        return dot(active) - max(dot(piece) for piece in pieces)
+
+    for seed in range(8):
+        w1 = random_channel(2, 2, 9000 + seed, 8)
+        w2 = random_channel(2, 2, 9100 + seed, 8)
+        for n, m in ((1, 2), (2, 1), (2, 2)):
+            payoff = _sample_payoff(seed, 0, n, m)
+            _v1, pair1 = optimal_average_payoff(
+                BrmGame(n, 2, 2, m, payoff, w1)
+            )
+            _v2, pair2 = optimal_average_payoff(
+                BrmGame(n, 2, 2, m, payoff, w2)
+            )
+            active = _pair_coefficients(w1, n, pair1)
+            inv_n = Rat(1, n)
+            pieces = [
+                tuple(inv_n * v for v in col)
+                for col in all_simulation_columns(w2, n, m)
+            ]
+            full = _restricted_ascent(active, pieces, n, m, DEFAULT_MAX_PIVOTS)
+            generated = _ascent_step(
+                active, w2, pair2, n, m, DEFAULT_MAX_PAIRS, DEFAULT_MAX_PIVOTS
+            )
+            assert objective(active, pieces, generated) == objective(
+                active, pieces, full
+            )

@@ -1,7 +1,11 @@
+from itertools import product
+
 import pytest
+from oracles import all_simulation_columns
 
 from chanord.brm import BrmGame, optimal_average_payoff, region_generators, region_subset
 from chanord.channel_core import (
+    DeterministicMap,
     bsc,
     channel_product,
     channel_sum,
@@ -11,7 +15,12 @@ from chanord.channel_core import (
     random_channel,
 )
 from chanord.cpc import CpcChannel, CpcTerm, skew_compose_channel, skew_compose_cpc
-from chanord.errors import DimensionMismatchError, ResourceLimitError
+from chanord.errors import (
+    DimensionMismatchError,
+    InternalCheckError,
+    ResourceLimitError,
+)
+from chanord.lp_solver import FEASIBLE, hull_lp, solve_feasibility
 from chanord.ordering import (
     apply_witness,
     certificate_from_json,
@@ -220,6 +229,63 @@ def test_resource_cap_is_an_error_not_a_verdict():
     w = random_channel(3, 3, 1402, 7)
     with pytest.raises(ResourceLimitError):
         contains(wp, w, max_pairs=10)
+
+
+def test_contains_scans_encoders_not_pairs():
+    # 2^2 · 3^10 = 236196 deterministic pairs, but only 2^2 encoders.
+    wp = random_channel(2, 10, 1403, 8)
+    w = skew_compose_channel(random_cpc(2, 2, 10, 3, seed=1404), wp)
+    assert (w.input_size, w.output_size) == (2, 3)
+    assert w.rows[0] != w.rows[1]
+    verdict = contains(wp, w)
+    assert verdict.holds
+    assert apply_witness(verdict.witness, wp) == w
+    assert contains(wp, w, max_pairs=4).holds
+    with pytest.raises(ResourceLimitError):
+        contains(wp, w, max_pairs=3)
+
+
+def test_priced_column_already_in_the_master_is_an_internal_error(monkeypatch):
+    # The target is contained, so every restricted dual prices some pair
+    # positive; a pricing step that names a pair already in the master
+    # instead of the optimal one must be caught, not looped on.
+    wp = random_channel(2, 2, 1405, 8)
+    w = skew_compose_channel(random_cpc(2, 2, 2, 2, seed=1406), wp)
+    real = optimal_average_payoff
+
+    def stale_argmax(game, max_encoders):
+        value, _pair = real(game, max_encoders=max_encoders)
+        f = DeterministicMap(game.u_size, game.x_size, (1,) * game.u_size)
+        g = DeterministicMap(game.y_size, game.v_size, (1,) * game.y_size)
+        return value, (f, g)
+
+    monkeypatch.setattr("chanord.ordering.optimal_average_payoff", stale_argmax)
+    with pytest.raises(InternalCheckError, match="already in the master"):
+        contains(wp, w)
+
+
+def test_contains_agrees_with_the_full_column_program():
+    shapes = [
+        (xp, yp, x, y)
+        for xp, yp, x, y in product(range(2, 4), repeat=4)
+        if xp**x * y**yp <= 216
+    ]
+    verdicts = []
+    for seed in range(40):
+        xp, yp, x, y = shapes[seed % len(shapes)]
+        wp = random_channel(xp, yp, 1500 + seed, 6)
+        if seed % 2 == 0:
+            w = skew_compose_channel(random_cpc(x, xp, yp, y, seed=1600 + seed), wp)
+        else:
+            w = random_channel(x, y, 1700 + seed, 6)
+        target = [p for row in w.rows for p in row]
+        full = solve_feasibility(hull_lp(target, all_simulation_columns(wp, x, y)))
+        verdict = contains(wp, w)
+        assert verdict.holds == (full.tag == FEASIBLE)
+        verdicts.append(verdict.holds)
+    # Simulated targets are always contained; random ones go both ways.
+    assert all(verdicts[::2])
+    assert True in verdicts[1::2] and False in verdicts[1::2]
 
 
 def test_srank_upper_bound_cases():
