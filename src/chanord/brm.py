@@ -4,13 +4,21 @@ A game fixes four alphabets (U, X, Y, V), a payoff matrix l over U×V, and
 a randomizer channel W: X -> Y. One player commits to a randomized choice
 of encoder/decoder pairs (f: U -> X, g: Y -> V) around the fixed W; the
 payoff for a secret u is the expectation of l(u, g(y)). Everything here
-is exact rational arithmetic.
+is exact.
+
+optimal_average_payoff is the game oracle that containment prices its
+columns with. It scans every encoder f: U -> X on Python ints, after
+scaling W and l to common denominators, and encoders sharing a prefix of
+images share its partial score sums. The scaling is positive, so the
+value and the reported optimal pair (first encoder, smallest decoders)
+are exactly those of scoring every pair in rational arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from math import lcm
+from operator import add
 
 from .channel_core import (
     Channel,
@@ -134,46 +142,80 @@ def average_payoff(s: Strategy, g: BrmGame):
     return sum(vec, start=ZERO) / g.u_size
 
 
+def _scaled_ints(values):
+    """Common denominator d of exact rationals, and each value times d as an int."""
+    values = list(values)
+    d = lcm(*(int(v.denominator) for v in values))
+    return d, [int(v.numerator) * (d // int(v.denominator)) for v in values]
+
+
+def _plus(sums, scores):
+    """Add a (y, v) score table to per-output partial sums."""
+    return [list(map(add, acc, row)) for acc, row in zip(sums, scores)]
+
+
 def optimal_average_payoff(
     g: BrmGame, max_encoders: int = DEFAULT_MAX_PAIRS
 ):
     """Exact supremum of the average payoff, attained at a deterministic pair.
 
     The average payoff is linear in the strategy mixture, so the optimum is
-    at a deterministic pair; for a fixed encoder the best decoder factors
-    per output symbol. Returns (value, (encoder, decoder)); the reported
-    argmax is the lexicographically first optimum (decoder ties break to
-    the smallest index).
+    at a deterministic pair; for a fixed encoder f the best decoder picks,
+    per output y, a v maximizing Σ_u W(y|f(u))·l(u, v). Returns
+    (value, (encoder, decoder)); the argmax is the lexicographically first
+    optimal encoder, and per output the smallest optimal decoder index.
+
+    The scan runs on Python ints: W and l are scaled by the common
+    denominators d_W and d_l, and for every secret u and input x the
+    (y, v) score vector W(y|x)·l(u, v) is tabulated once. Encoders are
+    walked depth-first in itertools.product order, so encoders sharing a
+    prefix share its partial score sums and each encoder costs |Y|·|V|
+    integer additions and |Y| maxima. A positive scaling changes no
+    comparison, so the strict-improvement tests keep the tie order, and
+    the value is one exact division, total / (d_W·d_l·|U|).
     """
     count = g.x_size**g.u_size
     if count > max_encoders:
         raise ResourceLimitError(
             f"encoder enumeration has {count} elements (cap {max_encoders})"
         )
-    best = None
-    for f_img in product(range(1, g.x_size + 1), repeat=g.u_size):
-        total = ZERO
-        g_img = []
-        for y in range(g.y_size):
-            best_v = 1
-            best_score = None
-            for v in range(1, g.v_size + 1):
-                score = ZERO
-                for u in range(1, g.u_size + 1):
-                    p = g.randomizer.rows[f_img[u - 1] - 1][y]
-                    if p != 0:
-                        score += p * g.payoff_matrix[u - 1][v - 1]
-                if best_score is None or score > best_score:
-                    best_score = score
-                    best_v = v
-            total += best_score
-            g_img.append(best_v)
-        value = total / g.u_size
-        if best is None or value > best[0]:
-            best = (value, f_img, tuple(g_img))
-    value, f_img, g_img = best
+    y_size, v_size = g.y_size, g.v_size
+    d_w, w_int = _scaled_ints(p for row in g.randomizer.rows for p in row)
+    d_l, l_int = _scaled_ints(c for row in g.payoff_matrix for c in row)
+    # tables[u][x][y] lists W(y|x)·l(u, v) over v, all scaled by d_W·d_l.
+    tables = [
+        [
+            [
+                [w * l for l in l_int[u * v_size : (u + 1) * v_size]]
+                for w in w_int[x * y_size : (x + 1) * y_size]
+            ]
+            for x in range(g.x_size)
+        ]
+        for u in range(g.u_size)
+    ]
+
+    def best_extension(depth, partial):
+        """(total, images) of the first best encoder extending a prefix of
+        length depth whose score sums are partial."""
+        if depth == g.u_size:
+            return sum(max(acc) for acc in partial), ()
+        best = None
+        for x, row in enumerate(tables[depth]):
+            total, images = best_extension(depth + 1, _plus(partial, row))
+            if best is None or total > best[0]:
+                best = (total, (x,) + images)
+        return best
+
+    zeros = [[0] * v_size for _ in range(y_size)]
+    best_total, images = best_extension(0, zeros)
+    sums = zeros
+    for u, x in enumerate(images):
+        sums = _plus(sums, tables[u][x])
+    # max returns the first maximal index, the smallest optimal decoder.
+    g_img = tuple(max(range(v_size), key=acc.__getitem__) + 1 for acc in sums)
+    value = Rat(best_total, d_w * d_l * g.u_size)
     return value, (
-        DeterministicMap(g.u_size, g.x_size, f_img),
+        DeterministicMap(g.u_size, g.x_size, tuple(x + 1 for x in images)),
         DeterministicMap(g.y_size, g.v_size, g_img),
     )
 

@@ -127,16 +127,17 @@ def _reduce_target(w: Channel):
     return reduced, input_map, output_injection
 
 
-def _certificate_from_farkas(wp, w, w_red, dual, max_pairs):
+def _certificate_from_farkas(wp, w_red, dual, max_pairs):
     """Turn a Farkas dual over the reduced (x, y) rows into a separating payoff.
 
     Every column and the target have unit row sums per input, so adding a
     per-input constant to the dual preserves the strict gap; shifting to
     nonnegativity and scaling into the probability simplex yields a
-    normalized positive payoff. Optimal payoffs are invariant under the
-    target reduction (an exact mutual simulation), so the payoff separates
-    the original channels; the gap is re-derived from two exact
-    optimal-average-payoff evaluations against them.
+    normalized positive payoff. The gap is re-derived from two exact
+    optimal-average-payoff evaluations, against wp and against the reduced
+    target. Optimal payoffs are invariant under the target reduction (an
+    exact mutual simulation), so it is also the gap against the original
+    target, and w's own game scans only n^n encoders, n its distinct rows.
     """
     n, m = w_red.input_size, w_red.output_size
     shifted = []
@@ -148,7 +149,7 @@ def _certificate_from_farkas(wp, w, w_red, dual, max_pairs):
     if total <= 0:
         raise InternalCheckError("degenerate Farkas dual for separation")
     payoff = tuple(tuple(v / total for v in block) for block in shifted)
-    own_game = BrmGame(n, w.input_size, w.output_size, m, payoff, w)
+    own_game = BrmGame(n, n, m, m, payoff, w_red)
     other_game = BrmGame(n, wp.input_size, wp.output_size, m, payoff, wp)
     own_opt, _ = optimal_average_payoff(own_game, max_encoders=max_pairs)
     other_opt, _ = optimal_average_payoff(other_game, max_encoders=max_pairs)
@@ -166,11 +167,12 @@ def contains(
 ) -> OrderingVerdict:
     """Decide whether wp contains w, with a verified witness either way.
 
-    max_pairs caps the encoders each game optimum scans: |X'|^|X| per
-    pricing step, after duplicate rows of w are merged, and also w's own
-    encoders when a certificate's gap is re-derived; max_pivots bounds
-    each restricted master solve. Exceeding either raises
-    ResourceLimitError, never a verdict.
+    max_pairs caps the encoders each game optimum scans. With n the number
+    of distinct rows of w, a pricing step scans |X'|^n encoders and
+    re-deriving a certificate's gap also scans n^n, w's own encoders after
+    the merge. It bounds the size of each enumeration, not the time of
+    the whole call; max_pivots bounds each restricted master solve.
+    Exceeding either raises ResourceLimitError, never a verdict.
     """
     if wp == w:
         f = DeterministicMap(w.input_size, w.input_size,
@@ -198,7 +200,7 @@ def contains(
         if n * value + dual[-1] <= 0:
             # No pair prices positive: the restricted dual separates the
             # target from every column, not only from the ones found.
-            certificate = _certificate_from_farkas(wp, w, w_red, dual, max_pairs)
+            certificate = _certificate_from_farkas(wp, w_red, dual, max_pairs)
             return OrderingVerdict(tag=DOES_NOT_CONTAIN, certificate=certificate)
         column = pair_column(wp, f, g)
         if column in columns:

@@ -110,8 +110,13 @@ def flat_skew_contraction(v_flat, dims_v, vp_flat, dims_vp):
     return out
 
 
-def brute_force_optimal_average(game):
-    """Max average payoff over every deterministic pair, by full enumeration."""
+def brute_force_optimal_pair(game):
+    """First optimal deterministic pair by full enumeration.
+
+    Every (f, g) pair is scored from its definition, in lexicographic
+    order (encoder first), and only a strictly better pair replaces the
+    best so far. Returns (value, f_img, g_img) with 1-based images.
+    """
     best = None
     for f_img in product(range(1, game.x_size + 1), repeat=game.u_size):
         for g_img in product(range(1, game.v_size + 1), repeat=game.y_size):
@@ -122,9 +127,14 @@ def brute_force_optimal_average(game):
                     if row[y] != 0:
                         total += row[y] * game.payoff_matrix[u - 1][g_img[y] - 1]
             value = total / game.u_size
-            if best is None or value > best:
-                best = value
+            if best is None or value > best[0]:
+                best = (value, f_img, g_img)
     return best
+
+
+def brute_force_optimal_average(game):
+    """Max average payoff over every deterministic pair, by full enumeration."""
+    return brute_force_optimal_pair(game)[0]
 
 
 def all_simulation_columns(wp, x, y):

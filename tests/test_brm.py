@@ -1,6 +1,8 @@
+from itertools import product
+
 import pytest
 
-from oracles import brute_force_optimal_average
+from oracles import brute_force_optimal_average, brute_force_optimal_pair
 
 from chanord.brm import (
     BrmGame,
@@ -189,6 +191,61 @@ def test_optimal_average_payoff_cap():
     game = random_game(55, u=3, x=3)
     with pytest.raises(ResourceLimitError):
         optimal_average_payoff(game, max_encoders=10)
+
+
+def oracle_games(u, x, y, v, seed):
+    """Games of one shape with signed (Farkas-dual-like), all-zero and 0/1
+    payoffs, and, when |Y| > 1, a randomizer with a mass-free output."""
+    signed = tuple(
+        tuple(
+            Rat(counter_int(seed, 1, i, j, bound=12) - 6,
+                counter_int(seed, 2, i, j, bound=4) + 1)
+            for j in range(v)
+        )
+        for i in range(u)
+    )
+    zero = tuple(tuple(ZERO for _ in range(v)) for _ in range(u))
+    zero_one = tuple(
+        tuple(Rat(counter_int(seed, 3, i, j, bound=1)) for j in range(v))
+        for i in range(u)
+    )
+    w = random_channel(x, y, seed + 991, 8)
+    games = [BrmGame(u, x, y, v, payoff, w) for payoff in (signed, zero, zero_one)]
+    if y > 1:
+        dead = counter_int(seed, 4, bound=y - 1)
+        rows = tuple(
+            row[:dead] + (ZERO,) + row[dead:]
+            for row in random_channel(x, y - 1, seed + 17, 8).rows
+        )
+        games.append(BrmGame(u, x, y, v, signed, make_channel(rows)))
+    return games
+
+
+def test_optimal_average_payoff_argmax_matches_pair_enumeration():
+    shapes = list(product(range(1, 4), repeat=4)) + [
+        (4, 2, 3, 2), (2, 4, 2, 4), (3, 3, 4, 3), (4, 3, 2, 3), (2, 2, 4, 4),
+    ]
+    for seed, shape in enumerate(shapes):
+        for game in oracle_games(*shape, seed + 1300):
+            value, (f, g) = optimal_average_payoff(game)
+            assert (value, f.image, g.image) == brute_force_optimal_pair(game)
+
+
+def test_optimal_average_payoff_all_ties_pick_first_pair():
+    for u, x, y, v in [(1, 1, 1, 1), (2, 3, 2, 3), (3, 2, 4, 2), (4, 3, 3, 4)]:
+        zero = tuple(tuple(ZERO for _ in range(v)) for _ in range(u))
+        game = BrmGame(u, x, y, v, zero, random_channel(x, y, u + 10 * x, 8))
+        value, (f, g) = optimal_average_payoff(game)
+        assert (value, f.image, g.image) == (ZERO, (1,) * u, (1,) * y)
+
+
+def test_optimal_average_payoff_cap_boundary():
+    for u, x in [(1, 3), (3, 2), (2, 4), (3, 3)]:
+        game = random_game(90 + u * x, u=u, x=x, y=2, v=3)
+        value, _ = optimal_average_payoff(game, max_encoders=x**u)
+        assert value == brute_force_optimal_average(game)
+        with pytest.raises(ResourceLimitError, match=f"has {x**u} elements"):
+            optimal_average_payoff(game, max_encoders=x**u - 1)
 
 
 def test_optimal_dominates_random_strategies():

@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import vertex_enumeration_maximum
+from oracles import matrix_rank, vertex_enumeration_maximum
 
 from chanord.errors import (
     LpInfeasibleError,
@@ -206,3 +206,38 @@ def test_hull_lp_weights_or_separating_hyperplane(instance):
 
         assert all(level(gen) <= 0 for gen in generators)
         assert level(point) > 0
+
+
+@st.composite
+def bounded_programs(draw):
+    """max c·x over A·x = b, x >= 0, feasible by construction (b = A·x0)
+    and bounded by a last row fixing the sum of x; A has full row rank, so
+    every optimal vertex is a basic solution of some square column set."""
+    cols = draw(st.integers(1, 4))
+    rows = draw(st.integers(0, cols - 1))
+    matrix = [
+        [Rat(draw(st.integers(-3, 3))) for _ in range(cols)] for _ in range(rows)
+    ]
+    matrix.append([ONE] * cols)
+    assume(matrix_rank(matrix) == len(matrix))
+    x0 = [Rat(draw(st.integers(0, 3))) for _ in range(cols)]
+    rhs = [sum((a * v for a, v in zip(row, x0)), start=ZERO) for row in matrix]
+    objective = [draw(small_rationals()) for _ in range(cols)]
+    return matrix, rhs, objective
+
+
+@settings(max_examples=150)
+@given(program=bounded_programs())
+def test_maximize_duals_certify_the_vertex_enumeration_optimum(program):
+    matrix, rhs, objective = program
+    lp = standard_lp(matrix, rhs, objective)
+    out = maximize(lp)
+    assert out.tag == OPTIMAL
+    check_primal(lp, out.primal)
+    y = out.dual_certificate
+    for j in range(lp.num_cols):
+        assert sum(
+            (y[i] * matrix[i][j] for i in range(len(matrix))), start=ZERO
+        ) >= objective[j]
+    assert sum((yi * bi for yi, bi in zip(y, rhs)), start=ZERO) == out.value
+    assert out.value == vertex_enumeration_maximum(matrix, rhs, objective)[0]

@@ -245,6 +245,18 @@ def test_contains_scans_encoders_not_pairs():
         contains(wp, w, max_pairs=3)
 
 
+def test_certificate_cap_counts_distinct_target_rows():
+    # w has four inputs but two distinct rows, so w's own game scans 2^2
+    # encoders after the merge, not 4^2, and fits the cap of the pricing.
+    wp = make_channel([["1/2", "1/2"], ["1/2", "1/2"]])
+    w = make_channel([["1", "0"], ["0", "1"], ["1", "0"], ["0", "1"]])
+    default = contains(wp, w)
+    capped = contains(wp, w, max_pairs=4)
+    assert not default.holds and not capped.holds
+    assert capped.certificate == default.certificate
+    assert certificate_gap(wp, w, capped.certificate) == capped.certificate.gap > 0
+
+
 def test_priced_column_already_in_the_master_is_an_internal_error(monkeypatch):
     # The target is contained, so every restricted dual prices some pair
     # positive; a pricing step that names a pair already in the master
