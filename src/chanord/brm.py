@@ -17,7 +17,6 @@ are exactly those of scoring every pair in rational arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from operator import add
 
 from .channel_core import (
@@ -30,7 +29,7 @@ from .channel_core import (
 from .cpc import DEFAULT_MAX_PAIRS, CpcChannel, CpcTerm, enumerate_det_pairs
 from .errors import DimensionMismatchError, ResourceLimitError
 from .lp_solver import DEFAULT_MAX_PIVOTS, FEASIBLE, hull_lp, solve_feasibility
-from .rational import ONE, ZERO, Rat, parse_rat, rat_str
+from .rational import ONE, ZERO, Rat, parse_rat, rat_str, scaled_ints
 
 
 @dataclass(frozen=True)
@@ -142,13 +141,6 @@ def average_payoff(s: Strategy, g: BrmGame):
     return sum(vec, start=ZERO) / g.u_size
 
 
-def _scaled_ints(values):
-    """Common denominator d of exact rationals, and each value times d as an int."""
-    values = list(values)
-    d = lcm(*(int(v.denominator) for v in values))
-    return d, [int(v.numerator) * (d // int(v.denominator)) for v in values]
-
-
 def _plus(sums, scores):
     """Add a (y, v) score table to per-output partial sums."""
     return [list(map(add, acc, row)) for acc, row in zip(sums, scores)]
@@ -180,8 +172,8 @@ def optimal_average_payoff(
             f"encoder enumeration has {count} elements (cap {max_encoders})"
         )
     y_size, v_size = g.y_size, g.v_size
-    d_w, w_int = _scaled_ints(p for row in g.randomizer.rows for p in row)
-    d_l, l_int = _scaled_ints(c for row in g.payoff_matrix for c in row)
+    d_w, w_int = scaled_ints(p for row in g.randomizer.rows for p in row)
+    d_l, l_int = scaled_ints(c for row in g.payoff_matrix for c in row)
     # tables[u][x][y] lists W(y|x)·l(u, v) over v, all scaled by d_W·d_l.
     tables = [
         [

@@ -2,9 +2,15 @@
 
 Programs are max cᵀx subject to A·x = b, x ≥ 0, with every coefficient an
 exact rational. The solver is a dense-tableau two-phase simplex with
-Bland's pivoting rule, so it terminates on every input; denominators are
-never rounded. Every answer ships with a certificate that is re-verified
-against the original data before being returned:
+Bland's pivoting rule, so it terminates on every input; nothing is ever
+rounded. The tableau is fraction-free: [A | b] is scaled by one common
+denominator L, every row is kept as Python ints over one shared positive
+denominator D, and pivots are integer-preserving (Edmonds–Bareiss), so
+the inner loops never build a rational, whichever backend rational.py
+picks. One global L, rather than a scale per row, keeps every sign test
+and tie of the rational simplex, hence its pivot path, vertex and duals.
+The answer is converted to exact rationals once and carries a certificate
+that is re-verified against the original data before being returned:
 
   feasible    -> a primal point with A·x = b and x ≥ 0 exactly
   infeasible  -> a Farkas dual y with yᵀA ≤ 0 and yᵀb > 0 exactly
@@ -26,7 +32,7 @@ from .errors import (
     LpUnboundedError,
     ResourceLimitError,
 )
-from .rational import ONE, ZERO, Rat
+from .rational import ONE, ZERO, Rat, scaled_ints
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -102,45 +108,67 @@ class LpOutcome:
 
 
 class _Tableau:
-    """Dense simplex tableau with the artificial identity block kept live.
+    """Dense simplex tableau of Python ints over one shared denominator.
 
     Column layout: [original 0..c-1 | artificial c..c+r-1 | rhs]. The
     artificial block tracks B⁻¹, which is what the Farkas and optimality
-    dual extractions read.
+    dual extractions read. The tableau is rows / denom: every row, and
+    every reduced-cost row, holds ints over the one positive denom D.
+
+    The initial rows are [s·L·A_i | e_i | s·L·b_i]: one global scale L,
+    the common denominator of A and b, with s = ±1 making the rhs
+    nonnegative; the artificial block stays the identity. A pivot on
+    entry p leaves its row as it is, replaces each other entry t of a row
+    whose pivot-column entry is f by (p·t − f·v) // D, v being the pivot
+    row's entry in t's column, and makes p the new D (Edmonds 1967,
+    Bareiss 1968): every entry is then a minor of the initial rows, so
+    each division is exact. Only expelling an artificial can pivot on a
+    negative entry; all rows and D are then negated to keep D positive.
+
+    Scaling [A | b] by one L > 0 multiplies the phase-one reduced costs of
+    the original columns by L and all ratio-test quotients of one column
+    by one common factor, and the int objective of phase two is c times
+    its own common denominator; so each sign test and tie falls as in the
+    same simplex on exact rationals, and the pivot sequence, vertex and
+    duals are identical. A separate scale per row would reweight the
+    artificials in the phase-one objective and could change Bland's
+    pivot path.
     """
 
     def __init__(self, lp: StandardLp, max_pivots: int):
         self.ncols = lp.num_cols
+        self.num_orig_rows = lp.num_rows
         self.max_pivots = max_pivots
         self.pivots_used = 0
+        self.scale, flat = scaled_ints(
+            v
+            for arow, bval in zip(lp.constraint_matrix, lp.rhs)
+            for v in (*arow, bval)
+        )
+        self.denom = 1
         # Row signs are flipped so the rhs is nonnegative; remembering the
         # signs lets duals be mapped back to the caller's row order.
         self.row_signs = []
         self.rows = []
         self.basis = []
-        for i, (arow, bval) in enumerate(zip(lp.constraint_matrix, lp.rhs)):
-            sign = -ONE if bval < 0 else ONE
+        width = self.ncols + 1
+        for i in range(lp.num_rows):
+            *body, bval = flat[i * width : (i + 1) * width]
+            sign = -1 if bval < 0 else 1
             self.row_signs.append(sign)
-            body = [sign * v for v in arow]
-            art = [ZERO] * lp.num_rows
-            art[i] = ONE
-            self.rows.append(body + art + [sign * bval])
+            art = [0] * lp.num_rows
+            art[i] = 1
+            self.rows.append([sign * v for v in body] + art + [sign * bval])
             self.basis.append(self.ncols + i)
-        self.num_orig_rows = lp.num_rows
 
     def _zrow(self, cost):
-        """Reduced-cost row for the given per-column cost vector."""
-        width = self.ncols + self.num_orig_rows + 1
-        z = [ZERO] * width
-        z[: len(cost)] = list(cost)
-        for i, bi in enumerate(self.basis):
-            cb = cost[bi] if bi < len(cost) else ZERO
-            if cb == 0:
-                continue
-            row = self.rows[i]
-            for j in range(width):
-                if row[j] != 0:
-                    z[j] -= cb * row[j]
+        """Reduced-cost row over the denominator, for int per-column costs."""
+        d = self.denom
+        z = [d * c for c in cost] + [0]
+        for bi, row in zip(self.basis, self.rows):
+            cb = cost[bi]
+            if cb != 0:
+                z = [zj - cb * v for zj, v in zip(z, row)]
         return z
 
     def _pivot(self, z, pr: int, pc: int):
@@ -150,22 +178,19 @@ class _Tableau:
                 f"simplex pivot budget exceeded ({self.max_pivots})"
             )
         row = self.rows[pr]
-        inv = 1 / row[pc]
-        if inv != 1:
-            self.rows[pr] = row = [v * inv for v in row]
-        for target in self.rows:
-            if target is row:
-                continue
-            factor = target[pc]
-            if factor != 0:
-                for j, v in enumerate(row):
-                    if v != 0:
-                        target[j] -= factor * v
-        factor = z[pc]
-        if factor != 0:
-            for j, v in enumerate(row):
-                if v != 0:
-                    z[j] -= factor * v
+        p = row[pc]
+        d = self.denom
+        for i, target in enumerate(self.rows):
+            if i != pr:
+                self.rows[i] = _eliminate(target, row, p, d, pc)
+        if z is not None:
+            z[:] = _eliminate(z, row, p, d, pc)
+        if p < 0:
+            # Only an expulsion pivots on a negative entry, and it keeps
+            # no reduced-cost row.
+            self.rows = [[-v for v in r] for r in self.rows]
+            p = -p
+        self.denom = p
         self.basis[pr] = pc
 
     def run(self, cost, entering_limit: int):
@@ -180,17 +205,19 @@ class _Tableau:
                     break
             if pc < 0:
                 return z
+            # Smallest rhs / coeff over positive coeffs, compared by
+            # cross-multiplication (D cancels); ties go to the smallest
+            # basis index.
             pr = -1
-            best = None
             for i, row in enumerate(self.rows):
                 coeff = row[pc]
                 if coeff > 0:
-                    ratio = row[-1] / coeff
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[i] < self.basis[pr]
-                    ):
-                        best = ratio
-                        pr = i
+                    if pr < 0:
+                        pr, best_rhs, best_coeff = i, row[-1], coeff
+                        continue
+                    lhs, rhs = row[-1] * best_coeff, best_rhs * coeff
+                    if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[pr]):
+                        pr, best_rhs, best_coeff = i, row[-1], coeff
             if pr < 0:
                 raise LpUnboundedError("objective unbounded above")
             self._pivot(z, pr, pc)
@@ -211,27 +238,47 @@ class _Tableau:
                     break
             if pc < 0:
                 continue  # all-zero constraint: drop
-            z = [ZERO] * len(row)
-            self._pivot(z, i, pc)
+            self._pivot(None, i, pc)
             keep.append(i)
         self.rows = [self.rows[i] for i in keep]
         self.basis = [self.basis[i] for i in keep]
 
     def primal_point(self):
+        """The basic solution; L scales A and b alike, so x needs only D."""
         x = [ZERO] * self.ncols
         for i, bi in enumerate(self.basis):
             if bi < self.ncols:
-                x[bi] = self.rows[i][-1]
+                x[bi] = Rat(self.rows[i][-1], self.denom)
         return tuple(x)
 
-    def duals_from_zrow(self, z, cost):
-        """Dual prices on the original rows, read off the artificial block."""
-        y = [ZERO] * self.num_orig_rows
-        for k in range(self.num_orig_rows):
-            col = self.ncols + k
-            ck = cost[col] if col < len(cost) else ZERO
-            y[k] = self.row_signs[k] * (ck - z[col])
-        return y
+    def farkas_from_zrow(self, z):
+        """Negated phase-one duals, read off the artificial block. L
+        cancels in the artificial columns' phase-one reduced costs, so
+        only D is divided out."""
+        d = self.denom
+        return tuple(
+            Rat(sign * (d + z[self.ncols + k]), d)
+            for k, sign in enumerate(self.row_signs)
+        )
+
+    def optimal_from_zrow(self, z, objective_scale):
+        """(dual prices, value) of phase two under costs objective_scale·c.
+
+        Against the original columns the artificial ones carry a factor
+        1/L, so the prices gain L; both lose the objective's scale and D.
+        """
+        den = objective_scale * self.denom
+        y = tuple(
+            Rat(-sign * self.scale * z[self.ncols + k], den)
+            for k, sign in enumerate(self.row_signs)
+        )
+        return y, Rat(-z[-1], den)
+
+
+def _eliminate(target, row, p, d, pc):
+    """(p·target − target[pc]·row) / d entrywise, exact by Bareiss."""
+    f = target[pc]
+    return [(p * t - f * v) // d for t, v in zip(target, row)]
 
 
 def _check_primal(lp: StandardLp, x):
@@ -275,14 +322,12 @@ def _check_optimal(lp: StandardLp, x, y, value):
 
 def _phase_one(lp: StandardLp, max_pivots: int):
     tab = _Tableau(lp, max_pivots)
-    cost = [ZERO] * tab.ncols + [-ONE] * lp.num_rows
+    cost = [0] * tab.ncols + [-1] * lp.num_rows
     z = tab.run(cost, tab.ncols + lp.num_rows)
-    infeasibility = z[-1]  # -value; positive iff artificials remain
-    if infeasibility > 0:
-        # Negated phase-1 duals certify infeasibility.
-        y = [-v for v in tab.duals_from_zrow(z, cost)]
+    if z[-1] > 0:  # -value·L·D; positive iff artificials remain
+        y = tab.farkas_from_zrow(z)
         _check_farkas(lp, y)
-        return None, tuple(y)
+        return None, y
     tab.drop_redundant_and_expel_artificials()
     return tab, None
 
@@ -306,11 +351,10 @@ def maximize(lp: StandardLp, max_pivots: int = DEFAULT_MAX_PIVOTS) -> LpOutcome:
     tab, _farkas = _phase_one(lp, max_pivots)
     if tab is None:
         raise LpInfeasibleError("maximize called on an infeasible program")
-    cost = list(lp.objective) + [ZERO] * tab.num_orig_rows
+    objective_scale, cost = scaled_ints(lp.objective)
     # Artificial columns stay out of the entering scan; they only track B⁻¹.
-    z = tab.run(cost, tab.ncols)
+    z = tab.run(cost + [0] * tab.num_orig_rows, tab.ncols)
     x = tab.primal_point()
-    value = -z[-1]
-    y = tuple(tab.duals_from_zrow(z, cost))
+    y, value = tab.optimal_from_zrow(z, objective_scale)
     _check_optimal(lp, x, y, value)
     return LpOutcome(tag=OPTIMAL, primal=x, dual_certificate=y, value=value)

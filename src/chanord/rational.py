@@ -8,6 +8,8 @@ hash/compare interchangeably.
 
 from __future__ import annotations
 
+from math import lcm
+
 try:
     from gmpy2 import mpq as Rat
 except ImportError:  # no gmpy2 (as in CI): the stdlib Fraction backend runs
@@ -15,6 +17,19 @@ except ImportError:  # no gmpy2 (as in CI): the stdlib Fraction backend runs
 
 ZERO = Rat(0)
 ONE = Rat(1)
+
+
+def scaled_ints(values):
+    """Common denominator d of exact rationals, and each value times d as an int.
+
+    This is how exact rationals become native ints wherever a hot loop
+    runs on integers. Numerators and denominators are read through int(),
+    so Fraction and gmpy2's mpq give the same ints; d is 1 for no values.
+    """
+    values = list(values)
+    dens = [int(v.denominator) for v in values]
+    d = lcm(*dens)
+    return d, [int(v.numerator) * (d // q) for v, q in zip(values, dens)]
 
 
 def rat(numerator, denominator=None):

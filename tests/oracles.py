@@ -6,7 +6,7 @@ evaluation, deliberately avoiding the library's own algorithmic paths.
 
 from itertools import combinations, product
 
-from chanord.rational import ZERO
+from chanord.rational import ONE, ZERO
 
 
 def solve_square(matrix, rhs):
@@ -68,6 +68,113 @@ def vertex_enumeration_maximum(matrix, rhs, objective):
         if best is None or value > best[0]:
             best = (value, tuple(point))
     return best
+
+
+class _RationalTableau:
+    """Dense simplex tableau of exact rationals, the artificial identity
+    block kept live: [original 0..c-1 | artificial c..c+r-1 | rhs]."""
+
+    def __init__(self, lp):
+        self.ncols = lp.num_cols
+        self.pivots_used = 0
+        self.row_signs = []
+        self.rows = []
+        self.basis = []
+        for i, (arow, bval) in enumerate(zip(lp.constraint_matrix, lp.rhs)):
+            sign = -ONE if bval < 0 else ONE
+            self.row_signs.append(sign)
+            art = [ZERO] * lp.num_rows
+            art[i] = ONE
+            self.rows.append([sign * v for v in arow] + art + [sign * bval])
+            self.basis.append(self.ncols + i)
+        self.num_orig_rows = lp.num_rows
+
+    def zrow(self, cost):
+        z = list(cost) + [ZERO]
+        for i, bi in enumerate(self.basis):
+            if cost[bi] != 0:
+                z = [zj - cost[bi] * v for zj, v in zip(z, self.rows[i])]
+        return z
+
+    def pivot(self, z, pr, pc):
+        self.pivots_used += 1
+        row = self.rows[pr]
+        self.rows[pr] = row = [v / row[pc] for v in row]
+        for i, target in enumerate(self.rows):
+            if i != pr and target[pc] != 0:
+                factor = target[pc]
+                self.rows[i] = [t - factor * v for t, v in zip(target, row)]
+        factor = z[pc]
+        z[:] = [zj - factor * v for zj, v in zip(z, row)]
+        self.basis[pr] = pc
+
+    def run(self, cost, entering_limit):
+        """Bland's rule; the reduced-cost row at optimality, None if unbounded."""
+        z = self.zrow(cost)
+        while True:
+            pc = next((j for j in range(entering_limit) if z[j] > 0), None)
+            if pc is None:
+                return z
+            pr = None
+            for i, row in enumerate(self.rows):
+                if row[pc] > 0:
+                    ratio = row[-1] / row[pc]
+                    if pr is None or ratio < best or (
+                        ratio == best and self.basis[i] < self.basis[pr]
+                    ):
+                        best, pr = ratio, i
+            if pr is None:
+                return None
+            self.pivot(z, pr, pc)
+
+    def duals(self, z, cost):
+        return [
+            self.row_signs[k] * (cost[self.ncols + k] - z[self.ncols + k])
+            for k in range(self.num_orig_rows)
+        ]
+
+
+def reference_simplex(lp, maximize=False):
+    """Two-phase Bland simplex on a tableau of exact rationals.
+
+    The rational-arithmetic form of lp_solver's algorithm: rows with a
+    negative rhs are negated, phase one maximizes minus the sum of the
+    artificials, artificials left basic at zero are pivoted out on the
+    first nonzero original column (all-zero rows are dropped), and phase
+    two runs Bland's rule on the original columns only. Returns (tag,
+    primal, dual_certificate, value, pivots), pivots counting every
+    pivot, expulsions included; tag is "feasible", "infeasible",
+    "optimal" or "unbounded" (maximize only; nothing else is set).
+    """
+    tab = _RationalTableau(lp)
+    cost = [ZERO] * tab.ncols + [-ONE] * lp.num_rows
+    z = tab.run(cost, tab.ncols + lp.num_rows)
+    if z[-1] > 0:
+        farkas = tuple(-v for v in tab.duals(z, cost))
+        return "infeasible", None, farkas, None, tab.pivots_used
+    keep = []
+    for i, row in enumerate(tab.rows):
+        if tab.basis[i] < tab.ncols:
+            keep.append(i)
+            continue
+        pc = next((j for j in range(tab.ncols) if row[j] != 0), None)
+        if pc is not None:
+            tab.pivot([ZERO] * len(row), i, pc)
+            keep.append(i)
+    tab.rows = [tab.rows[i] for i in keep]
+    tab.basis = [tab.basis[i] for i in keep]
+    if maximize:
+        cost = list(lp.objective) + [ZERO] * lp.num_rows
+        z = tab.run(cost, tab.ncols)
+        if z is None:
+            return "unbounded", None, None, None, tab.pivots_used
+    point = [ZERO] * tab.ncols
+    for i, bi in enumerate(tab.basis):
+        point[bi] = tab.rows[i][-1]
+    primal = tuple(point)
+    if not maximize:
+        return "feasible", primal, None, None, tab.pivots_used
+    return "optimal", primal, tuple(tab.duals(z, cost)), -z[-1], tab.pivots_used
 
 
 def cpc_entry(v, x, yp, xp, y):

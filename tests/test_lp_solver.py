@@ -2,7 +2,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import matrix_rank, vertex_enumeration_maximum
+from oracles import matrix_rank, reference_simplex, vertex_enumeration_maximum
 
 from chanord.errors import (
     LpInfeasibleError,
@@ -144,6 +144,18 @@ def test_pivot_budget_raises_resource_error():
         solve_feasibility(standard_lp(matrix, rhs), max_pivots=1)
 
 
+def test_pivot_budget_boundary_counts_expulsion_pivots():
+    # Phase one pivots once and leaves the second row's artificial basic at
+    # zero; expelling it pivots on the entry -2; phase two pivots once more.
+    lp = standard_lp([[1, 1, 1], [1, -1, 1]], [1, 1], [0, 0, 1])
+    cases = ((solve_feasibility, 2, (ONE, ZERO, ZERO)), (maximize, 3, (ZERO, ZERO, ONE)))
+    for solve, pivots, vertex in cases:
+        assert reference_simplex(lp, maximize=solve is maximize)[-1] == pivots
+        assert solve(lp, max_pivots=pivots).primal == vertex
+        with pytest.raises(ResourceLimitError):
+            solve(lp, max_pivots=pivots - 1)
+
+
 def test_optimal_dual_prices_certify_value():
     lp = standard_lp([[2, 1, 0], [1, 3, 1]], [4, 6], [3, 5, 1])
     out = maximize(lp)
@@ -241,3 +253,62 @@ def test_maximize_duals_certify_the_vertex_enumeration_optimum(program):
         ) >= objective[j]
     assert sum((yi * bi for yi, bi in zip(y, rhs)), start=ZERO) == out.value
     assert out.value == vertex_enumeration_maximum(matrix, rhs, objective)[0]
+
+
+def mixed_rationals():
+    return st.builds(Rat, st.integers(-3, 3), st.sampled_from([1, 2, 3, 4, 6]))
+
+
+@st.composite
+def general_programs(draw):
+    """A·x = b with mixed denominators and any signs. b is A·x0 or drawn
+    freely, so negative rhs entries and infeasible programs occur; scaled
+    copies of rows (some negated) leave artificials basic at zero, whose
+    expulsion may pivot on a negative entry; an all-zero row is dropped
+    (rhs 0) or makes the program infeasible; the objective has any sign,
+    so unbounded programs occur."""
+    cols = draw(st.integers(1, 5))
+    rows = draw(st.integers(1, 4))
+    matrix = [[draw(mixed_rationals()) for _ in range(cols)] for _ in range(rows)]
+    if draw(st.booleans()):
+        x0 = [Rat(draw(st.integers(0, 2))) for _ in range(cols)]
+        rhs = [sum((a * v for a, v in zip(row, x0)), start=ZERO) for row in matrix]
+    else:
+        rhs = [draw(mixed_rationals()) for _ in range(rows)]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(matrix) - 1))
+        factor = draw(st.sampled_from([Rat(-2), Rat(-1), Rat(1, 3), Rat(2)]))
+        matrix.append([factor * v for v in matrix[i]])
+        rhs.append(factor * rhs[i])
+    if draw(st.integers(0, 3)) == 0:
+        matrix.append([ZERO] * cols)
+        rhs.append(draw(st.sampled_from([ZERO, ONE])))
+    objective = [draw(mixed_rationals()) for _ in range(cols)]
+    return standard_lp(matrix, rhs, objective)
+
+
+def solve_outcome(solve, lp, max_pivots):
+    try:
+        out = solve(lp, max_pivots=max_pivots)
+    except LpInfeasibleError:
+        return ("infeasible",)
+    except LpUnboundedError:
+        return ("unbounded",)
+    return out.tag, out.primal, out.dual_certificate, out.value
+
+
+@settings(max_examples=300)
+@given(lp=general_programs(), maximizing=st.booleans())
+def test_simplex_matches_rational_reference_pivot_for_pivot(lp, maximizing):
+    tag, primal, dual, value, pivots = reference_simplex(lp, maximize=maximizing)
+    solve = maximize if maximizing else solve_feasibility
+    if maximizing and tag in (INFEASIBLE, "unbounded"):
+        expected = (tag,)
+    else:
+        expected = (tag, primal, dual, value)
+    assert solve_outcome(solve, lp, pivots) == expected
+    if tag == INFEASIBLE:
+        check_farkas(lp, dual)
+    if pivots:
+        with pytest.raises(ResourceLimitError):
+            solve(lp, max_pivots=pivots - 1)
