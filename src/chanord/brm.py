@@ -160,9 +160,9 @@ def optimal_average_payoff(
     The scan runs on Python ints: W and l are scaled by the common
     denominators d_W and d_l, and for every secret u and input x the
     (y, v) score vector W(y|x)·l(u, v) is tabulated once. Encoders are
-    walked depth-first in itertools.product order, so encoders sharing a
-    prefix share its partial score sums and each encoder costs |Y|·|V|
-    integer additions and |Y| maxima. A positive scaling changes no
+    walked in itertools.product order, so encoders sharing a prefix share
+    its partial score sums and each encoder costs |Y|·|V| integer
+    additions and |Y| maxima. A positive scaling changes no
     comparison, so the strict-improvement tests keep the tie order, and
     the value is one exact division, total / (d_W·d_l·|U|).
     """
@@ -186,28 +186,35 @@ def optimal_average_payoff(
         for u in range(g.u_size)
     ]
 
-    def best_extension(depth, partial):
-        """(total, images) of the first best encoder extending a prefix of
-        length depth whose score sums are partial."""
-        if depth == g.u_size:
-            return sum(max(acc) for acc in partial), ()
-        best = None
-        for x, row in enumerate(tables[depth]):
-            total, images = best_extension(depth + 1, _plus(partial, row))
-            if best is None or total > best[0]:
-                best = (total, (x,) + images)
-        return best
-
-    zeros = [[0] * v_size for _ in range(y_size)]
-    best_total, images = best_extension(0, zeros)
-    sums = zeros
-    for u, x in enumerate(images):
-        sums = _plus(sums, tables[u][x])
+    # An odometer over encoders in itertools.product order, without
+    # recursion: partial[u] holds the score sums of images[:u], so moving
+    # position d recomputes only the sums from d on. The last secret's
+    # images are scanned directly against its prefix.
+    last = g.u_size - 1
+    images = [0] * last
+    partial = [[[0] * v_size for _ in range(y_size)]] + [None] * last
+    best_total = None
+    d = 0
+    while True:
+        for u in range(d, last):
+            partial[u + 1] = _plus(partial[u], tables[u][images[u]])
+        for x, row in enumerate(tables[last]):
+            sums = _plus(partial[last], row)
+            total = sum(max(acc) for acc in sums)
+            if best_total is None or total > best_total:
+                best_total, best_sums, best_images = total, sums, (*images, x)
+        d = last - 1
+        while d >= 0 and images[d] == g.x_size - 1:
+            d -= 1
+        if d < 0:
+            break
+        images[d] += 1
+        images[d + 1 :] = [0] * (last - d - 1)
     # max returns the first maximal index, the smallest optimal decoder.
-    g_img = tuple(max(range(v_size), key=acc.__getitem__) + 1 for acc in sums)
+    g_img = tuple(max(range(v_size), key=acc.__getitem__) + 1 for acc in best_sums)
     value = Rat(best_total, d_w * d_l * g.u_size)
     return value, (
-        DeterministicMap(g.u_size, g.x_size, tuple(x + 1 for x in images)),
+        DeterministicMap(g.u_size, g.x_size, tuple(x + 1 for x in best_images)),
         DeterministicMap(g.y_size, g.v_size, g_img),
     )
 

@@ -72,12 +72,6 @@ def _build_parser() -> _Parser:
         help="cap on enumerations: encoders per game optimum, whole pairs for "
         f"regions (default {DEFAULT_MAX_PAIRS})",
     )
-    caps.add_argument(
-        "--max-outputs-pow",
-        type=int,
-        default=6,
-        help="cap output-block/codebook enumerations at 10^THIS (default 6)",
-    )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("contain", parents=[caps], help="does channel A contain channel B")
@@ -88,11 +82,11 @@ def _build_parser() -> _Parser:
     p.add_argument("a")
     p.add_argument("b")
 
-    p = sub.add_parser("degrade", parents=[caps], help="is A = T∘B for some channel T")
+    p = sub.add_parser("degrade", help="is A = T∘B for some channel T")
     p.add_argument("a")
     p.add_argument("b")
 
-    p = sub.add_parser("indegrade", parents=[caps], help="is A = B∘R for some channel R")
+    p = sub.add_parser("indegrade", help="is A = B∘R for some channel R")
     p.add_argument("a")
     p.add_argument("b")
 
@@ -116,31 +110,37 @@ def _build_parser() -> _Parser:
     p.add_argument("--budget", type=int, default=24)
     p.add_argument("--seed", type=int, default=0)
 
-    p = sub.add_parser("dist-tv", parents=[caps], help="exact channel distance")
+    p = sub.add_parser("dist-tv", help="exact channel distance")
     p.add_argument("a")
     p.add_argument("b")
 
-    p = sub.add_parser("capacity", parents=[caps], help="channel capacity in nats")
+    p = sub.add_parser("capacity", help="channel capacity in nats")
     p.add_argument("a")
     p.add_argument("--eps", type=float, default=1e-9)
 
-    p = sub.add_parser("perr", parents=[caps], help="optimal (n,M) error probability")
+    p = sub.add_parser("perr", help="optimal (n,M) error probability")
     p.add_argument("a")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--M", type=int, required=True)
+    p.add_argument(
+        "--max-outputs-pow",
+        type=int,
+        default=6,
+        help="cap output-block/codebook enumerations at 10^THIS (default 6)",
+    )
 
-    p = sub.add_parser("embed", parents=[caps], help="canonical embedding of a channel")
+    p = sub.add_parser("embed", help="canonical embedding of a channel")
     p.add_argument("a")
     p.add_argument("--n2", type=int, required=True)
     p.add_argument("--m2", type=int, required=True)
 
-    p = sub.add_parser("rand", parents=[caps], help="seeded random channel")
+    p = sub.add_parser("rand", help="seeded random channel")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--den", type=int, default=16)
 
-    p = sub.add_parser("srank", parents=[caps], help="equivalence-rank upper bound")
+    p = sub.add_parser("srank", help="equivalence-rank upper bound")
     p.add_argument("a")
     return parser
 
@@ -225,7 +225,7 @@ def _dispatch(args) -> dict:
         report["channel"] = channel_to_json(w)
     elif args.command == "srank":
         a = _load_channel(args.a)
-        report["srank_upper_bound"] = srank_upper_bound(a, max_pairs=args.max_pairs)
+        report["srank_upper_bound"] = srank_upper_bound(a)
     else:  # pragma: no cover - argparse enforces the command set
         raise _UsageError(f"unknown command {args.command!r}")
     return report

@@ -181,18 +181,15 @@ def brm_distance_lower_bound(
                 (w2, pair2, w1, pair1),
             ):
                 active = _pair_coefficients(own, n, pair)
-                try:
-                    candidate = _ascent_step(
-                        active, other, other_pair, n, m, max_encoders, max_pivots
-                    )
-                except InternalCheckError:
-                    continue
+                candidate = _ascent_step(
+                    active, other, other_pair, n, m, max_encoders, max_pivots
+                )
                 cand_signed, cand_pair1, cand_pair2 = diff(n, m, candidate)
                 candidates.append(
                     (abs(cand_signed), candidate, cand_pair1, cand_pair2)
                 )
             candidates.sort(key=lambda c: (-c[0], c[1]))
-            if not candidates or candidates[0][0] <= score:
+            if candidates[0][0] <= score:
                 break
             score, payoff, pair1, pair2 = candidates[0]
         if best is None or score > best[0]:

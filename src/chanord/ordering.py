@@ -14,7 +14,8 @@ target against the generated columns (containment), a row of w against
 the rows of wp (input-degradedness, one program per row), and a row
 against the other rows (the srank input reduction). Only
 output-degradedness keeps its own program, whose hull form would need
-|Y|^|Y'| generators.
+|Y|^|Y'| generators. srank certifies its reduction with the two
+degradedness witnesses, not with containment.
 """
 
 from __future__ import annotations
@@ -22,7 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .brm import BrmGame, optimal_average_payoff
-from .channel_core import Channel, DeterministicMap, compose, identity_channel
+from .channel_core import (
+    Channel,
+    DeterministicMap,
+    compose,
+    deterministic,
+    identity_channel,
+)
 from .cpc import (
     DEFAULT_MAX_PAIRS,
     CpcChannel,
@@ -60,9 +67,10 @@ class ContainmentWitness:
 class SeparationCertificate:
     """A normalized positive payoff matrix with a strict optimal-payoff gap.
 
-    payoff has one row per simulated-channel input and one column per
-    simulated-channel output; gap is the exact difference of the two
-    optimal average payoffs and is strictly positive.
+    payoff is over the simulated channel after _reduce_target: one row per
+    distinct row, in order of first occurrence, and one column per output
+    that carries mass, in alphabet order. gap is the exact difference of
+    the two optimal average payoffs and is strictly positive.
     """
 
     payoff: tuple
@@ -335,73 +343,59 @@ def embed(w: Channel, n2: int, m2: int) -> Channel:
     return Channel(n2, m2, tuple(rows))
 
 
-def _proportional(col1, col2) -> bool:
-    """Exact proportionality of two nonnegative columns (either may be zero)."""
-    for i in range(len(col1)):
-        for j in range(i + 1, len(col1)):
-            if col1[i] * col2[j] != col1[j] * col2[i]:
-                return False
-    return True
+def _canonical_reduction(w: Channel, max_pivots: int) -> Channel:
+    """A smaller channel Shannon-equivalent to w, with the equivalence checked.
 
-
-def srank_upper_bound(
-    w: Channel,
-    max_pairs: int = DEFAULT_MAX_PAIRS,
-    max_pivots: int = DEFAULT_MAX_PIVOTS,
-) -> int:
-    """Heuristic upper bound on the size of the smallest equivalent channel.
-
-    Inputs whose rows lie in the convex hull of the other rows are dropped
-    (they can be simulated by input randomization), then proportional
-    output columns are merged (they can be split back by output
-    randomization). The reduced channel is checked to be Shannon-equivalent
-    to w before the bound max(#inputs, #outputs) is reported. Whether this
-    bound is tight is unknown; nothing downstream assumes it is.
+    Starting from _reduce_target(w), one pass drops each row lying in the
+    hull of the rows still kept. Dropping such a row leaves the hull
+    unchanged, so the kept rows K are exactly its extreme points, and every
+    output keeps mass in K. The columns of K are then merged by their
+    sum-normalized values, which are equal exactly when the columns are
+    proportional. w = K∘R (input randomization) and K = T∘w_red (splitting
+    merged outputs back) are found and re-verified by input_degraded_from
+    and degraded_from; the converse directions are deterministic by
+    construction. max_pivots bounds each of their solves and each row test.
     """
-    kept = list(range(w.input_size))
-    changed = True
-    while changed:
-        changed = False
-        for idx in list(kept):
-            others = [w.rows[i] for i in kept if i != idx]
-            if others and solve_feasibility(
-                hull_lp(w.rows[idx], others), max_pivots=max_pivots
-            ).tag == FEASIBLE:
-                kept.remove(idx)
-                changed = True
-                break
-    columns = []
-    for y in range(w.output_size):
-        columns.append(tuple(w.rows[i][y] for i in kept))
-    classes = []  # list of lists of column indices
-    for y, col in enumerate(columns):
-        if not any(col):
-            # Mass-free output: merge into the first class (adds nothing).
-            if classes:
-                classes[0].append(y)
-            else:
-                classes.append([y])
-            continue
-        for cls in classes:
-            rep = columns[cls[0]]
-            if any(rep) and _proportional(col, rep):
-                cls.append(y)
-                break
-        else:
-            classes.append([y])
-    reduced_rows = []
-    for i in kept:
-        row = []
-        for cls in classes:
-            row.append(sum((w.rows[i][y] for y in cls), start=ZERO))
-        reduced_rows.append(tuple(row))
-    reduced = Channel(len(kept), len(classes), tuple(reduced_rows))
-    forward, backward = shannon_equivalent(
-        w, reduced, max_pairs=max_pairs, max_pivots=max_pivots
+    base, _input_map, injection = _reduce_target(w)
+    kept = []
+    for i, row in enumerate(base.rows):
+        others = kept + list(base.rows[i + 1 :])
+        if not others or solve_feasibility(
+            hull_lp(row, others), max_pivots=max_pivots
+        ).tag != FEASIBLE:
+            kept.append(row)
+    groups = {}
+    for y in range(base.output_size):
+        column = [row[y] for row in kept]
+        total = sum(column, start=ZERO)
+        groups.setdefault(tuple(p / total for p in column), []).append(y)
+    w_red = Channel(
+        len(kept),
+        len(groups),
+        tuple(
+            tuple(sum((row[y] for y in ys), start=ZERO) for ys in groups.values())
+            for row in kept
+        ),
     )
-    if not (forward.holds and backward.holds):
-        raise InternalCheckError("reduced channel is not equivalent to the original")
-    return max(len(kept), len(classes))
+    k = compose(
+        deterministic(injection), Channel(len(kept), base.output_size, tuple(kept))
+    )
+    if input_degraded_from(w, k, max_pivots=max_pivots) is None:
+        raise InternalCheckError("a dropped row is not a mixture of the kept rows")
+    if degraded_from(k, w_red, max_pivots=max_pivots) is None:
+        raise InternalCheckError("merged output columns cannot be split back")
+    return w_red
+
+
+def srank_upper_bound(w: Channel, max_pivots: int = DEFAULT_MAX_PIVOTS) -> int:
+    """Upper bound on the size of the smallest Shannon-equivalent channel.
+
+    The larger alphabet size of the canonical reduction: extreme rows only,
+    proportional output columns merged. Whether this bound is tight is
+    unknown; nothing downstream assumes it is.
+    """
+    w_red = _canonical_reduction(w, max_pivots)
+    return max(w_red.input_size, w_red.output_size)
 
 
 def _map_key(f: DeterministicMap, g: DeterministicMap) -> str:

@@ -51,8 +51,9 @@ def capacity(w: Channel, eps: float) -> float:
     capacity while their average under the current distribution
     lower-bounds it; iteration stops when the two are within eps.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    # A NaN eps would never stop the iteration; inf would stop it at once.
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     n, m = w.input_size, w.output_size
     rows = [[float(p) for p in row] for row in w.rows]
     p = [1.0 / n] * n

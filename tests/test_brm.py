@@ -356,3 +356,13 @@ def test_game_json_round_trip():
     game = random_game(131, u=2, x=3, y=2, v=2)
     assert game_from_json(game_to_json(game)) == game
     assert game.is_normalized()
+
+
+def test_optimal_average_payoff_many_secrets_one_encoder():
+    # One encoder, but a walk one level deep per secret would overflow
+    # the interpreter's recursion limit.
+    u = 1200
+    game = BrmGame(u, 1, 1, 1, ((Rat(1, u),),) * u, make_channel([[1]]))
+    value, (f, g) = optimal_average_payoff(game)
+    assert value == Rat(1, u)
+    assert f.image == (1,) * u and g.image == (1,)

@@ -10,7 +10,7 @@ from chanord.channel_core import (
     identity_channel,
     random_channel,
 )
-from chanord import cli, params
+from chanord import cli, metric, params
 from chanord.cli import main
 from chanord.errors import InternalCheckError
 from chanord.ordering import witness_from_json, apply_witness
@@ -199,3 +199,29 @@ def test_internal_check_failure_exit_code(capsys, write_channel, monkeypatch):
     path = write_channel("a.json", bsc("1/10"))
     code, report, err = run_cli(capsys, "contain", path, path)
     assert code == 3 and report is None and "internal check failed" in err
+
+
+def test_failed_ascent_check_exits_3(capsys, write_channel, monkeypatch):
+    def broken(*_args, **_kwargs):
+        raise InternalCheckError("ascent subproblem produced an invalid payoff")
+
+    monkeypatch.setattr(metric, "_restricted_ascent", broken)
+    a = write_channel("a.json", bsc(0))
+    b = write_channel("b.json", bsc("1/2"))
+    code, report, err = run_cli(
+        capsys, "dist-brm", a, b, "--nmax", "2", "--mmax", "2", "--budget", "2"
+    )
+    assert code == 3 and report is None and "internal check failed" in err
+
+
+def test_nan_eps_is_an_input_error(capsys, write_channel):
+    a = write_channel("a.json", bsc("11/100"))
+    code, report, err = run_cli(capsys, "capacity", a, "--eps", "nan")
+    assert code == 1 and report is None and "input error" in err
+
+
+def test_cap_flags_only_on_subcommands_that_read_them(capsys, write_channel):
+    a = write_channel("a.json", bsc("11/100"))
+    for command in ("capacity", "srank"):
+        code, report, err = run_cli(capsys, command, a, "--max-pairs", "1")
+        assert code == 1 and report is None and "usage error" in err

@@ -1,6 +1,7 @@
 import pytest
 from oracles import all_simulation_columns
 
+from chanord import metric
 from chanord.brm import BrmGame, optimal_average_payoff
 from chanord.channel_core import (
     bsc,
@@ -10,7 +11,7 @@ from chanord.channel_core import (
     random_channel,
 )
 from chanord.cpc import DEFAULT_MAX_PAIRS
-from chanord.errors import DimensionMismatchError
+from chanord.errors import DimensionMismatchError, InternalCheckError
 from chanord.lp_solver import DEFAULT_MAX_PIVOTS
 from chanord.metric import (
     _ascent_step,
@@ -144,3 +145,12 @@ def test_generated_ascent_step_matches_the_full_program():
             assert objective(active, pieces, generated) == objective(
                 active, pieces, full
             )
+
+
+def test_failed_ascent_check_is_not_swallowed(monkeypatch):
+    def broken(*_args, **_kwargs):
+        raise InternalCheckError("ascent subproblem produced an invalid payoff")
+
+    monkeypatch.setattr(metric, "_restricted_ascent", broken)
+    with pytest.raises(InternalCheckError):
+        brm_distance_lower_bound(bsc(0), bsc("1/2"), n_max=2, m_max=2, budget=2)

@@ -1,10 +1,13 @@
+import random
 from itertools import product
 
 import pytest
 from oracles import all_simulation_columns
 
+from chanord import ordering
 from chanord.brm import BrmGame, optimal_average_payoff, region_generators, region_subset
 from chanord.channel_core import (
+    Channel,
     DeterministicMap,
     bsc,
     channel_product,
@@ -328,3 +331,70 @@ def test_witness_and_certificate_json_round_trips():
 
     cert = contains(bsc("3/10"), bsc("1/10")).certificate
     assert certificate_from_json(certificate_to_json(cert)) == cert
+
+
+def _permuted(w, row_order, column_order):
+    return Channel(
+        w.input_size,
+        w.output_size,
+        tuple(tuple(w.rows[x][y] for y in column_order) for x in row_order),
+    )
+
+
+def _padded_copy(k):
+    """A channel equivalent to k: k's first column split in two equal
+    halves, a mass-free first output, a midpoint row and a repeated row."""
+    half = Rat(1, 2)
+    rows = [(ZERO, row[0] * half, row[0] * half) + row[1:] for row in k.rows]
+    midpoint = tuple((a + b) * half for a, b in zip(rows[0], rows[1]))
+    rows += [midpoint, rows[0]]
+    return Channel(len(rows), k.output_size + 2, tuple(rows))
+
+
+def test_srank_answers_beyond_the_containment_encoder_cap():
+    # Checking this reduction by containment would scan 6^8 encoders.
+    assert srank_upper_bound(random_channel(8, 3, 7, 8)) == 6
+
+
+def test_srank_invariant_under_relabelling():
+    rng = random.Random(11)
+    cases = [(make_channel([[0, "1/2", "1/2"], [0, "1/3", "2/3"]]), 2)]
+    for seed in range(6):
+        k = random_channel(2 + seed % 3, 2 + seed % 2, 4100 + seed, 6)
+        cases.append((_padded_copy(k), srank_upper_bound(k)))
+    for w, rank in cases:
+        assert srank_upper_bound(w) == rank
+        for _ in range(4):
+            rows = list(range(w.input_size))
+            columns = list(range(w.output_size))
+            rng.shuffle(rows)
+            rng.shuffle(columns)
+            assert srank_upper_bound(_permuted(w, rows, columns)) == rank
+
+
+def test_srank_runs_no_containment_search(monkeypatch):
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("srank must not search for containment")
+
+    for name in ("shannon_equivalent", "contains", "optimal_average_payoff"):
+        monkeypatch.setattr(ordering, name, forbidden)
+    k = random_channel(3, 3, 4200, 6)
+    assert srank_upper_bound(_padded_copy(k)) == srank_upper_bound(k)
+    assert srank_upper_bound(random_channel(6, 3, 4201, 8)) <= 6
+
+
+@pytest.mark.parametrize("witness", ["degraded_from", "input_degraded_from"])
+def test_srank_raises_when_a_reduction_witness_is_missing(monkeypatch, witness):
+    monkeypatch.setattr(ordering, witness, lambda *_args, **_kwargs: None)
+    with pytest.raises(InternalCheckError):
+        srank_upper_bound(_padded_copy(random_channel(3, 2, 4300, 6)))
+
+
+def test_certificate_payoff_is_over_the_reduced_target():
+    wp = make_channel([["1/2", "1/2"]] * 2)
+    w = make_channel([[1, 0, 0], [0, 1, 0], [1, 0, 0]])
+    verdict = contains(wp, w)
+    assert not verdict.holds
+    payoff = verdict.certificate.payoff
+    assert (len(payoff), len(payoff[0])) == (2, 2)
+    assert certificate_gap(wp, w, verdict.certificate) == verdict.certificate.gap

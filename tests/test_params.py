@@ -113,3 +113,9 @@ def test_parameters_monotone_under_containment():
         assert contains(wp, w).holds
         assert optimal_error_probability(1, 2, wp) <= optimal_error_probability(1, 2, w)
         assert capacity(wp, 1e-7) >= capacity(w, 1e-7) - 2e-7
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -1e-9])
+def test_capacity_rejects_non_finite_eps(eps):
+    with pytest.raises(ValueError):
+        capacity(bsc("1/10"), eps)
