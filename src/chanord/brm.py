@@ -28,7 +28,7 @@ from .channel_core import (
 )
 from .cpc import DEFAULT_MAX_PAIRS, CpcChannel, CpcTerm, enumerate_det_pairs
 from .errors import DimensionMismatchError, ResourceLimitError
-from .lp_solver import DEFAULT_MAX_PIVOTS, FEASIBLE, hull_lp, solve_feasibility
+from .lp_solver import FEASIBLE, hull_lp, solve_feasibility
 from .rational import ONE, ZERO, Rat, parse_rat, rat_str, scaled_ints
 
 
@@ -248,9 +248,7 @@ def region_generators(
 
 
 def region_subset(
-    a: PayoffRegionGenerators,
-    b: PayoffRegionGenerators,
-    max_pivots: int = DEFAULT_MAX_PIVOTS,
+    a: PayoffRegionGenerators, b: PayoffRegionGenerators
 ) -> RegionInclusion:
     """Exact test that conv(a) ⊆ conv(b).
 
@@ -274,7 +272,7 @@ def region_subset(
             verdicts[point] = True
             continue
         lp = hull_lp(point, b_unique)
-        inside = solve_feasibility(lp, max_pivots=max_pivots).tag == FEASIBLE
+        inside = solve_feasibility(lp).tag == FEASIBLE
         verdicts[point] = inside
         if not inside:
             return RegionInclusion(inside_all=False, violator=point)

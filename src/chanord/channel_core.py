@@ -211,9 +211,14 @@ def channel_from_json(obj) -> Channel:
         n = int(obj["input_size"])
         m = int(obj["output_size"])
         raw_rows = obj["rows"]
+        # A string row would iterate as its characters, each a rational.
+        if not isinstance(raw_rows, list) or not all(
+            isinstance(row, list) for row in raw_rows
+        ):
+            raise ValueError("rows must be a list of lists")
+        rows = tuple(tuple(parse_rat(entry) for entry in row) for row in raw_rows)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed channel JSON: {exc}") from exc
-    rows = tuple(tuple(parse_rat(entry) for entry in row) for row in raw_rows)
     if len(rows) != n or any(len(row) != m for row in rows):
         raise ValueError("channel JSON shape does not match declared sizes")
     return Channel(n, m, rows)

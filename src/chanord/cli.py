@@ -62,12 +62,25 @@ def _load_game(path: str):
     return game_from_json(_load_json(path))
 
 
+def _int_at_least(low: int):
+    """argparse type: an int no smaller than low, else a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its invalid-value error
+    return parse
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="chanord", description=__doc__)
     caps = _Parser(add_help=False)
     caps.add_argument(
         "--max-pairs",
-        type=int,
+        type=_int_at_least(1),
         default=DEFAULT_MAX_PAIRS,
         help="cap on enumerations: encoders per game optimum, whole pairs for "
         f"regions (default {DEFAULT_MAX_PAIRS})",
@@ -124,7 +137,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--M", type=int, required=True)
     p.add_argument(
         "--max-outputs-pow",
-        type=int,
+        type=_int_at_least(0),
         default=6,
         help="cap output-block/codebook enumerations at 10^THIS (default 6)",
     )

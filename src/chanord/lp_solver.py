@@ -17,8 +17,11 @@ that is re-verified against the original data before being returned:
   optimal     -> a vertex, its value, and dual prices y with yᵀA ≥ cᵀ and
                  yᵀb equal to the value (strong duality, exact)
 
-A configurable pivot budget raises ResourceLimitError instead of ever
-returning an unverified answer.
+The pivot budget is a number of pivots per LP solve: one call of
+solve_feasibility or maximize may pivot DEFAULT_MAX_PIVOTS (100,000)
+times over both phases, expulsions of artificials included. Every oracle
+of the library solves under that default; exceeding it raises
+ResourceLimitError instead of ever returning an unverified answer.
 """
 
 from __future__ import annotations

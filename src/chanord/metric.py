@@ -27,7 +27,7 @@ from .brm import BrmGame, optimal_average_payoff
 from .channel_core import Channel, tv_distance
 from .cpc import DEFAULT_MAX_PAIRS, pair_column
 from .errors import DimensionMismatchError, InternalCheckError
-from .lp_solver import DEFAULT_MAX_PIVOTS, StandardLp, maximize
+from .lp_solver import StandardLp, maximize
 from .prng import counter_int
 from .rational import ONE, ZERO, Rat, rat_str
 
@@ -74,7 +74,7 @@ def _pair_coefficients(w: Channel, n: int, pair) -> tuple:
     return tuple(inv_n * v for v in pair_column(w, *pair))
 
 
-def _restricted_ascent(active, pieces, n, m, max_pivots):
+def _restricted_ascent(active, pieces, n, m):
     """Exact maximizer of ⟨active, l⟩ − max_j ⟨piece_j, l⟩ over the simplex.
 
     Each piece is a flattened coefficient matrix. Solved in the
@@ -104,7 +104,7 @@ def _restricted_ascent(active, pieces, n, m, max_pivots):
     objective[k + dim] = -ONE
     objective[k + dim + 1] = ONE
     lp = StandardLp(tuple(rows), tuple(rhs), tuple(objective))
-    outcome = maximize(lp, max_pivots=max_pivots)
+    outcome = maximize(lp)
     duals = outcome.dual_certificate
     candidate = duals[:dim]
     total = sum(candidate, start=ZERO)
@@ -113,7 +113,7 @@ def _restricted_ascent(active, pieces, n, m, max_pivots):
     return tuple(tuple(candidate[u * m + v] for v in range(m)) for u in range(n))
 
 
-def _ascent_step(active, other, other_pair, n, m, max_encoders, max_pivots):
+def _ascent_step(active, other, other_pair, n, m, max_encoders):
     """_restricted_ascent over every deterministic pair of `other`, by
     column generation from other's active pair: each optimum l is priced
     with other's optimal pair. Fewer pieces can only raise the objective,
@@ -121,7 +121,7 @@ def _ascent_step(active, other, other_pair, n, m, max_encoders, max_pivots):
     """
     pieces = [_pair_coefficients(other, n, other_pair)]
     while True:
-        candidate = _restricted_ascent(active, pieces, n, m, max_pivots)
+        candidate = _restricted_ascent(active, pieces, n, m)
         _value, pair = _opt(other, n, m, candidate, max_encoders)
         piece = _pair_coefficients(other, n, pair)
         if piece in pieces:
@@ -149,7 +149,6 @@ def brm_distance_lower_bound(
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
     max_encoders: int = DEFAULT_MAX_PAIRS,
-    max_pivots: int = DEFAULT_MAX_PIVOTS,
 ) -> MetricEstimate:
     """Seeded search for a payoff separating the two channels.
 
@@ -181,9 +180,7 @@ def brm_distance_lower_bound(
                 (w2, pair2, w1, pair1),
             ):
                 active = _pair_coefficients(own, n, pair)
-                candidate = _ascent_step(
-                    active, other, other_pair, n, m, max_encoders, max_pivots
-                )
+                candidate = _ascent_step(active, other, other_pair, n, m, max_encoders)
                 cand_signed, cand_pair1, cand_pair2 = diff(n, m, candidate)
                 candidates.append(
                     (abs(cand_signed), candidate, cand_pair1, cand_pair2)
@@ -216,7 +213,6 @@ def brm_vs_tv(
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
     max_encoders: int = DEFAULT_MAX_PAIRS,
-    max_pivots: int = DEFAULT_MAX_PIVOTS,
 ):
     """(estimated lower bound, exact channel distance) for same-shape channels.
 
@@ -234,7 +230,6 @@ def brm_vs_tv(
         budget=budget,
         seed=seed,
         max_encoders=max_encoders,
-        max_pivots=max_pivots,
     )
     upper = tv_distance(w1, w2)
     if estimate.lower_bound > upper:

@@ -38,13 +38,7 @@ from .cpc import (
     skew_compose_channel,
 )
 from .errors import DimensionMismatchError, InternalCheckError
-from .lp_solver import (
-    DEFAULT_MAX_PIVOTS,
-    FEASIBLE,
-    StandardLp,
-    hull_lp,
-    solve_feasibility,
-)
+from .lp_solver import FEASIBLE, StandardLp, hull_lp, solve_feasibility
 from .rational import ONE, ZERO, parse_rat, rat_str
 
 CONTAINS = "contains"
@@ -168,10 +162,7 @@ def _certificate_from_farkas(wp, w_red, dual, max_pairs):
 
 
 def contains(
-    wp: Channel,
-    w: Channel,
-    max_pairs: int = DEFAULT_MAX_PAIRS,
-    max_pivots: int = DEFAULT_MAX_PIVOTS,
+    wp: Channel, w: Channel, max_pairs: int = DEFAULT_MAX_PAIRS
 ) -> OrderingVerdict:
     """Decide whether wp contains w, with a verified witness either way.
 
@@ -179,8 +170,8 @@ def contains(
     of distinct rows of w, a pricing step scans |X'|^n encoders and
     re-deriving a certificate's gap also scans n^n, w's own encoders after
     the merge. It bounds the size of each enumeration, not the time of
-    the whole call; max_pivots bounds each restricted master solve.
-    Exceeding either raises ResourceLimitError, never a verdict.
+    the whole call. Exceeding it, or the simplex's pivot budget, raises
+    ResourceLimitError, never a verdict.
     """
     if wp == w:
         f = DeterministicMap(w.input_size, w.input_size,
@@ -198,7 +189,7 @@ def contains(
     columns = []
     pairs = []
     while True:
-        outcome = solve_feasibility(hull_lp(target, columns), max_pivots=max_pivots)
+        outcome = solve_feasibility(hull_lp(target, columns))
         if outcome.tag == FEASIBLE:
             break
         dual = outcome.dual_certificate
@@ -249,22 +240,15 @@ def _verify_witness(witness: ContainmentWitness, wp: Channel, w: Channel):
         raise InternalCheckError("witness does not reconstruct the target channel")
 
 
-def shannon_equivalent(
-    w1: Channel,
-    w2: Channel,
-    max_pairs: int = DEFAULT_MAX_PAIRS,
-    max_pivots: int = DEFAULT_MAX_PIVOTS,
-):
+def shannon_equivalent(w1: Channel, w2: Channel, max_pairs: int = DEFAULT_MAX_PAIRS):
     """Verdicts for (w2 contains w1, w1 contains w2); equivalent iff both hold."""
     return (
-        contains(w2, w1, max_pairs=max_pairs, max_pivots=max_pivots),
-        contains(w1, w2, max_pairs=max_pairs, max_pivots=max_pivots),
+        contains(w2, w1, max_pairs=max_pairs),
+        contains(w1, w2, max_pairs=max_pairs),
     )
 
 
-def degraded_from(
-    w: Channel, wp: Channel, max_pivots: int = DEFAULT_MAX_PIVOTS
-) -> Channel | None:
+def degraded_from(w: Channel, wp: Channel) -> Channel | None:
     """Some output randomizer T with w = T ∘ wp, or None if none exists."""
     if w.input_size != wp.input_size:
         raise DimensionMismatchError("degraded_from: input alphabets differ")
@@ -289,7 +273,7 @@ def degraded_from(
         rows.append(tuple(coeff))
         rhs.append(ONE)
     lp = StandardLp(tuple(rows), tuple(rhs), (ZERO,) * (m_from * m_to))
-    outcome = solve_feasibility(lp, max_pivots=max_pivots)
+    outcome = solve_feasibility(lp)
     if outcome.tag != FEASIBLE:
         return None
     t_rows = tuple(
@@ -302,14 +286,11 @@ def degraded_from(
     return witness
 
 
-def input_degraded_from(
-    w: Channel, wp: Channel, max_pivots: int = DEFAULT_MAX_PIVOTS
-) -> Channel | None:
+def input_degraded_from(w: Channel, wp: Channel) -> Channel | None:
     """Some input randomizer R with w = wp ∘ R, or None if none exists.
 
     Row x of R is the weight vector of row x of w as a convex combination
-    of the rows of wp, one hull program per row; max_pivots bounds each
-    row's solve.
+    of the rows of wp, one hull program per row.
     """
     if w.output_size != wp.output_size:
         raise DimensionMismatchError("input_degraded_from: output alphabets differ")
@@ -317,7 +298,7 @@ def input_degraded_from(
         return identity_channel(w.input_size)
     r_rows = []
     for row in w.rows:
-        outcome = solve_feasibility(hull_lp(row, wp.rows), max_pivots=max_pivots)
+        outcome = solve_feasibility(hull_lp(row, wp.rows))
         if outcome.tag != FEASIBLE:
             return None
         r_rows.append(outcome.primal)
@@ -343,7 +324,7 @@ def embed(w: Channel, n2: int, m2: int) -> Channel:
     return Channel(n2, m2, tuple(rows))
 
 
-def _canonical_reduction(w: Channel, max_pivots: int) -> Channel:
+def _canonical_reduction(w: Channel) -> Channel:
     """A smaller channel Shannon-equivalent to w, with the equivalence checked.
 
     Starting from _reduce_target(w), one pass drops each row lying in the
@@ -354,15 +335,13 @@ def _canonical_reduction(w: Channel, max_pivots: int) -> Channel:
     proportional. w = K∘R (input randomization) and K = T∘w_red (splitting
     merged outputs back) are found and re-verified by input_degraded_from
     and degraded_from; the converse directions are deterministic by
-    construction. max_pivots bounds each of their solves and each row test.
+    construction.
     """
     base, _input_map, injection = _reduce_target(w)
     kept = []
     for i, row in enumerate(base.rows):
         others = kept + list(base.rows[i + 1 :])
-        if not others or solve_feasibility(
-            hull_lp(row, others), max_pivots=max_pivots
-        ).tag != FEASIBLE:
+        if not others or solve_feasibility(hull_lp(row, others)).tag != FEASIBLE:
             kept.append(row)
     groups = {}
     for y in range(base.output_size):
@@ -380,21 +359,21 @@ def _canonical_reduction(w: Channel, max_pivots: int) -> Channel:
     k = compose(
         deterministic(injection), Channel(len(kept), base.output_size, tuple(kept))
     )
-    if input_degraded_from(w, k, max_pivots=max_pivots) is None:
+    if input_degraded_from(w, k) is None:
         raise InternalCheckError("a dropped row is not a mixture of the kept rows")
-    if degraded_from(k, w_red, max_pivots=max_pivots) is None:
+    if degraded_from(k, w_red) is None:
         raise InternalCheckError("merged output columns cannot be split back")
     return w_red
 
 
-def srank_upper_bound(w: Channel, max_pivots: int = DEFAULT_MAX_PIVOTS) -> int:
+def srank_upper_bound(w: Channel) -> int:
     """Upper bound on the size of the smallest Shannon-equivalent channel.
 
     The larger alphabet size of the canonical reduction: extreme rows only,
     proportional output columns merged. Whether this bound is tight is
     unknown; nothing downstream assumes it is.
     """
-    w_red = _canonical_reduction(w, max_pivots)
+    w_red = _canonical_reduction(w)
     return max(w_red.input_size, w_red.output_size)
 
 

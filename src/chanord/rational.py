@@ -32,13 +32,6 @@ def scaled_ints(values):
     return d, [int(v.numerator) * (d // q) for v, q in zip(values, dens)]
 
 
-def rat(numerator, denominator=None):
-    """Build an exact rational from ints, strings, or another rational."""
-    if denominator is None:
-        return Rat(numerator)
-    return Rat(numerator, denominator)
-
-
 def parse_rat(text: str):
     """Parse a rational string "p/q" or "p". Rejects anything else."""
     if not isinstance(text, str):

@@ -258,6 +258,20 @@ def all_simulation_columns(wp, x, y):
     return columns
 
 
+def all_decoder_columns(wp, y):
+    """Every column D_g ∘ wp, one per decoder g: Y' -> Y, flattened
+    row-major: y^|Y'| of them, duplicates kept. w is degraded from wp
+    exactly when flat w lies in their convex hull."""
+    columns = []
+    for g_img in product(range(y), repeat=wp.output_size):
+        flat = [ZERO] * (wp.input_size * y)
+        for x, row in enumerate(wp.rows):
+            for yp, p in enumerate(row):
+                flat[x * y + g_img[yp]] += p
+        columns.append(tuple(flat))
+    return columns
+
+
 def binary_entropy_capacity_nats(p: float) -> float:
     """Closed form for the binary symmetric channel: ln2 + p·ln p + (1-p)·ln(1-p)."""
     import math

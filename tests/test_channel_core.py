@@ -182,3 +182,9 @@ def test_json_round_trip_and_rejection():
         channel_from_json(bad)
     with pytest.raises(ValueError):
         channel_from_json({"input_size": 1, "output_size": 2, "rows": [["1"]]})
+
+
+@pytest.mark.parametrize("rows", [5, None, [None], [[None]], [[1]], ["1"]])
+def test_malformed_rows_are_a_value_error(rows):
+    with pytest.raises(ValueError, match="malformed channel JSON"):
+        channel_from_json({"input_size": 1, "output_size": 1, "rows": rows})

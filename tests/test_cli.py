@@ -10,9 +10,10 @@ from chanord.channel_core import (
     identity_channel,
     random_channel,
 )
-from chanord import cli, metric, params
+from chanord import cli, metric, ordering, params
 from chanord.cli import main
 from chanord.errors import InternalCheckError
+from chanord.lp_solver import solve_feasibility
 from chanord.ordering import witness_from_json, apply_witness
 from chanord.rational import Rat
 
@@ -225,3 +226,39 @@ def test_cap_flags_only_on_subcommands_that_read_them(capsys, write_channel):
     for command in ("capacity", "srank"):
         code, report, err = run_cli(capsys, command, a, "--max-pairs", "1")
         assert code == 1 and report is None and "usage error" in err
+
+
+@pytest.mark.parametrize("rows", [5, [None]])
+def test_malformed_channel_rows_are_an_input_error(capsys, tmp_path, rows):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"input_size": 1, "output_size": 1, "rows": rows}))
+    code, report, err = run_cli(capsys, "capacity", str(bad))
+    assert code == 1 and report is None and "malformed channel JSON" in err
+
+
+def test_out_of_range_cap_flags_are_usage_errors(capsys, write_channel):
+    a = write_channel("a.json", bsc("1/10"))
+    for value in ("0", "-5"):
+        code, report, err = run_cli(capsys, "contain", a, a, "--max-pairs", value)
+        assert code == 1 and report is None and "usage error" in err
+    code, report, err = run_cli(
+        capsys, "perr", a, "--n", "1", "--M", "2", "--max-outputs-pow", "-1"
+    )
+    assert code == 1 and report is None and "usage error" in err
+    code, report, _err = run_cli(capsys, "contain", a, a, "--max-pairs", "1")
+    assert code == 0 and report["verdict"] == "contains"
+    # A cap of 10^0 = 1 parses; the two output blocks then exceed it.
+    code, report, err = run_cli(
+        capsys, "perr", a, "--n", "1", "--M", "1", "--max-outputs-pow", "0"
+    )
+    assert code == 2 and report is None and "cap 1)" in err
+
+
+def test_pivot_budget_exhaustion_exits_2(capsys, write_channel, monkeypatch):
+    monkeypatch.setattr(
+        ordering, "solve_feasibility", lambda lp: solve_feasibility(lp, max_pivots=0)
+    )
+    a = write_channel("a.json", identity_channel(2))
+    b = write_channel("b.json", bsc("1/10"))
+    code, report, err = run_cli(capsys, "contain", a, b)
+    assert code == 2 and report is None and "pivot budget" in err

@@ -12,7 +12,6 @@ from chanord.channel_core import (
 )
 from chanord.cpc import DEFAULT_MAX_PAIRS
 from chanord.errors import DimensionMismatchError, InternalCheckError
-from chanord.lp_solver import DEFAULT_MAX_PIVOTS
 from chanord.metric import (
     _ascent_step,
     _pair_coefficients,
@@ -138,10 +137,8 @@ def test_generated_ascent_step_matches_the_full_program():
                 tuple(inv_n * v for v in col)
                 for col in all_simulation_columns(w2, n, m)
             ]
-            full = _restricted_ascent(active, pieces, n, m, DEFAULT_MAX_PIVOTS)
-            generated = _ascent_step(
-                active, w2, pair2, n, m, DEFAULT_MAX_PAIRS, DEFAULT_MAX_PIVOTS
-            )
+            full = _restricted_ascent(active, pieces, n, m)
+            generated = _ascent_step(active, w2, pair2, n, m, DEFAULT_MAX_PAIRS)
             assert objective(active, pieces, generated) == objective(
                 active, pieces, full
             )

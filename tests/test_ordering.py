@@ -2,7 +2,7 @@ import random
 from itertools import product
 
 import pytest
-from oracles import all_simulation_columns
+from oracles import all_decoder_columns, all_simulation_columns
 
 from chanord import ordering
 from chanord.brm import BrmGame, optimal_average_payoff, region_generators, region_subset
@@ -301,6 +301,39 @@ def test_contains_agrees_with_the_full_column_program():
     # Simulated targets are always contained; random ones go both ways.
     assert all(verdicts[::2])
     assert True in verdicts[1::2] and False in verdicts[1::2]
+
+
+def test_degraded_from_agrees_with_the_full_decoder_hull():
+    verdicts = []
+    for shape_index, (n, mp, m) in enumerate(product(range(1, 4), repeat=3)):
+        for trial in range(40):
+            seed = 1800 + 40 * shape_index + trial
+            wp = random_channel(n, mp, seed, 6)
+            if trial % 2 == 0:
+                w = compose(random_channel(mp, m, seed + 5000, 6), wp)
+            else:
+                w = random_channel(n, m, seed + 9000, 6)
+            target = [p for row in w.rows for p in row]
+            full = solve_feasibility(hull_lp(target, all_decoder_columns(wp, m)))
+            witness = degraded_from(w, wp)
+            assert (witness is not None) == (full.tag == FEASIBLE)
+            if witness is not None:
+                assert compose(witness, wp) == w
+            verdicts.append(witness is not None)
+    # Every T∘wp target is degraded; the random ones go both ways.
+    assert all(verdicts[::2])
+    assert True in verdicts[1::2] and False in verdicts[1::2]
+
+
+def test_pivot_budget_exhaustion_is_an_error_not_a_verdict(monkeypatch):
+    def starved(lp):
+        return solve_feasibility(lp, max_pivots=0)
+
+    monkeypatch.setattr(ordering, "solve_feasibility", starved)
+    wp = random_channel(2, 2, 1901, 8)
+    w = skew_compose_channel(random_cpc(2, 2, 2, 2, seed=1902), wp)
+    with pytest.raises(ResourceLimitError, match="pivot budget"):
+        contains(wp, w)
 
 
 def test_srank_upper_bound_cases():
