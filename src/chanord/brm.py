@@ -19,17 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import add
 
-from .channel_core import (
-    Channel,
-    DeterministicMap,
-    channel_from_json,
-    channel_to_json,
-    deterministic,
-)
-from .cpc import DEFAULT_MAX_PAIRS, CpcChannel, CpcTerm, enumerate_det_pairs
+from .channel_core import Channel, DeterministicMap, channel_from_json, channel_to_json
+from .cpc import DEFAULT_MAX_PAIRS, CpcChannel, cpc_from_pairs, enumerate_det_pairs
 from .errors import DimensionMismatchError, ResourceLimitError
 from .lp_solver import FEASIBLE, hull_lp, solve_feasibility
-from .rational import ONE, ZERO, Rat, parse_rat, rat_str, scaled_ints
+from .rational import ONE, ZERO, Rat, parse_rat_matrix, rat_str, scaled_ints
 
 
 @dataclass(frozen=True)
@@ -222,12 +216,9 @@ def optimal_average_payoff(
 def strategy_to_cpc(s: Strategy) -> CpcChannel:
     """The convex-product channel carrying the strategy's mixture."""
     f0, g0 = s.encoders[0], s.decoders[0]
-    terms = tuple(
-        CpcTerm(Rat(wgt), deterministic(f), deterministic(dec))
-        for wgt, f, dec in zip(s.weights, s.encoders, s.decoders)
-    )
-    return CpcChannel(
-        f0.domain_size, f0.codomain_size, g0.domain_size, g0.codomain_size, terms
+    return cpc_from_pairs(
+        zip(zip(s.encoders, s.decoders), s.weights),
+        f0.domain_size, f0.codomain_size, g0.domain_size, g0.codomain_size,
     )
 
 
@@ -295,9 +286,7 @@ def game_from_json(obj) -> BrmGame:
         raise ValueError("game JSON must be an object")
     try:
         u, x, y, v = (int(obj[k]) for k in ("u", "x", "y", "v"))
-        payoff_matrix = tuple(
-            tuple(parse_rat(entry) for entry in row) for row in obj["l"]
-        )
+        payoff_matrix = parse_rat_matrix(obj["l"])
         w = channel_from_json(obj["w"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed game JSON: {exc}") from exc

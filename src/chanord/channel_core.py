@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatchError
 from .prng import counter_int
-from .rational import ONE, ZERO, Rat, parse_rat, rat_str
+from .rational import ONE, ZERO, Rat, parse_rat_matrix, rat_str
 
 
 @dataclass(frozen=True)
@@ -54,10 +54,6 @@ class Channel:
                 total += p
             if total != ONE:
                 raise ValueError("channel row does not sum to 1")
-
-    def prob(self, y: int, x: int):
-        """W(y|x) with 1-based indices."""
-        return self.rows[x - 1][y - 1]
 
 
 @dataclass(frozen=True)
@@ -210,13 +206,7 @@ def channel_from_json(obj) -> Channel:
     try:
         n = int(obj["input_size"])
         m = int(obj["output_size"])
-        raw_rows = obj["rows"]
-        # A string row would iterate as its characters, each a rational.
-        if not isinstance(raw_rows, list) or not all(
-            isinstance(row, list) for row in raw_rows
-        ):
-            raise ValueError("rows must be a list of lists")
-        rows = tuple(tuple(parse_rat(entry) for entry in row) for row in raw_rows)
+        rows = parse_rat_matrix(obj["rows"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed channel JSON: {exc}") from exc
     if len(rows) != n or any(len(row) != m for row in rows):

@@ -279,15 +279,14 @@ def cpc_from_json(obj) -> CpcChannel:
         raise ValueError("convex-product channel JSON must be an object")
     try:
         x, xp, yp, y = (int(s) for s in obj["sizes"])
-        raw_terms = obj["terms"]
+        terms = tuple(
+            CpcTerm(
+                parse_rat(entry["weight"]),
+                channel_from_json(entry["r"]),
+                channel_from_json(entry["t"]),
+            )
+            for entry in obj["terms"]
+        )
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed convex-product channel JSON: {exc}") from exc
-    terms = tuple(
-        CpcTerm(
-            parse_rat(entry["weight"]),
-            channel_from_json(entry["r"]),
-            channel_from_json(entry["t"]),
-        )
-        for entry in raw_terms
-    )
     return CpcChannel(x, xp, yp, y, terms)

@@ -86,20 +86,30 @@ def standard_lp(matrix, rhs, objective=None) -> StandardLp:
     return StandardLp(mat, b, c)
 
 
-def hull_lp(point, generators) -> StandardLp:
-    """Feasibility program: is point a convex combination of generators?
+def hull_lp(point, *groups) -> StandardLp:
+    """Feasibility program: is point in conv(G₁) + … + conv(G_k)?
 
-    One row per coordinate (Σ_j λ_j · g_j = point), then the convexity row
-    of ones (Σ_j λ_j = 1), with a zero objective; entries must already be
-    exact rationals. A FEASIBLE primal is the vector of generator weights
-    λ. An INFEASIBLE Farkas dual is (l, c), l over the coordinates and c
-    on the convexity row, with l·g + c ≤ 0 for every generator g and
-    l·point + c > 0: the hyperplane l strictly separates the point from
-    the hull.
+    Each group G_i is a sequence of generators. The variables are the
+    weights λ of every generator, group after group. One row per
+    coordinate (Σ λ_g · g = point), then one convexity row per group
+    (Σ_{g∈G_i} λ_g = 1), with a zero objective; entries must already be
+    exact rationals. With one group this asks whether point is a convex
+    combination of its generators. A FEASIBLE primal is λ, group after
+    group. An INFEASIBLE Farkas dual is (l, c₁, …, c_k), l over the
+    coordinates and c_i on group i's convexity row, with l·g + c_i ≤ 0 for
+    every g in G_i and l·point + Σ c_i > 0: the hyperplane l strictly
+    separates the point from the sum of hulls. An empty group has an
+    empty hull, so the sum is empty and the program infeasible.
     """
+    generators = [gen for group in groups for gen in group]
+    width = len(generators)
     rows = [tuple(gen[coord] for gen in generators) for coord in range(len(point))]
-    rows.append((ONE,) * len(generators))
-    return StandardLp(tuple(rows), tuple(point) + (ONE,), (ZERO,) * len(generators))
+    start = 0
+    for group in groups:
+        end = start + len(group)
+        rows.append((ZERO,) * start + (ONE,) * (end - start) + (ZERO,) * (width - end))
+        start = end
+    return StandardLp(tuple(rows), tuple(point) + (ONE,) * len(groups), (ZERO,) * width)
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,11 @@ separates the channels. Both are re-verified exactly before being returned.
 
 Every hull question here goes through lp_solver.hull_lp: the flattened
 target against the generated columns (containment), a row of w against
-the rows of wp (input-degradedness, one program per row), and a row
-against the other rows (the srank input reduction). Only
-output-degradedness keeps its own program, whose hull form would need
-|Y|^|Y'| generators. srank certifies its reduction with the two
+the rows of wp (input-degradedness, one program per row), a row against
+the other rows (the srank input reduction), and the flattened w against
+a sum of |Y'| hulls (output-degradedness, w = T∘wp). Hull y' holds the
+|Y| ways to send column y' of wp to one output, and row y' of T is the
+point chosen in it. srank certifies its reduction with the two
 degradedness witnesses, not with containment.
 """
 
@@ -38,8 +39,8 @@ from .cpc import (
     skew_compose_channel,
 )
 from .errors import DimensionMismatchError, InternalCheckError
-from .lp_solver import FEASIBLE, StandardLp, hull_lp, solve_feasibility
-from .rational import ONE, ZERO, parse_rat, rat_str
+from .lp_solver import FEASIBLE, hull_lp, solve_feasibility
+from .rational import ONE, ZERO, parse_rat, parse_rat_matrix, rat_str
 
 CONTAINS = "contains"
 DOES_NOT_CONTAIN = "does-not-contain"
@@ -254,31 +255,21 @@ def degraded_from(w: Channel, wp: Channel) -> Channel | None:
         raise DimensionMismatchError("degraded_from: input alphabets differ")
     if w == wp:
         return identity_channel(w.output_size)
-    n = w.input_size
     m_from, m_to = wp.output_size, w.output_size
-    # Variables t[y2][y1] flattened y2-major.
-    rows = []
-    rhs = []
-    for x in range(n):
-        for y1 in range(m_to):
-            coeff = [ZERO] * (m_from * m_to)
-            for y2 in range(m_from):
-                coeff[y2 * m_to + y1] = wp.rows[x][y2]
-            rows.append(tuple(coeff))
-            rhs.append(w.rows[x][y1])
-    for y2 in range(m_from):
-        coeff = [ZERO] * (m_from * m_to)
-        for y1 in range(m_to):
-            coeff[y2 * m_to + y1] = ONE
-        rows.append(tuple(coeff))
-        rhs.append(ONE)
-    lp = StandardLp(tuple(rows), tuple(rhs), (ZERO,) * (m_from * m_to))
-    outcome = solve_feasibility(lp)
+    # Generator (y2, y1) puts column y2 of wp at output y1 in every input's
+    # block; row y2 of T picks a point of group y2's hull.
+    groups = [
+        [
+            tuple(p if y == y1 else ZERO for p in column for y in range(m_to))
+            for y1 in range(m_to)
+        ]
+        for column in zip(*wp.rows)
+    ]
+    outcome = solve_feasibility(hull_lp([p for row in w.rows for p in row], *groups))
     if outcome.tag != FEASIBLE:
         return None
     t_rows = tuple(
-        tuple(outcome.primal[y2 * m_to + y1] for y1 in range(m_to))
-        for y2 in range(m_from)
+        outcome.primal[y2 * m_to : (y2 + 1) * m_to] for y2 in range(m_from)
     )
     witness = Channel(m_from, m_to, t_rows)
     if compose(witness, wp) != w:
@@ -414,20 +405,15 @@ def witness_from_json(obj) -> ContainmentWitness:
             int(obj[k]) for k in ("x_size", "xp_size", "yp_size", "y_size")
         )
         raw = obj["weights"]
+        if not isinstance(raw, dict):
+            raise ValueError("weights must be an object")
+        entries = []
+        for key in sorted(raw):
+            f_img, g_img = _parse_map_key(key)
+            pair = (DeterministicMap(x, xp, f_img), DeterministicMap(yp, y, g_img))
+            entries.append((pair, parse_rat(raw[key])))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed witness JSON: {exc}") from exc
-    entries = []
-    for key in sorted(raw):
-        f_img, g_img = _parse_map_key(key)
-        entries.append(
-            (
-                (
-                    DeterministicMap(x, xp, f_img),
-                    DeterministicMap(yp, y, g_img),
-                ),
-                parse_rat(raw[key]),
-            )
-        )
     if not entries:
         raise ValueError("witness JSON carries no weights")
     return ContainmentWitness(tuple(entries))
@@ -442,7 +428,7 @@ def certificate_to_json(cert: SeparationCertificate) -> dict:
 
 def certificate_from_json(obj) -> SeparationCertificate:
     try:
-        payoff = tuple(tuple(parse_rat(v) for v in row) for row in obj["payoff"])
+        payoff = parse_rat_matrix(obj["payoff"])
         gap = parse_rat(obj["gap"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed certificate JSON: {exc}") from exc

@@ -47,6 +47,17 @@ def parse_rat(text: str):
     raise ValueError(f"malformed rational {text!r}")
 
 
+def parse_rat_matrix(rows) -> tuple:
+    """Parse a JSON list of lists of rational strings into a tuple of tuples.
+
+    A string row would iterate as its characters, each a rational, so
+    anything but a list of lists is rejected.
+    """
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError("a matrix must be a list of lists")
+    return tuple(tuple(parse_rat(entry) for entry in row) for row in rows)
+
+
 def rat_str(value) -> str:
     """Render a rational as "p/q" (or "p" when the denominator is 1)."""
     return str(Rat(value))

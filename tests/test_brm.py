@@ -358,6 +358,15 @@ def test_game_json_round_trip():
     assert game.is_normalized()
 
 
+@pytest.mark.parametrize("rows", [["10"], [None], 5])
+def test_malformed_payoff_rows_are_a_value_error(rows):
+    # A string row must not load as one payoff per character.
+    bad = game_to_json(BrmGame(1, 1, 1, 2, ((ONE, ZERO),), make_channel([[1]])))
+    bad["l"] = rows
+    with pytest.raises(ValueError, match="malformed game JSON"):
+        game_from_json(bad)
+
+
 def test_optimal_average_payoff_many_secrets_one_encoder():
     # One encoder, but a walk one level deep per secret would overflow
     # the interpreter's recursion limit.

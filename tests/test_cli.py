@@ -236,6 +236,16 @@ def test_malformed_channel_rows_are_an_input_error(capsys, tmp_path, rows):
     assert code == 1 and report is None and "malformed channel JSON" in err
 
 
+@pytest.mark.parametrize("command, games", [("brm-opt", 1), ("region-subset", 2)])
+def test_malformed_payoff_rows_are_an_input_error(capsys, tmp_path, command, games):
+    game = game_to_json(BrmGame(1, 1, 1, 2, ((Rat(1), Rat(0)),), identity_channel(1)))
+    game["l"] = ["10"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(game))
+    code, report, err = run_cli(capsys, command, *[str(bad)] * games)
+    assert code == 1 and report is None and "malformed game JSON" in err
+
+
 def test_out_of_range_cap_flags_are_usage_errors(capsys, write_channel):
     a = write_channel("a.json", bsc("1/10"))
     for value in ("0", "-5"):

@@ -287,3 +287,9 @@ def test_caratheodory_reduce_large_mixture():
 def test_cpc_json_round_trip():
     v = random_cpc(2, 3, 2, 2, seed=71)
     assert cpc_from_json(cpc_to_json(v)) == v
+
+
+@pytest.mark.parametrize("terms", [["x"], 5, [{}], [[]], "terms"])
+def test_malformed_cpc_terms_are_a_value_error(terms):
+    with pytest.raises(ValueError, match="malformed convex-product channel JSON"):
+        cpc_from_json({"sizes": [1, 1, 1, 1], "terms": terms})

@@ -221,6 +221,81 @@ def test_hull_lp_weights_or_separating_hyperplane(instance):
 
 
 @st.composite
+def hull_sum_instances(draw):
+    """A point and 1–3 generator groups of 0–3 generators each, so empty
+    and one-generator groups occur. When no group is empty, half the
+    points are drawn as a sum of one convex combination per group."""
+    dim = draw(st.integers(1, 3))
+    groups = [
+        [tuple(draw(small_rationals()) for _ in range(dim)) for _ in range(size)]
+        for size in draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    ]
+    if all(groups) and draw(st.booleans()):
+        point = [ZERO] * dim
+        for group in groups:
+            raw = [draw(st.integers(0, 3)) for _ in group]
+            if not any(raw):
+                raw[0] = 1
+            for k, gen in zip(raw, group):
+                point = [p + Rat(k, sum(raw)) * g for p, g in zip(point, gen)]
+        return tuple(point), groups, True
+    return tuple(draw(small_rationals()) for _ in range(dim)), groups, False
+
+
+def check_hull_sum_outcome(point, groups, out):
+    """Re-check a hull_lp outcome against its documented meaning."""
+    def dot(a, b):
+        return sum((x * y for x, y in zip(a, b)), start=ZERO)
+
+    if out.tag == FEASIBLE:
+        weights = list(out.primal)
+        assert len(weights) == sum(len(group) for group in groups)
+        assert all(v >= 0 for v in weights)
+        total = [ZERO] * len(point)
+        for group in groups:
+            mix, weights = weights[: len(group)], weights[len(group) :]
+            assert sum(mix, start=ZERO) == ONE
+            for v, gen in zip(mix, group):
+                total = [t + v * g for t, g in zip(total, gen)]
+        assert tuple(total) == point
+    else:
+        assert out.tag == INFEASIBLE
+        normal = out.dual_certificate[: len(point)]
+        offsets = out.dual_certificate[len(point) :]
+        assert len(offsets) == len(groups)
+        for group, offset in zip(groups, offsets):
+            assert all(dot(normal, gen) + offset <= 0 for gen in group)
+        assert dot(normal, point) + sum(offsets, start=ZERO) > 0
+
+
+@settings(max_examples=150)
+@given(instance=hull_sum_instances())
+def test_hull_lp_over_several_groups(instance):
+    point, groups, inside = instance
+    out = solve_feasibility(hull_lp(point, *groups))
+    if inside:
+        assert out.tag == FEASIBLE
+    if not all(groups):
+        assert out.tag == INFEASIBLE
+    check_hull_sum_outcome(point, groups, out)
+
+
+def test_hull_lp_groups_with_one_and_no_generators():
+    half = Rat(1, 2)
+    shift = [(ONE, ZERO)]
+    segment = [(ZERO, ZERO), (ZERO, ONE)]
+    out = solve_feasibility(hull_lp((ONE + half, half), shift, segment, shift))
+    assert out.tag == INFEASIBLE
+    check_hull_sum_outcome((ONE + half, half), [shift, segment, shift], out)
+    out = solve_feasibility(hull_lp((Rat(2), half), shift, segment, shift))
+    assert out.tag == FEASIBLE and out.primal == (ONE, half, half, ONE)
+    check_hull_sum_outcome((Rat(2), half), [shift, segment, shift], out)
+    out = solve_feasibility(hull_lp((ONE, ZERO), shift, []))
+    assert out.tag == INFEASIBLE
+    check_hull_sum_outcome((ONE, ZERO), [shift, []], out)
+
+
+@st.composite
 def bounded_programs(draw):
     """max c·x over A·x = b, x >= 0, feasible by construction (b = A·x0)
     and bounded by a last row fixing the sum of x; A has full row rank, so

@@ -366,6 +366,21 @@ def test_witness_and_certificate_json_round_trips():
     assert certificate_from_json(certificate_to_json(cert)) == cert
 
 
+@pytest.mark.parametrize("rows", [["10"], [None], 5])
+def test_malformed_certificate_payoff_is_a_value_error(rows):
+    with pytest.raises(ValueError, match="malformed certificate JSON"):
+        certificate_from_json({"payoff": rows, "gap": "1/2"})
+
+
+@pytest.mark.parametrize(
+    "weights", [["f=[1];g=[1]"], [["f=[1];g=[1]", "1"]], {"f=[1];g=[1]": 1}, {"f=[2];g=[1]": "1"}]
+)
+def test_malformed_witness_weights_are_a_value_error(weights):
+    obj = {"x_size": 1, "xp_size": 1, "yp_size": 1, "y_size": 1, "weights": weights}
+    with pytest.raises(ValueError, match="malformed witness JSON"):
+        witness_from_json(obj)
+
+
 def _permuted(w, row_order, column_order):
     return Channel(
         w.input_size,
