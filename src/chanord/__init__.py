@@ -89,8 +89,10 @@ from .ordering import (
     witness_to_json,
 )
 from .params import (
+    CapacityCertificate,
     Encoder,
     capacity,
+    capacity_certificate,
     ml_error_probability,
     optimal_error_probability,
 )

@@ -23,7 +23,15 @@ from .channel_core import Channel, DeterministicMap, channel_from_json, channel_
 from .cpc import DEFAULT_MAX_PAIRS, CpcChannel, cpc_from_pairs, enumerate_det_pairs
 from .errors import DimensionMismatchError, ResourceLimitError
 from .lp_solver import FEASIBLE, hull_lp, solve_feasibility
-from .rational import ONE, ZERO, Rat, parse_rat_matrix, rat_str, scaled_ints
+from .rational import (
+    ONE,
+    ZERO,
+    Rat,
+    parse_rat_matrix,
+    parse_size,
+    rat_str,
+    scaled_ints,
+)
 
 
 @dataclass(frozen=True)
@@ -285,7 +293,7 @@ def game_from_json(obj) -> BrmGame:
     if not isinstance(obj, dict):
         raise ValueError("game JSON must be an object")
     try:
-        u, x, y, v = (int(obj[k]) for k in ("u", "x", "y", "v"))
+        u, x, y, v = (parse_size(obj[k]) for k in ("u", "x", "y", "v"))
         payoff_matrix = parse_rat_matrix(obj["l"])
         w = channel_from_json(obj["w"])
     except (KeyError, TypeError, ValueError) as exc:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatchError
 from .prng import counter_int
-from .rational import ONE, ZERO, Rat, parse_rat_matrix, rat_str
+from .rational import ONE, ZERO, Rat, parse_rat_matrix, parse_size, rat_str
 
 
 @dataclass(frozen=True)
@@ -204,8 +204,8 @@ def channel_from_json(obj) -> Channel:
     if not isinstance(obj, dict):
         raise ValueError("channel JSON must be an object")
     try:
-        n = int(obj["input_size"])
-        m = int(obj["output_size"])
+        n = parse_size(obj["input_size"])
+        m = parse_size(obj["output_size"])
         rows = parse_rat_matrix(obj["rows"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed channel JSON: {exc}") from exc

@@ -30,8 +30,7 @@ from .ordering import (
     srank_upper_bound,
     verdict_to_json,
 )
-from .params import optimal_error_probability
-from .params import capacity as channel_capacity
+from .params import capacity_certificate, optimal_error_probability
 from .rational import rat_str
 
 
@@ -218,8 +217,10 @@ def _dispatch(args) -> dict:
         a, b = _load_channel(args.a), _load_channel(args.b)
         report["distance"] = rat_str(tv_distance(a, b))
     elif args.command == "capacity":
-        a = _load_channel(args.a)
-        report["capacity_nats"] = channel_capacity(a, args.eps)
+        cert = capacity_certificate(_load_channel(args.a), args.eps)
+        report["capacity_nats"] = max(cert.lower, 0.0)
+        report["capacity_upper_nats"] = cert.upper
+        report["input_distribution"] = list(cert.input_distribution)
         report["eps"] = args.eps
     elif args.command == "perr":
         a = _load_channel(args.a)

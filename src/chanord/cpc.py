@@ -37,7 +37,7 @@ from .channel_core import (
 )
 from .errors import DimensionMismatchError, InternalCheckError, ResourceLimitError
 from .lp_solver import FEASIBLE, hull_lp, solve_feasibility
-from .rational import ONE, ZERO, Rat, parse_rat, rat_str
+from .rational import ONE, ZERO, Rat, parse_rat, parse_size, rat_str
 
 # One cap for every enumeration of deterministic maps. For contains, the
 # metric search and brm-opt it bounds the encoders |X'|^|X| that one game
@@ -278,7 +278,7 @@ def cpc_from_json(obj) -> CpcChannel:
     if not isinstance(obj, dict):
         raise ValueError("convex-product channel JSON must be an object")
     try:
-        x, xp, yp, y = (int(s) for s in obj["sizes"])
+        x, xp, yp, y = (parse_size(s) for s in obj["sizes"])
         terms = tuple(
             CpcTerm(
                 parse_rat(entry["weight"]),

@@ -40,7 +40,7 @@ from .cpc import (
 )
 from .errors import DimensionMismatchError, InternalCheckError
 from .lp_solver import FEASIBLE, hull_lp, solve_feasibility
-from .rational import ONE, ZERO, parse_rat, parse_rat_matrix, rat_str
+from .rational import ONE, ZERO, parse_rat, parse_rat_matrix, parse_size, rat_str
 
 CONTAINS = "contains"
 DOES_NOT_CONTAIN = "does-not-contain"
@@ -402,7 +402,7 @@ def witness_to_json(witness: ContainmentWitness) -> dict:
 def witness_from_json(obj) -> ContainmentWitness:
     try:
         x, xp, yp, y = (
-            int(obj[k]) for k in ("x_size", "xp_size", "yp_size", "y_size")
+            parse_size(obj[k]) for k in ("x_size", "xp_size", "yp_size", "y_size")
         )
         raw = obj["weights"]
         if not isinstance(raw, dict):

@@ -47,6 +47,17 @@ def parse_rat(text: str):
     raise ValueError(f"malformed rational {text!r}")
 
 
+def parse_size(value) -> int:
+    """An alphabet size read from JSON: a JSON integer, else ValueError.
+
+    int() would truncate 1.9, read True as 1 and parse "3", so only an
+    int that is not a bool is accepted.
+    """
+    if type(value) is not int:
+        raise ValueError(f"a size must be an integer, got {value!r}")
+    return value
+
+
 def parse_rat_matrix(rows) -> tuple:
     """Parse a JSON list of lists of rational strings into a tuple of tuples.
 

@@ -4,6 +4,7 @@ Everything here recomputes results by brute force or direct formula
 evaluation, deliberately avoiding the library's own algorithmic paths.
 """
 
+import math
 from itertools import combinations, product
 
 from chanord.rational import ONE, ZERO
@@ -274,8 +275,45 @@ def all_decoder_columns(wp, y):
 
 def binary_entropy_capacity_nats(p: float) -> float:
     """Closed form for the binary symmetric channel: ln2 + p·ln p + (1-p)·ln(1-p)."""
-    import math
-
     if p in (0.0, 1.0):
         return math.log(2.0)
     return math.log(2.0) + p * math.log(p) + (1.0 - p) * math.log(1.0 - p)
+
+
+def _divergence(row, q):
+    """D(row ‖ q) in nats; +inf when q misses mass of row."""
+    total = 0.0
+    for v, qy in zip(row, q):
+        if v > 0.0:
+            if qy <= 0.0:
+                return math.inf
+            total += v * math.log(v / qy)
+    return total
+
+
+def two_input_capacity(rows) -> float:
+    """Capacity in nats of a two-input channel, by bisection to machine precision.
+
+    I(p1) is concave in the mass p1 of the first input, with derivative
+    D(W1 ‖ q) − D(W2 ‖ q) for q = p1·W1 + (1 − p1)·W2; the derivative
+    decreases in p1, from D(W1 ‖ W2) ≥ 0 at 0 to −D(W2 ‖ W1) ≤ 0 at 1, so
+    bisecting on its sign finds the maximizer.
+    """
+    w1, w2 = ([float(v) for v in row] for row in rows)
+
+    def mix(p1):
+        q = [p1 * a + (1.0 - p1) * b for a, b in zip(w1, w2)]
+        return _divergence(w1, q), _divergence(w2, q)
+
+    lo, hi = 0.0, 1.0
+    while True:
+        mid = (lo + hi) / 2.0
+        if not lo < mid < hi:
+            break
+        d1, d2 = mix(mid)
+        if d1 > d2:
+            lo = mid
+        else:
+            hi = mid
+    d1, d2 = mix(mid)
+    return mid * d1 + (1.0 - mid) * d2

@@ -375,3 +375,12 @@ def test_optimal_average_payoff_many_secrets_one_encoder():
     value, (f, g) = optimal_average_payoff(game)
     assert value == Rat(1, u)
     assert f.image == (1,) * u and g.image == (1,)
+
+
+@pytest.mark.parametrize("key", ["u", "x", "y", "v"])
+@pytest.mark.parametrize("size", [1.9, 1.0, True, "1", None])
+def test_non_integer_game_sizes_are_a_value_error(key, size):
+    bad = game_to_json(BrmGame(1, 1, 1, 1, ((ONE,),), make_channel([[1]])))
+    bad[key] = size
+    with pytest.raises(ValueError, match="malformed game JSON"):
+        game_from_json(bad)

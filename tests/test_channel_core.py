@@ -188,3 +188,12 @@ def test_json_round_trip_and_rejection():
 def test_malformed_rows_are_a_value_error(rows):
     with pytest.raises(ValueError, match="malformed channel JSON"):
         channel_from_json({"input_size": 1, "output_size": 1, "rows": rows})
+
+
+@pytest.mark.parametrize("key", ["input_size", "output_size"])
+@pytest.mark.parametrize("size", [1.9, 1.0, True, "1", None])
+def test_non_integer_sizes_are_a_value_error(key, size):
+    obj = {"input_size": 1, "output_size": 1, "rows": [["1"]]}
+    obj[key] = size
+    with pytest.raises(ValueError, match="malformed channel JSON"):
+        channel_from_json(obj)

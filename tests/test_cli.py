@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -185,6 +186,26 @@ def test_exit_codes(capsys, write_channel, tmp_path):
     assert code == 1 and report is None
 
 
+def test_capacity_report_carries_its_certificate(capsys, write_channel):
+    w = random_channel(3, 3, 17, 9)
+    path = write_channel("a.json", w)
+    code, report, _err = run_cli(capsys, "capacity", path, "--eps", "1e-7")
+    assert code == 0 and report["eps"] == 1e-7
+    p = report["input_distribution"]
+    assert len(p) == 3 and abs(sum(p) - 1.0) <= 1e-12 and min(p) >= 0.0
+    # Recompute both bounds from the reported p alone.
+    rows = [[float(v) for v in row] for row in w.rows]
+    q = [sum(p[x] * rows[x][y] for x in range(3)) for y in range(3)]
+    dens = [
+        sum(v * math.log(v / q[y]) for y, v in enumerate(row) if v > 0) for row in rows
+    ]
+    lower = sum(px * dx for px, dx in zip(p, dens))
+    upper = max(dens)
+    assert abs(report["capacity_upper_nats"] - upper) <= 1e-12
+    assert abs(report["capacity_nats"] - max(lower, 0.0)) <= 1e-12
+    assert upper - lower <= 1e-7
+
+
 def test_capacity_budget_exhaustion_is_a_resource_failure(capsys, write_channel, monkeypatch):
     a = write_channel("a.json", bsc("11/100"))
     monkeypatch.setattr(params, "_MAX_CAPACITY_ROUNDS", 0)
@@ -272,3 +293,10 @@ def test_pivot_budget_exhaustion_exits_2(capsys, write_channel, monkeypatch):
     b = write_channel("b.json", bsc("1/10"))
     code, report, err = run_cli(capsys, "contain", a, b)
     assert code == 2 and report is None and "pivot budget" in err
+
+
+def test_non_integer_channel_size_is_an_input_error(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"input_size": 1.9, "output_size": True, "rows": [["1"]]}))
+    code, report, err = run_cli(capsys, "capacity", str(bad))
+    assert code == 1 and report is None and "malformed channel JSON" in err

@@ -293,3 +293,12 @@ def test_cpc_json_round_trip():
 def test_malformed_cpc_terms_are_a_value_error(terms):
     with pytest.raises(ValueError, match="malformed convex-product channel JSON"):
         cpc_from_json({"sizes": [1, 1, 1, 1], "terms": terms})
+
+
+@pytest.mark.parametrize("index", range(4))
+@pytest.mark.parametrize("size", [1.9, 1.0, True, "1", None])
+def test_non_integer_cpc_sizes_are_a_value_error(index, size):
+    bad = cpc_to_json(random_cpc(2, 2, 2, 2, seed=73))
+    bad["sizes"][index] = size
+    with pytest.raises(ValueError, match="malformed convex-product channel JSON"):
+        cpc_from_json(bad)

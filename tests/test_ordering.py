@@ -446,3 +446,14 @@ def test_certificate_payoff_is_over_the_reduced_target():
     payoff = verdict.certificate.payoff
     assert (len(payoff), len(payoff[0])) == (2, 2)
     assert certificate_gap(wp, w, verdict.certificate) == verdict.certificate.gap
+
+
+@pytest.mark.parametrize("key", ["x_size", "xp_size", "yp_size", "y_size"])
+@pytest.mark.parametrize("size", [1.9, 1.0, True, "1", None])
+def test_non_integer_witness_sizes_are_a_value_error(key, size):
+    obj = {"x_size": 1, "xp_size": 1, "yp_size": 1, "y_size": 1,
+           "weights": {"f=[1];g=[1]": "1"}}
+    witness_from_json(obj)
+    obj[key] = size
+    with pytest.raises(ValueError, match="malformed witness JSON"):
+        witness_from_json(obj)

@@ -1,8 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import binary_entropy_capacity_nats
+from oracles import binary_entropy_capacity_nats, two_input_capacity
 
 from chanord.channel_core import (
     bsc,
@@ -11,11 +13,13 @@ from chanord.channel_core import (
     random_channel,
 )
 from chanord.cpc import CpcChannel, CpcTerm, skew_compose_channel
+from chanord import params
 from chanord.errors import ResourceLimitError
 from chanord.ordering import contains, embed
 from chanord.params import (
     Encoder,
     capacity,
+    capacity_certificate,
     ml_error_probability,
     optimal_error_probability,
 )
@@ -119,3 +123,57 @@ def test_parameters_monotone_under_containment():
 def test_capacity_rejects_non_finite_eps(eps):
     with pytest.raises(ValueError):
         capacity(bsc("1/10"), eps)
+
+
+def test_capacity_near_zero_has_no_tail(monkeypatch):
+    # The middle row is the midpoint of the outer two, so the capacity is
+    # that of BSC(1/2 - d), about 2e-6 nats. Plain Blahut-Arimoto moves
+    # mass by a factor of about 1 - 1e-6 per round here and needs over a
+    # million rounds.
+    d = Rat(1, 1000)
+    half = Rat(1, 2)
+    w = make_channel([[half + d, half - d], [half, half], [half - d, half + d]])
+    monkeypatch.setattr(params, "_MAX_CAPACITY_ROUNDS", 1000)
+    assert abs(capacity(w, 1e-9) - binary_entropy_capacity_nats(0.499)) <= 1e-9
+
+
+def test_capacity_step_never_empties_an_input():
+    # Only the last input reaches the last output, with probability 1e-6;
+    # its optimal mass is below the smallest float. A step that rounded
+    # that mass to zero would leave the output unreached, and the upper
+    # bound of every row reaching it infinite.
+    w = make_channel([
+        ["3/13", "3/13", "3/26", "4/13", "3/26", "0"],
+        ["8/17", "2/17", "7/17", "0", "0", "0"],
+        ["1/4", "0", "3/4", "0", "0", "0"],
+        ["4/11", "3/22", "5/22", "3/11", "0", "0"],
+        ["0", "1/18", "1/3", "1/3", "5/18", "0"],
+        ["92999907/235000000", "0", "66999933/235000000",
+         "48999951/235000000", "12999987/117500000", "1/1000000"],
+    ])
+    cert = capacity_certificate(w, 1e-9)
+    assert cert.upper - cert.lower <= 1e-9
+    assert min(cert.input_distribution) > 0.0
+
+
+@st.composite
+def two_input_channels(draw):
+    """2 x m channels over small denominators, with zero entries and, at
+    times, two identical rows."""
+    m = draw(st.integers(1, 4))
+
+    def row():
+        counts = draw(st.lists(st.integers(0, 5), min_size=m, max_size=m).filter(any))
+        return [Rat(c, sum(counts)) for c in counts]
+
+    first = row()
+    return make_channel([first, first if draw(st.booleans()) else row()])
+
+
+@settings(max_examples=80, deadline=None)
+@given(w=two_input_channels(), eps=st.sampled_from([1e-6, 1e-9]))
+def test_capacity_agrees_with_two_input_bisection(w, eps):
+    exact = two_input_capacity(w.rows)
+    got = capacity(w, eps)
+    assert got <= exact + 1e-12
+    assert exact - got <= eps + 1e-12
