@@ -19,13 +19,11 @@ from .channel_core import (
 from .cpc import (
     CpcChannel,
     CpcTerm,
-    DetPairBasis,
     as_channel,
     caratheodory_reduce,
     cpc_from_json,
     cpc_from_pairs,
     cpc_to_json,
-    enumerate_det_pairs,
     skew_compose_channel,
     skew_compose_cpc,
 )

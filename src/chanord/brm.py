@@ -6,21 +6,30 @@ of encoder/decoder pairs (f: U -> X, g: Y -> V) around the fixed W; the
 payoff for a secret u is the expectation of l(u, g(y)). Everything here
 is exact.
 
+A pair is scored in one of two ways. The exhaustive scans, the game
+optimum and the region generators, run on Python ints: W and l are scaled
+to common denominators and every score W(y|x)·l(u, v) is tabulated once
+by _score_tables. A mixed strategy is scored through the channel it
+simulates: by the paper's characterization the strategy is a
+convex-product channel, wiring W through it gives a channel U -> V, and
+the payoff of u is that channel's row u against l(u, ·).
+
 optimal_average_payoff is the game oracle that containment prices its
-columns with. It scans every encoder f: U -> X on Python ints, after
-scaling W and l to common denominators, and encoders sharing a prefix of
-images share its partial score sums. The scaling is positive, so the
-value and the reported optimal pair (first encoder, smallest decoders)
-are exactly those of scoring every pair in rational arithmetic.
+columns with. It walks every encoder f: U -> X over the tables, and
+encoders sharing a prefix of images share its partial score sums. The
+scaling is positive, so the value and the reported optimal pair (first
+encoder, smallest decoders) are exactly those of scoring every pair in
+rational arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from operator import add
 
 from .channel_core import Channel, DeterministicMap, channel_from_json, channel_to_json
-from .cpc import DEFAULT_MAX_PAIRS, CpcChannel, cpc_from_pairs, enumerate_det_pairs
+from .cpc import DEFAULT_MAX_PAIRS, CpcChannel, cpc_from_pairs, skew_compose_channel
 from .errors import DimensionMismatchError, ResourceLimitError
 from .lp_solver import FEASIBLE, hull_lp, solve_feasibility
 from .rational import (
@@ -101,41 +110,26 @@ class RegionInclusion:
     violator: tuple | None = None
 
 
-def _check_strategy_shapes(s: Strategy, g: BrmGame):
-    for f in s.encoders:
-        if (f.domain_size, f.codomain_size) != (g.u_size, g.x_size):
-            raise DimensionMismatchError("encoder shape does not match game")
-    for dec in s.decoders:
-        if (dec.domain_size, dec.codomain_size) != (g.y_size, g.v_size):
-            raise DimensionMismatchError("decoder shape does not match game")
-
-
-def _pair_payoff(f_img, g_img, u: int, g: BrmGame):
-    """Payoff of a single deterministic pair for the secret symbol u."""
-    row = g.randomizer.rows[f_img[u - 1] - 1]
-    acc = ZERO
-    for y in range(g.y_size):
-        p = row[y]
-        if p != 0:
-            acc += p * g.payoff_matrix[u - 1][g_img[y] - 1]
-    return acc
-
-
 def payoff(u: int, s: Strategy, g: BrmGame):
     """Expected payment for the secret u under the mixed strategy s."""
     if not 1 <= u <= g.u_size:
         raise IndexError(f"secret symbol {u} outside 1..{g.u_size}")
-    _check_strategy_shapes(s, g)
-    acc = ZERO
-    for wgt, f, dec in zip(s.weights, s.encoders, s.decoders):
-        if wgt != 0:
-            acc += wgt * _pair_payoff(f.image, dec.image, u, g)
-    return acc
+    return payoff_vector(s, g)[u - 1]
 
 
 def payoff_vector(s: Strategy, g: BrmGame) -> tuple:
-    _check_strategy_shapes(s, g)
-    return tuple(payoff(u, s, g) for u in range(1, g.u_size + 1))
+    """Each secret's payoff, read off the channel U -> V that s simulates.
+
+    Wiring the randomizer through the strategy's convex-product channel
+    gives that channel; the payoff of u is its row u against l(u, ·).
+    """
+    simulated = skew_compose_channel(strategy_to_cpc(s), g.randomizer)
+    if (simulated.input_size, simulated.output_size) != (g.u_size, g.v_size):
+        raise DimensionMismatchError("strategy shape does not match game")
+    return tuple(
+        sum((p * c for p, c in zip(row, l_row)), start=ZERO)
+        for row, l_row in zip(simulated.rows, g.payoff_matrix)
+    )
 
 
 def average_payoff(s: Strategy, g: BrmGame):
@@ -146,6 +140,29 @@ def average_payoff(s: Strategy, g: BrmGame):
 def _plus(sums, scores):
     """Add a (y, v) score table to per-output partial sums."""
     return [list(map(add, acc, row)) for acc, row in zip(sums, scores)]
+
+
+def _score_tables(g: BrmGame):
+    """(d, tables): tables[u][x][y] lists W(y|x)·l(u, v) over v, times d.
+
+    d = d_W·d_l is the product of the common denominators of W and l, so
+    every entry is a Python int and a pair's payoff for u is a sum of |Y|
+    entries over d.
+    """
+    d_w, w_int = scaled_ints(p for row in g.randomizer.rows for p in row)
+    d_l, l_int = scaled_ints(c for row in g.payoff_matrix for c in row)
+    y_size, v_size = g.y_size, g.v_size
+    tables = [
+        [
+            [
+                [w * l for l in l_int[u * v_size : (u + 1) * v_size]]
+                for w in w_int[x * y_size : (x + 1) * y_size]
+            ]
+            for x in range(g.x_size)
+        ]
+        for u in range(g.u_size)
+    ]
+    return d_w * d_l, tables
 
 
 def optimal_average_payoff(
@@ -174,19 +191,7 @@ def optimal_average_payoff(
             f"encoder enumeration has {count} elements (cap {max_encoders})"
         )
     y_size, v_size = g.y_size, g.v_size
-    d_w, w_int = scaled_ints(p for row in g.randomizer.rows for p in row)
-    d_l, l_int = scaled_ints(c for row in g.payoff_matrix for c in row)
-    # tables[u][x][y] lists W(y|x)·l(u, v) over v, all scaled by d_W·d_l.
-    tables = [
-        [
-            [
-                [w * l for l in l_int[u * v_size : (u + 1) * v_size]]
-                for w in w_int[x * y_size : (x + 1) * y_size]
-            ]
-            for x in range(g.x_size)
-        ]
-        for u in range(g.u_size)
-    ]
+    scale, tables = _score_tables(g)
 
     # An odometer over encoders in itertools.product order, without
     # recursion: partial[u] holds the score sums of images[:u], so moving
@@ -214,7 +219,7 @@ def optimal_average_payoff(
         images[d + 1 :] = [0] * (last - d - 1)
     # max returns the first maximal index, the smallest optimal decoder.
     g_img = tuple(max(range(v_size), key=acc.__getitem__) + 1 for acc in best_sums)
-    value = Rat(best_total, d_w * d_l * g.u_size)
+    value = Rat(best_total, scale * g.u_size)
     return value, (
         DeterministicMap(g.u_size, g.x_size, tuple(x + 1 for x in best_images)),
         DeterministicMap(g.y_size, g.v_size, g_img),
@@ -233,17 +238,28 @@ def strategy_to_cpc(s: Strategy) -> CpcChannel:
 def region_generators(
     g: BrmGame, max_pairs: int = DEFAULT_MAX_PAIRS
 ) -> PayoffRegionGenerators:
-    """Payoff vectors of all deterministic pairs, in basis order."""
-    basis = enumerate_det_pairs(
-        g.u_size, g.x_size, g.y_size, g.v_size, max_pairs=max_pairs
-    )
-    points = tuple(
-        tuple(
-            _pair_payoff(f.image, dec.image, u, g) for u in range(1, g.u_size + 1)
+    """Payoff vectors of all deterministic pairs, encoders varying slowest.
+
+    Encoder and decoder images are each walked in lexicographic order.
+    Raises ResourceLimitError when the |X|^|U| · |V|^|Y| pairs exceed
+    max_pairs; that failure is a budget statement, never a verdict.
+    """
+    count = g.x_size**g.u_size * g.v_size**g.y_size
+    if count > max_pairs:
+        raise ResourceLimitError(
+            f"deterministic-pair basis has {count} elements (cap {max_pairs})"
         )
-        for f, dec in basis.pairs
-    )
-    return PayoffRegionGenerators(g.u_size, points)
+    scale, tables = _score_tables(g)
+    points = []
+    for f_img in product(range(g.x_size), repeat=g.u_size):
+        # choices[y][v] holds every secret's score when g sends y to v.
+        choices = [
+            list(zip(*(tables[u][x][y] for u, x in enumerate(f_img))))
+            for y in range(g.y_size)
+        ]
+        for picks in product(*choices):
+            points.append(tuple(Rat(total, scale) for total in map(sum, zip(*picks))))
+    return PayoffRegionGenerators(g.u_size, tuple(points))
 
 
 def region_subset(

@@ -10,22 +10,23 @@ Skew-composition is only exposed on CpcChannel values: applied to a
 non-convex-product joint channel the same contraction formula need not
 produce a channel at all, so the type is the guard.
 
-The deterministic pairs (f, g) are the extreme points of this set.
-enumerate_det_pairs lists them all in lexicographic order; pair_column
-builds the simulated column D_g ∘ W' ∘ D_f of one pair, which is how the
-containment and metric searches add the pairs a game prices, one at a
-time, instead of listing them. Carathéodory reduction is a hull question
-like every other in the library and goes through lp_solver.hull_lp: the
-flattened channel lies in the hull of its term atoms, and one vertex solve
-of that program keeps a basic solution. Its support is a set of linearly
-independent columns of [1; atoms], hence at most dim + 1 affinely
-independent atoms.
+The deterministic pairs (f, g) are the extreme points of this set. This
+module never lists them: pair_column builds the simulated column
+D_g ∘ W' ∘ D_f of one pair, which is how the containment and metric
+searches add the pairs a game prices, one at a time. The payoff regions
+of brm do enumerate every pair, but score it on the game's integer
+tables, not through a column.
+
+Carathéodory reduction is a hull question like every other in the
+library and goes through lp_solver.hull_lp: the flattened channel lies in
+the hull of its term atoms, and one vertex solve of that program keeps a
+basic solution. Its support is a set of linearly independent columns of
+[1; atoms], hence at most dim + 1 affinely independent atoms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .channel_core import (
     Channel,
@@ -35,15 +36,15 @@ from .channel_core import (
     compose,
     deterministic,
 )
-from .errors import DimensionMismatchError, InternalCheckError, ResourceLimitError
+from .errors import DimensionMismatchError, InternalCheckError
 from .lp_solver import FEASIBLE, hull_lp, solve_feasibility
 from .rational import ONE, ZERO, Rat, parse_rat, parse_size, rat_str
 
 # One cap for every enumeration of deterministic maps. For contains, the
 # metric search and brm-opt it bounds the encoders |X'|^|X| that one game
-# optimum scans (after target reduction, for contains); only
-# enumerate_det_pairs and the region generators count whole pairs
-# |X'|^|X| · |Y|^|Y'| against it. It bounds enumeration size, not run time.
+# optimum scans (after target reduction, for contains); only the region
+# generators count whole pairs |X|^|U| · |V|^|Y| against it. It bounds
+# enumeration size, not run time.
 DEFAULT_MAX_PAIRS = 65536
 
 
@@ -76,21 +77,6 @@ class CpcChannel:
                 raise DimensionMismatchError("output randomizer shape mismatch")
         if total != ONE:
             raise ValueError("convex weights must sum to exactly 1")
-
-
-@dataclass(frozen=True)
-class DetPairBasis:
-    """Exhaustive lexicographic enumeration of deterministic pairs.
-
-    Pair k is (f: [x_size] -> [xp_size], g: [yp_size] -> [y_size]); f-images
-    vary slowest, g-images fastest. Length is xp_size^x_size · y_size^yp_size.
-    """
-
-    x_size: int
-    xp_size: int
-    yp_size: int
-    y_size: int
-    pairs: tuple
 
 
 def cpc_from_pairs(weighted_pairs, x_size, xp_size, yp_size, y_size) -> CpcChannel:
@@ -165,37 +151,6 @@ def skew_compose_channel(v: CpcChannel, wp: Channel) -> Channel:
                 if prow[y] != 0:
                     out[y] += term.weight * prow[y]
     return Channel(v.x_size, v.y_size, tuple(tuple(row) for row in rows))
-
-
-def enumerate_det_pairs(
-    x_size: int,
-    xp_size: int,
-    yp_size: int,
-    y_size: int,
-    max_pairs: int = DEFAULT_MAX_PAIRS,
-) -> DetPairBasis:
-    """All (f, g) deterministic pairs in lexicographic order.
-
-    Raises ResourceLimitError when xp_size^x_size · y_size^yp_size exceeds
-    max_pairs; that failure is a budget statement, never a verdict.
-    """
-    for size in (x_size, xp_size, yp_size, y_size):
-        if size < 1:
-            raise ValueError("alphabet sizes must be >= 1")
-    count = xp_size**x_size * y_size**yp_size
-    if count > max_pairs:
-        raise ResourceLimitError(
-            f"deterministic-pair basis has {count} elements (cap {max_pairs})"
-        )
-    pairs = tuple(
-        (
-            DeterministicMap(x_size, xp_size, f_img),
-            DeterministicMap(yp_size, y_size, g_img),
-        )
-        for f_img in product(range(1, xp_size + 1), repeat=x_size)
-        for g_img in product(range(1, y_size + 1), repeat=yp_size)
-    )
-    return DetPairBasis(x_size, xp_size, yp_size, y_size, pairs)
 
 
 def pair_column(wp: Channel, f: DeterministicMap, g: DeterministicMap) -> tuple:

@@ -58,28 +58,20 @@ def metric_estimate_to_json(est: MetricEstimate) -> dict:
     }
 
 
-def _game(w: Channel, n: int, m: int, payoff) -> BrmGame:
-    return BrmGame(n, w.input_size, w.output_size, m, payoff, w)
-
-
 def _opt(w: Channel, n: int, m: int, payoff, max_encoders):
-    value, pair = optimal_average_payoff(_game(w, n, m, payoff), max_encoders)
-    return value, pair
-
-
-def _pair_coefficients(w: Channel, n: int, pair) -> tuple:
-    """Flattened coefficient matrix of one deterministic pair: the pair's
-    average payoff is the inner product of this vector with the payoff l."""
-    inv_n = Rat(1, n)
-    return tuple(inv_n * v for v in pair_column(w, *pair))
+    game = BrmGame(n, w.input_size, w.output_size, m, payoff, w)
+    return optimal_average_payoff(game, max_encoders)
 
 
 def _restricted_ascent(active, pieces, n, m):
     """Exact maximizer of ⟨active, l⟩ − max_j ⟨piece_j, l⟩ over the simplex.
 
-    Each piece is a flattened coefficient matrix. Solved in the
-    orientation whose row count is the payoff dimension; the optimal
-    payoff is the vector of dual prices on those rows.
+    active and each piece are flattened pair_columns: a pair's average
+    payoff is its column's inner product with l, divided by n. The common
+    factor n only scales the piece-mixture entries of the payoff rows,
+    which leaves the optimal payoff unchanged, so no piece is rescaled.
+    Solved in the orientation whose row count is the payoff dimension;
+    the optimal payoff is the vector of dual prices on those rows.
     """
     dim = n * m
     k = len(pieces)
@@ -119,11 +111,11 @@ def _ascent_step(active, other, other_pair, n, m, max_encoders):
     with other's optimal pair. Fewer pieces can only raise the objective,
     so once the priced piece is already present, l is optimal for all.
     """
-    pieces = [_pair_coefficients(other, n, other_pair)]
+    pieces = [pair_column(other, *other_pair)]
     while True:
         candidate = _restricted_ascent(active, pieces, n, m)
         _value, pair = _opt(other, n, m, candidate, max_encoders)
-        piece = _pair_coefficients(other, n, pair)
+        piece = pair_column(other, *pair)
         if piece in pieces:
             return candidate
         pieces.append(piece)
@@ -179,7 +171,7 @@ def brm_distance_lower_bound(
                 (w1, pair1, w2, pair2),
                 (w2, pair2, w1, pair1),
             ):
-                active = _pair_coefficients(own, n, pair)
+                active = pair_column(own, *pair)
                 candidate = _ascent_step(active, other, other_pair, n, m, max_encoders)
                 cand_signed, cand_pair1, cand_pair2 = diff(n, m, candidate)
                 candidates.append(

@@ -85,10 +85,18 @@ def capacity_certificate(w: Channel, eps: float) -> CapacityCertificate:
     densities at most twice. The bounds of the accepted step are the next
     round's stopping test. Raises ResourceLimitError after
     _MAX_CAPACITY_ROUNDS rounds.
+
+    eps must be finite and at least sys.float_info.epsilon, else
+    ValueError: both bounds are sums of doubles, which cannot resolve a
+    smaller gap, and a smaller eps could spend every round unmet.
     """
     # A NaN eps would never stop the iteration; inf would stop it at once.
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
+    if eps < sys.float_info.epsilon:
+        raise ValueError(
+            f"eps must be at least {sys.float_info.epsilon} (double precision)"
+        )
     n, m = w.input_size, w.output_size
     rows = [[(y, float(v)) for y, v in enumerate(row) if v > 0] for row in w.rows]
 

@@ -240,6 +240,23 @@ def brute_force_optimal_pair(game):
     return best
 
 
+def brute_force_region_points(game):
+    """Payoff vector of every deterministic pair, encoder images varying
+    slowest, each entry Σ_y W(y|f(u))·l(u, g(y)) summed in rationals."""
+    points = []
+    for f_img in product(range(game.x_size), repeat=game.u_size):
+        for g_img in product(range(game.v_size), repeat=game.y_size):
+            points.append(tuple(
+                sum(
+                    (p * game.payoff_matrix[u][g_img[y]]
+                     for y, p in enumerate(game.randomizer.rows[x])),
+                    start=ZERO,
+                )
+                for u, x in enumerate(f_img)
+            ))
+    return points
+
+
 def brute_force_optimal_average(game):
     """Max average payoff over every deterministic pair, by full enumeration."""
     return brute_force_optimal_pair(game)[0]

@@ -2,7 +2,11 @@ from itertools import product
 
 import pytest
 
-from oracles import brute_force_optimal_average, brute_force_optimal_pair
+from oracles import (
+    brute_force_optimal_average,
+    brute_force_optimal_pair,
+    brute_force_region_points,
+)
 
 from chanord.brm import (
     BrmGame,
@@ -140,6 +144,43 @@ def test_payoff_vector_shapes_and_linearity():
         part = payoff_vector(single_pair_strategy(game, enc.image, dec.image), game)
         mix = [m + wgt * p for m, p in zip(mix, part)]
     assert payoff_vector(s, game) == tuple(mix)
+
+
+def test_strategy_shape_errors():
+    game = random_game(45, u=2, x=3, y=2, v=3)
+    good_f = DeterministicMap(2, 3, (1, 3))
+    good_g = DeterministicMap(2, 3, (2, 1))
+    bad = [
+        ((DeterministicMap(3, 3, (1, 2, 3)),), (good_g,)),  # encoder domain != |U|
+        ((DeterministicMap(2, 2, (1, 2)),), (good_g,)),  # encoder codomain != |X|
+        ((good_f,), (DeterministicMap(3, 3, (1, 2, 3)),)),  # decoder domain != |Y|
+        ((good_f,), (DeterministicMap(2, 2, (2, 1)),)),  # decoder codomain != |V|
+    ]
+    for encoders, decoders in bad:
+        # Alone, or beside a well-shaped pair on either side.
+        strategies = [Strategy((ONE,), encoders, decoders)] + [
+            Strategy(
+                (Rat(1, 2), Rat(1, 2)),
+                ((good_f,) + encoders)[::order],
+                ((good_g,) + decoders)[::order],
+            )
+            for order in (1, -1)
+        ]
+        for s in strategies:
+            with pytest.raises(DimensionMismatchError):
+                payoff_vector(s, game)
+            with pytest.raises(DimensionMismatchError):
+                payoff(1, s, game)
+    # Encoders of differing shapes, the first of them matching the game.
+    mixed = Strategy(
+        (Rat(1, 2), Rat(1, 2)),
+        (good_f, DeterministicMap(3, 2, (1, 2, 1))),
+        (good_g, good_g),
+    )
+    with pytest.raises(DimensionMismatchError):
+        payoff_vector(mixed, game)
+    with pytest.raises(DimensionMismatchError):
+        payoff(2, mixed, game)
 
 
 def test_average_payoff_is_mean():
@@ -285,6 +326,26 @@ def test_region_generators_shapes():
     game = random_game(96)
     gens = region_generators(game)
     assert len(gens.points) == game.x_size**game.u_size * game.v_size**game.y_size
+
+
+def test_region_generators_match_pair_enumeration():
+    # Shapes with one secret, one input and one guess, and signed payoffs.
+    shapes = [(1, 2, 2, 2), (2, 1, 3, 2), (2, 2, 2, 1), (1, 1, 1, 1), (2, 3, 2, 2),
+              (3, 2, 2, 3), (2, 2, 3, 2)]
+    for seed, shape in enumerate(shapes):
+        for game in oracle_games(*shape, seed + 1700):
+            gens = region_generators(game)
+            assert gens.u_size == game.u_size
+            assert list(gens.points) == brute_force_region_points(game)
+
+
+def test_region_generators_cap_boundary():
+    for u, x, y, v in [(1, 3, 2, 2), (2, 2, 2, 3), (2, 1, 3, 2), (3, 2, 1, 1)]:
+        game = random_game(120 + u * x * y * v, u=u, x=x, y=y, v=v)
+        count = x**u * v**y
+        assert len(region_generators(game, max_pairs=count).points) == count
+        with pytest.raises(ResourceLimitError, match=f"has {count} elements"):
+            region_generators(game, max_pairs=count - 1)
 
 
 def test_region_generators_cover_mixed_strategies():

@@ -242,6 +242,12 @@ def test_nan_eps_is_an_input_error(capsys, write_channel):
     assert code == 1 and report is None and "input error" in err
 
 
+def test_eps_below_double_precision_is_an_input_error(capsys, write_channel):
+    a = write_channel("a.json", random_channel(3, 3, 1, 9))
+    code, report, err = run_cli(capsys, "capacity", a, "--eps", "1e-17")
+    assert code == 1 and report is None and "input error" in err
+
+
 def test_cap_flags_only_on_subcommands_that_read_them(capsys, write_channel):
     a = write_channel("a.json", bsc("11/100"))
     for command in ("capacity", "srank"):

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from oracles import (
@@ -22,12 +24,11 @@ from chanord.cpc import (
     caratheodory_reduce,
     cpc_from_json,
     cpc_to_json,
-    enumerate_det_pairs,
     pair_column,
     skew_compose_channel,
     skew_compose_cpc,
 )
-from chanord.errors import DimensionMismatchError, ResourceLimitError
+from chanord.errors import DimensionMismatchError
 from chanord.ordering import contains, witness_to_cpc
 from chanord.rational import ONE, ZERO, Rat
 
@@ -194,26 +195,16 @@ def test_skew_compose_dimension_guards():
         skew_compose_channel(identity_cpc(2, 2), random_channel(3, 2, 1, 4))
 
 
-def test_enumerate_det_pairs_counts_and_order():
-    assert len(enumerate_det_pairs(1, 1, 1, 1).pairs) == 1
-    assert len(enumerate_det_pairs(2, 2, 2, 2).pairs) == 16
-    assert len(enumerate_det_pairs(2, 3, 2, 2).pairs) == 36
-    basis = enumerate_det_pairs(2, 2, 2, 2)
-    flat = [(f.image, g.image) for f, g in basis.pairs]
-    assert flat[0] == ((1, 1), (1, 1))
-    assert flat[1] == ((1, 1), (1, 2))
-    assert flat[-1] == ((2, 2), (2, 2))
-    assert len(set(flat)) == len(flat)
-    with pytest.raises(ResourceLimitError):
-        enumerate_det_pairs(4, 4, 4, 4, max_pairs=100)
-
-
 def test_pair_column_matches_composition_and_brute_force():
     wp = random_channel(3, 4, 64, 8)
     columns = all_simulation_columns(wp, 2, 3)
-    basis = enumerate_det_pairs(2, 3, 4, 3)
-    assert len(basis.pairs) == len(columns)
-    for (f, g), column in zip(basis.pairs, columns):
+    pairs = [
+        (DeterministicMap(2, 3, f_img), DeterministicMap(4, 3, g_img))
+        for f_img in product(range(1, 4), repeat=2)
+        for g_img in product(range(1, 4), repeat=4)
+    ]
+    assert len(pairs) == len(columns) == 3**2 * 3**4
+    for (f, g), column in zip(pairs, columns):
         built = pair_column(wp, f, g)
         assert built == column
         simulated = compose(deterministic(g), compose(wp, deterministic(f)))

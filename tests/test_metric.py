@@ -10,11 +10,10 @@ from chanord.channel_core import (
     identity_channel,
     random_channel,
 )
-from chanord.cpc import DEFAULT_MAX_PAIRS
+from chanord.cpc import DEFAULT_MAX_PAIRS, pair_column
 from chanord.errors import DimensionMismatchError, InternalCheckError
 from chanord.metric import (
     _ascent_step,
-    _pair_coefficients,
     _restricted_ascent,
     _sample_payoff,
     brm_distance_lower_bound,
@@ -131,17 +130,33 @@ def test_generated_ascent_step_matches_the_full_program():
             _v2, pair2 = optimal_average_payoff(
                 BrmGame(n, 2, 2, m, payoff, w2)
             )
-            active = _pair_coefficients(w1, n, pair1)
-            inv_n = Rat(1, n)
-            pieces = [
-                tuple(inv_n * v for v in col)
-                for col in all_simulation_columns(w2, n, m)
-            ]
+            active = pair_column(w1, *pair1)
+            pieces = all_simulation_columns(w2, n, m)
             full = _restricted_ascent(active, pieces, n, m)
             generated = _ascent_step(active, w2, pair2, n, m, DEFAULT_MAX_PAIRS)
             assert objective(active, pieces, generated) == objective(
                 active, pieces, full
             )
+
+
+def test_restricted_ascent_ignores_a_positive_scaling():
+    # Pieces are pair columns, not average-payoff coefficients (columns
+    # over n); any common positive factor must give the same payoff.
+    for seed in range(10):
+        w1 = random_channel(2, 3, 9200 + seed, 8)
+        w2 = random_channel(3, 2, 9300 + seed, 8)
+        for n, m in ((1, 2), (2, 2), (2, 3), (3, 2)):
+            payoff = _sample_payoff(seed, 1, n, m)
+            _v1, pair1 = optimal_average_payoff(BrmGame(n, 2, 3, m, payoff, w1))
+            _v2, pair2 = optimal_average_payoff(BrmGame(n, 3, 2, m, payoff, w2))
+            active = pair_column(w1, *pair1)
+            columns = all_simulation_columns(w2, n, m)
+            step = 1 + seed % (len(columns) - 1)
+            pieces = [pair_column(w2, *pair2)] + columns[::step]
+            base = _restricted_ascent(active, pieces, n, m)
+            for factor in (Rat(1, n), Rat(1, 7), Rat(5)):
+                scaled = [tuple(factor * v for v in vec) for vec in [active] + pieces]
+                assert _restricted_ascent(scaled[0], scaled[1:], n, m) == base
 
 
 def test_failed_ascent_check_is_not_swallowed(monkeypatch):

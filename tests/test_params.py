@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -119,10 +120,17 @@ def test_parameters_monotone_under_containment():
         assert capacity(wp, 1e-7) >= capacity(w, 1e-7) - 2e-7
 
 
-@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -1e-9])
+# 1e-17 is below what the double-precision bounds can resolve.
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -1e-9, 1e-17])
 def test_capacity_rejects_non_finite_eps(eps):
     with pytest.raises(ValueError):
         capacity(bsc("1/10"), eps)
+
+
+def test_capacity_accepts_the_double_precision_eps():
+    eps = sys.float_info.epsilon
+    cert = capacity_certificate(random_channel(3, 3, 1, 9), eps)
+    assert cert.upper - cert.lower <= eps
 
 
 def test_capacity_near_zero_has_no_tail(monkeypatch):
