@@ -31,7 +31,7 @@ from operator import add
 from .channel_core import Channel, DeterministicMap, channel_from_json, channel_to_json
 from .cpc import DEFAULT_MAX_PAIRS, CpcChannel, cpc_from_pairs, skew_compose_channel
 from .errors import DimensionMismatchError, ResourceLimitError
-from .lp_solver import FEASIBLE, hull_lp, solve_feasibility
+from .lp_solver import FEASIBLE, _ScaledGroup, hull_lp, solve_feasibility
 from .rational import (
     ONE,
     ZERO,
@@ -102,6 +102,10 @@ class PayoffRegionGenerators:
 
     u_size: int
     points: tuple
+
+    def __post_init__(self):
+        if any(len(point) != self.u_size for point in self.points):
+            raise DimensionMismatchError("region point length does not match u_size")
 
 
 @dataclass(frozen=True)
@@ -268,8 +272,9 @@ def region_subset(
     """Exact test that conv(a) ⊆ conv(b).
 
     Convexity makes checking a's generators sufficient; each check is a
-    rational feasibility program over b's (deduplicated) generators. The
-    first generator found outside is returned as the violator.
+    rational feasibility program over b's (deduplicated) generators, which
+    are scaled to ints once for all of them. The first generator found
+    outside is returned as the violator.
     """
     if a.u_size != b.u_size:
         raise DimensionMismatchError("regions live in different payoff spaces")
@@ -279,6 +284,7 @@ def region_subset(
         if point not in b_seen:
             b_seen.add(point)
             b_unique.append(point)
+    b_group = _ScaledGroup(b_unique)
     verdicts = {}
     for point in a.points:
         if point in verdicts:
@@ -286,7 +292,7 @@ def region_subset(
         if point in b_seen:
             verdicts[point] = True
             continue
-        lp = hull_lp(point, b_unique)
+        lp = hull_lp(point, b_group)
         inside = solve_feasibility(lp).tag == FEASIBLE
         verdicts[point] = inside
         if not inside:

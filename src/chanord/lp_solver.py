@@ -3,19 +3,27 @@
 Programs are max cᵀx subject to A·x = b, x ≥ 0, with every coefficient an
 exact rational. The solver is a dense-tableau two-phase simplex with
 Bland's pivoting rule, so it terminates on every input; nothing is ever
-rounded. The tableau is fraction-free: [A | b] is scaled by one common
-denominator L, every row is kept as Python ints over one shared positive
-denominator D, and pivots are integer-preserving (Edmonds–Bareiss), so
-the inner loops never build a rational, whichever backend rational.py
-picks. One global L, rather than a scale per row, keeps every sign test
-and tie of the rational simplex, hence its pivot path, vertex and duals.
-The answer is converted to exact rationals once and carries a certificate
-that is re-verified against the original data before being returned:
+rounded. Each program has one integer image, L·[A | b]: the caller's
+rationals scaled by their common denominator L (rational.scaled_ints)
+before any pivot. hull_lp builds it group by group and attaches it; any
+other StandardLp computes it on first use. The tableau starts from that
+image, keeps every row as Python ints over one shared positive
+denominator D, and pivots integer-preserving (Edmonds–Bareiss), so the
+inner loops never build a rational, whichever backend rational.py picks.
+One global L, rather than a scale per row, keeps every sign test and tie
+of the rational simplex, hence its pivot path, vertex and duals.
 
-  feasible    -> a primal point with A·x = b and x ≥ 0 exactly
-  infeasible  -> a Farkas dual y with yᵀA ≤ 0 and yᵀb > 0 exactly
-  optimal     -> a vertex, its value, and dual prices y with yᵀA ≥ cᵀ and
-                 yᵀb equal to the value (strong duality, exact)
+Every answer carries a certificate that is re-verified exactly against
+the image, never against tableau rows, on ints; the exact rationals
+returned are built from the very ints that were checked:
+
+  feasible    -> a primal point with A·x = b and x ≥ 0 exactly; a basic
+                 point x = r/D has at most one nonzero per row, so the
+                 check sums over its support only
+  infeasible  -> a Farkas dual y with yᵀA ≤ 0 (every column) and yᵀb > 0
+  optimal     -> a vertex, its value, and dual prices y with yᵀA ≥ cᵀ
+                 (every column) and yᵀb equal to the value (strong
+                 duality, exact)
 
 The pivot budget is a number of pivots per LP solve: one call of
 solve_feasibility or maximize may pivot DEFAULT_MAX_PIVOTS (100,000)
@@ -27,6 +35,9 @@ ResourceLimitError instead of ever returning an unverified answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from math import lcm
+from operator import mul
 
 from .errors import (
     DimensionMismatchError,
@@ -73,6 +84,19 @@ class StandardLp:
     def num_cols(self) -> int:
         return len(self.objective)
 
+    @cached_property
+    def _image(self):
+        """(L, L·A as int rows, L·b as ints), L the common denominator of
+        A and b. hull_lp sets the same image without this scan."""
+        scale, flat = scaled_ints(
+            v
+            for arow, bval in zip(self.constraint_matrix, self.rhs)
+            for v in (*arow, bval)
+        )
+        width = self.num_cols + 1
+        rows = tuple(tuple(flat[k : k + width - 1]) for k in range(0, len(flat), width))
+        return scale, rows, tuple(flat[width - 1 :: width])
+
 
 def standard_lp(matrix, rhs, objective=None) -> StandardLp:
     """Convenience constructor converting entries to exact rationals."""
@@ -84,6 +108,28 @@ def standard_lp(matrix, rhs, objective=None) -> StandardLp:
     else:
         c = tuple(Rat(v) for v in objective)
     return StandardLp(mat, b, c)
+
+
+class _ScaledGroup:
+    """A generator group of hull_lp, transposed and scaled to ints once.
+
+    rows[i] holds coordinate i of every generator (none for an empty
+    group) and int_rows[i] the same times scale, the common denominator
+    of the group. hull_lp scales a plain sequence into one of these on
+    every call; a caller that asks about many points against one group
+    passes it pre-scaled instead.
+    """
+
+    __slots__ = ("size", "rows", "scale", "int_rows")
+
+    def __init__(self, generators):
+        generators = tuple(generators)
+        if len({len(gen) for gen in generators}) > 1:
+            raise DimensionMismatchError("hull generators differ in length")
+        self.size = n = len(generators)
+        self.rows = tuple(zip(*generators))
+        self.scale, flat = scaled_ints(v for row in self.rows for v in row)
+        self.int_rows = tuple(tuple(flat[k : k + n]) for k in range(0, len(flat), n or 1))
 
 
 def hull_lp(point, *groups) -> StandardLp:
@@ -99,17 +145,39 @@ def hull_lp(point, *groups) -> StandardLp:
     coordinates and c_i on group i's convexity row, with l·g + c_i ≤ 0 for
     every g in G_i and l·point + Σ c_i > 0: the hyperplane l strictly
     separates the point from the sum of hulls. An empty group has an
-    empty hull, so the sum is empty and the program infeasible.
+    empty hull, so the sum is empty and the program infeasible. A
+    generator whose length is not the point's raises
+    DimensionMismatchError.
+
+    The program's integer image is built here, one scaled_ints per group
+    and one for the point, brought to L, the lcm of their scales: the
+    same L and ints as one scaled_ints over the whole program.
     """
-    generators = [gen for group in groups for gen in group]
-    width = len(generators)
-    rows = [tuple(gen[coord] for gen in generators) for coord in range(len(point))]
+    dim = len(point)
+    groups = [g if isinstance(g, _ScaledGroup) else _ScaledGroup(g) for g in groups]
+    filled = [g for g in groups if g.size]
+    if any(len(g.rows) != dim for g in filled):
+        raise DimensionMismatchError("generator length does not match the point")
+    point_scale, point_ints = scaled_ints(point)
+    scale = lcm(point_scale, *(g.scale for g in groups))
+    rows = [sum((g.rows[i] for g in filled), ()) for i in range(dim)]
+    factors = [(g, scale // g.scale) for g in filled]
+    int_rows = [
+        tuple(v * f for g, f in factors for v in g.int_rows[i]) for i in range(dim)
+    ]
+    width = sum(g.size for g in groups)
     start = 0
-    for group in groups:
-        end = start + len(group)
-        rows.append((ZERO,) * start + (ONE,) * (end - start) + (ZERO,) * (width - end))
+    for g in groups:
+        end = start + g.size
+        rows.append((ZERO,) * start + (ONE,) * g.size + (ZERO,) * (width - end))
+        int_rows.append((0,) * start + (scale,) * g.size + (0,) * (width - end))
         start = end
-    return StandardLp(tuple(rows), tuple(point) + (ONE,) * len(groups), (ZERO,) * width)
+    k = len(groups)
+    factor = scale // point_scale
+    lp = StandardLp(tuple(rows), tuple(point) + (ONE,) * k, (ZERO,) * width)
+    image = (scale, tuple(int_rows), tuple(v * factor for v in point_ints) + (scale,) * k)
+    object.__setattr__(lp, "_image", image)
+    return lp
 
 
 @dataclass(frozen=True)
@@ -128,12 +196,13 @@ class _Tableau:
     dual extractions read. The tableau is rows / denom: every row, and
     every reduced-cost row, holds ints over the one positive denom D.
 
-    The initial rows are [s·L·A_i | e_i | s·L·b_i]: one global scale L,
-    the common denominator of A and b, with s = ±1 making the rhs
-    nonnegative; the artificial block stays the identity. A pivot on
-    entry p leaves its row as it is, replaces each other entry t of a row
-    whose pivot-column entry is f by (p·t − f·v) // D, v being the pivot
-    row's entry in t's column, and makes p the new D (Edmonds 1967,
+    The initial rows are [s·L·A_i | e_i | s·L·b_i], read off the
+    program's integer image (L the common denominator of A and b), with
+    s = ±1 making the rhs nonnegative; the artificial block stays the
+    identity. A pivot on entry p leaves its row as it is, replaces each
+    other entry t of a row whose pivot-column entry is f by
+    (p·t − f·v) // D, v being the pivot row's entry in t's column, and
+    makes p the new D (Edmonds 1967,
     Bareiss 1968): every entry is then a minor of the initial rows, so
     each division is exact. Only expelling an artificial can pivot on a
     negative entry; all rows and D are then negated to keep D positive.
@@ -153,25 +222,19 @@ class _Tableau:
         self.num_orig_rows = lp.num_rows
         self.max_pivots = max_pivots
         self.pivots_used = 0
-        self.scale, flat = scaled_ints(
-            v
-            for arow, bval in zip(lp.constraint_matrix, lp.rhs)
-            for v in (*arow, bval)
-        )
+        self.scale, a_rows, b = lp._image
         self.denom = 1
         # Row signs are flipped so the rhs is nonnegative; remembering the
         # signs lets duals be mapped back to the caller's row order.
         self.row_signs = []
         self.rows = []
         self.basis = []
-        width = self.ncols + 1
-        for i in range(lp.num_rows):
-            *body, bval = flat[i * width : (i + 1) * width]
+        for i, (arow, bval) in enumerate(zip(a_rows, b)):
             sign = -1 if bval < 0 else 1
             self.row_signs.append(sign)
             art = [0] * lp.num_rows
             art[i] = 1
-            self.rows.append([sign * v for v in body] + art + [sign * bval])
+            self.rows.append([sign * v for v in arow] + art + [sign * bval])
             self.basis.append(self.ncols + i)
 
     def _zrow(self, cost):
@@ -256,36 +319,31 @@ class _Tableau:
         self.rows = [self.rows[i] for i in keep]
         self.basis = [self.basis[i] for i in keep]
 
-    def primal_point(self):
-        """The basic solution; L scales A and b alike, so x needs only D."""
-        x = [ZERO] * self.ncols
-        for i, bi in enumerate(self.basis):
-            if bi < self.ncols:
-                x[bi] = Rat(self.rows[i][-1], self.denom)
-        return tuple(x)
+    def support(self):
+        """[(j, r_j)] over the basic point's nonzero coordinates x_j = r_j/D;
+        L scales A and b alike, so x needs only D."""
+        return [
+            (bi, row[-1])
+            for bi, row in zip(self.basis, self.rows)
+            if bi < self.ncols and row[-1] != 0
+        ]
 
-    def farkas_from_zrow(self, z):
-        """Negated phase-one duals, read off the artificial block. L
-        cancels in the artificial columns' phase-one reduced costs, so
-        only D is divided out."""
+    def farkas_duals(self, z):
+        """Negated phase-one duals times D, read off the artificial block.
+        L cancels in the artificial columns' phase-one reduced costs, so
+        the Farkas dual is these ints over D."""
         d = self.denom
-        return tuple(
-            Rat(sign * (d + z[self.ncols + k]), d)
-            for k, sign in enumerate(self.row_signs)
-        )
+        return [sign * (d + z[self.ncols + k]) for k, sign in enumerate(self.row_signs)]
 
-    def optimal_from_zrow(self, z, objective_scale):
-        """(dual prices, value) of phase two under costs objective_scale·c.
+    def optimal_duals(self, z):
+        """(prices, value) of phase two under costs Lc·c, as ints.
 
         Against the original columns the artificial ones carry a factor
-        1/L, so the prices gain L; both lose the objective's scale and D.
+        1/L, so the dual prices are L·prices / (Lc·D) and the value is
+        value / (Lc·D).
         """
-        den = objective_scale * self.denom
-        y = tuple(
-            Rat(-sign * self.scale * z[self.ncols + k], den)
-            for k, sign in enumerate(self.row_signs)
-        )
-        return y, Rat(-z[-1], den)
+        prices = [-sign * z[self.ncols + k] for k, sign in enumerate(self.row_signs)]
+        return prices, -z[-1]
 
 
 def _eliminate(target, row, p, d, pc):
@@ -294,43 +352,60 @@ def _eliminate(target, row, p, d, pc):
     return [(p * t - f * v) // d for t, v in zip(target, row)]
 
 
-def _check_primal(lp: StandardLp, x):
-    if any(v < 0 for v in x):
+# The exit checks read the program's integer image (L, L·A, L·b), never
+# tableau rows. Every scale in play (L, D, Lc) is positive, so each sign
+# test and equality below is the rational one on the caller's data.
+
+
+def _check_primal(image, support, denom):
+    """x = r/D over its support: x ≥ 0 and (L·A)·r = D·(L·b)."""
+    _scale, a_rows, b = image
+    if any(r < 0 for _j, r in support):
         raise InternalCheckError("primal point has a negative coordinate")
-    for arow, bval in zip(lp.constraint_matrix, lp.rhs):
-        acc = ZERO
-        for a, v in zip(arow, x):
-            if a != 0 and v != 0:
-                acc += a * v
-        if acc != bval:
+    for arow, bval in zip(a_rows, b):
+        if sum(arow[j] * r for j, r in support) != denom * bval:
             raise InternalCheckError("primal point violates a constraint")
 
 
-def _check_farkas(lp: StandardLp, y):
-    for j in range(lp.num_cols):
-        acc = ZERO
-        for i, arow in enumerate(lp.constraint_matrix):
-            if y[i] != 0 and arow[j] != 0:
-                acc += y[i] * arow[j]
-        if acc > 0:
-            raise InternalCheckError("Farkas dual fails yᵀA <= 0")
-    if sum(yi * bi for yi, bi in zip(y, lp.rhs)) <= 0:
+def _dual_columns(a_rows, y, ncols):
+    """yᵀ(L·A), every column, for int y."""
+    acc = [0] * ncols
+    for yi, arow in zip(y, a_rows):
+        if yi:
+            acc = [s + yi * v for s, v in zip(acc, arow)]
+    return acc
+
+
+def _check_farkas(image, y, ncols):
+    """y (ints, over D > 0): yᵀA ≤ 0 and yᵀb > 0."""
+    _scale, a_rows, b = image
+    if any(v > 0 for v in _dual_columns(a_rows, y, ncols)):
+        raise InternalCheckError("Farkas dual fails yᵀA <= 0")
+    if sum(map(mul, y, b)) <= 0:
         raise InternalCheckError("Farkas dual fails yᵀb > 0")
 
 
-def _check_optimal(lp: StandardLp, x, y, value):
-    _check_primal(lp, x)
-    if sum(cj * xj for cj, xj in zip(lp.objective, x)) != value:
+def _check_optimal(image, cost, support, denom, prices, value):
+    """cost = Lc·c as ints, x = r/D, dual prices L·prices/(Lc·D) and value
+    value/(Lc·D): A·x = b, x ≥ 0, cᵀx = value, yᵀA ≥ c and yᵀb = value."""
+    _check_primal(image, support, denom)
+    _scale, a_rows, b = image
+    if sum(cost[j] * r for j, r in support) != value:
         raise InternalCheckError("objective value mismatch")
-    for j in range(lp.num_cols):
-        acc = ZERO
-        for i, arow in enumerate(lp.constraint_matrix):
-            if y[i] != 0 and arow[j] != 0:
-                acc += y[i] * arow[j]
-        if acc < lp.objective[j]:
-            raise InternalCheckError("dual prices fail yᵀA >= c")
-    if sum(yi * bi for yi, bi in zip(y, lp.rhs)) != value:
+    columns = _dual_columns(a_rows, prices, len(cost))
+    if any(s < denom * c for s, c in zip(columns, cost)):
+        raise InternalCheckError("dual prices fail yᵀA >= c")
+    if sum(map(mul, prices, b)) != value:
         raise InternalCheckError("strong duality check failed")
+
+
+def _rationals(entries, den, width):
+    """The exact rationals of a checked answer: entries (k, v) become
+    v/den at position k of a width-long tuple, ZERO elsewhere."""
+    out = [ZERO] * width
+    for k, v in entries:
+        out[k] = Rat(v, den)
+    return tuple(out)
 
 
 def _phase_one(lp: StandardLp, max_pivots: int):
@@ -338,9 +413,9 @@ def _phase_one(lp: StandardLp, max_pivots: int):
     cost = [0] * tab.ncols + [-1] * lp.num_rows
     z = tab.run(cost, tab.ncols + lp.num_rows)
     if z[-1] > 0:  # -value·L·D; positive iff artificials remain
-        y = tab.farkas_from_zrow(z)
-        _check_farkas(lp, y)
-        return None, y
+        y = tab.farkas_duals(z)
+        _check_farkas(lp._image, y, lp.num_cols)
+        return None, _rationals(enumerate(y), tab.denom, len(y))
     tab.drop_redundant_and_expel_artificials()
     return tab, None
 
@@ -350,9 +425,9 @@ def solve_feasibility(lp: StandardLp, max_pivots: int = DEFAULT_MAX_PIVOTS) -> L
     tab, farkas = _phase_one(lp, max_pivots)
     if tab is None:
         return LpOutcome(tag=INFEASIBLE, dual_certificate=farkas)
-    x = tab.primal_point()
-    _check_primal(lp, x)
-    return LpOutcome(tag=FEASIBLE, primal=x)
+    support = tab.support()
+    _check_primal(lp._image, support, tab.denom)
+    return LpOutcome(tag=FEASIBLE, primal=_rationals(support, tab.denom, tab.ncols))
 
 
 def maximize(lp: StandardLp, max_pivots: int = DEFAULT_MAX_PIVOTS) -> LpOutcome:
@@ -367,7 +442,15 @@ def maximize(lp: StandardLp, max_pivots: int = DEFAULT_MAX_PIVOTS) -> LpOutcome:
     objective_scale, cost = scaled_ints(lp.objective)
     # Artificial columns stay out of the entering scan; they only track B⁻¹.
     z = tab.run(cost + [0] * tab.num_orig_rows, tab.ncols)
-    x = tab.primal_point()
-    y, value = tab.optimal_from_zrow(z, objective_scale)
-    _check_optimal(lp, x, y, value)
-    return LpOutcome(tag=OPTIMAL, primal=x, dual_certificate=y, value=value)
+    support = tab.support()
+    prices, value = tab.optimal_duals(z)
+    _check_optimal(lp._image, cost, support, tab.denom, prices, value)
+    den = objective_scale * tab.denom
+    return LpOutcome(
+        tag=OPTIMAL,
+        primal=_rationals(support, tab.denom, tab.ncols),
+        dual_certificate=_rationals(
+            ((k, tab.scale * p) for k, p in enumerate(prices)), den, len(prices)
+        ),
+        value=Rat(value, den),
+    )

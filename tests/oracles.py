@@ -178,6 +178,36 @@ def reference_simplex(lp, maximize=False):
     return "optimal", primal, tuple(tab.duals(z, cost)), -z[-1], tab.pivots_used
 
 
+def _column_dot(lp, y, j):
+    return sum(
+        (y[i] * lp.constraint_matrix[i][j] for i in range(lp.num_rows)), start=ZERO
+    )
+
+
+def check_primal(lp, x):
+    """A·x = b and x ≥ 0, in the program's own rational fields."""
+    assert all(v >= 0 for v in x)
+    for row, b in zip(lp.constraint_matrix, lp.rhs):
+        assert sum((a * v for a, v in zip(row, x)), start=ZERO) == b
+
+
+def check_farkas(lp, y):
+    """yᵀA ≤ 0 on every column and yᵀb > 0, in rationals."""
+    for j in range(lp.num_cols):
+        assert _column_dot(lp, y, j) <= 0
+    assert sum((yi * bi for yi, bi in zip(y, lp.rhs)), start=ZERO) > 0
+
+
+def check_optimal(lp, x, y, value):
+    """x is feasible with cᵀx = value, and y is dual feasible (yᵀA ≥ c on
+    every column) with yᵀb = value, in rationals."""
+    check_primal(lp, x)
+    assert sum((c * v for c, v in zip(lp.objective, x)), start=ZERO) == value
+    for j in range(lp.num_cols):
+        assert _column_dot(lp, y, j) >= lp.objective[j]
+    assert sum((yi * bi for yi, bi in zip(y, lp.rhs)), start=ZERO) == value
+
+
 def cpc_entry(v, x, yp, xp, y):
     """Direct evaluation of Σ_i α_i R_i(x'|x) T_i(y|y') (1-based indices)."""
     acc = ZERO

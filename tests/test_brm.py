@@ -373,6 +373,18 @@ def test_region_subset_reflexive_and_violations():
         region_subset(gens, PayoffRegionGenerators(game.u_size + 1, ((ZERO,) * 3,)))
 
 
+def test_region_points_must_have_u_size_coordinates():
+    from chanord.brm import PayoffRegionGenerators
+
+    with pytest.raises(DimensionMismatchError):
+        region_subset(
+            PayoffRegionGenerators(1, ((ONE,),)),
+            PayoffRegionGenerators(1, ((ONE, Rat(9)),)),
+        )
+    with pytest.raises(DimensionMismatchError):
+        PayoffRegionGenerators(2, ((ONE, ZERO), (ONE,)))
+
+
 def test_region_subset_separates_bsc_pair():
     payoff_m = random_payoff(2, 2, 101)
     good = BrmGame(2, 2, 2, 2, payoff_m, bsc("1/10"))

@@ -2,9 +2,20 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import matrix_rank, reference_simplex, vertex_enumeration_maximum
+from oracles import (
+    check_farkas,
+    check_optimal,
+    check_primal,
+    matrix_rank,
+    reference_simplex,
+    vertex_enumeration_maximum,
+)
 
+from chanord import brm, cpc, metric, ordering
+from chanord.channel_core import compose, random_channel
 from chanord.errors import (
+    DimensionMismatchError,
+    InternalCheckError,
     LpInfeasibleError,
     LpUnboundedError,
     ResourceLimitError,
@@ -13,28 +24,15 @@ from chanord.lp_solver import (
     FEASIBLE,
     INFEASIBLE,
     OPTIMAL,
+    _ScaledGroup,
+    _Tableau,
     hull_lp,
     maximize,
     solve_feasibility,
     standard_lp,
 )
 from chanord.prng import counter_int
-from chanord.rational import ONE, ZERO, Rat
-
-
-def check_farkas(lp, y):
-    for j in range(lp.num_cols):
-        assert (
-            sum((y[i] * lp.constraint_matrix[i][j] for i in range(lp.num_rows)), start=ZERO)
-            <= 0
-        )
-    assert sum((y[i] * lp.rhs[i] for i in range(lp.num_rows)), start=ZERO) > 0
-
-
-def check_primal(lp, x):
-    assert all(v >= 0 for v in x)
-    for row, b in zip(lp.constraint_matrix, lp.rhs):
-        assert sum((a * v for a, v in zip(row, x)), start=ZERO) == b
+from chanord.rational import ONE, ZERO, Rat, scaled_ints
 
 
 def random_matrix(rows, cols, seed, lo=-4, hi=4):
@@ -159,13 +157,7 @@ def test_pivot_budget_boundary_counts_expulsion_pivots():
 def test_optimal_dual_prices_certify_value():
     lp = standard_lp([[2, 1, 0], [1, 3, 1]], [4, 6], [3, 5, 1])
     out = maximize(lp)
-    y = out.dual_certificate
-    for j in range(lp.num_cols):
-        assert (
-            sum((y[i] * lp.constraint_matrix[i][j] for i in range(2)), start=ZERO)
-            >= lp.objective[j]
-        )
-    assert sum((y[i] * lp.rhs[i] for i in range(2)), start=ZERO) == out.value
+    check_optimal(lp, out.primal, out.dual_certificate, out.value)
 
 
 def small_rationals():
@@ -320,13 +312,7 @@ def test_maximize_duals_certify_the_vertex_enumeration_optimum(program):
     lp = standard_lp(matrix, rhs, objective)
     out = maximize(lp)
     assert out.tag == OPTIMAL
-    check_primal(lp, out.primal)
-    y = out.dual_certificate
-    for j in range(lp.num_cols):
-        assert sum(
-            (y[i] * matrix[i][j] for i in range(len(matrix))), start=ZERO
-        ) >= objective[j]
-    assert sum((yi * bi for yi, bi in zip(y, rhs)), start=ZERO) == out.value
+    check_optimal(lp, out.primal, out.dual_certificate, out.value)
     assert out.value == vertex_enumeration_maximum(matrix, rhs, objective)[0]
 
 
@@ -387,3 +373,154 @@ def test_simplex_matches_rational_reference_pivot_for_pivot(lp, maximizing):
     if pivots:
         with pytest.raises(ResourceLimitError):
             solve(lp, max_pivots=pivots - 1)
+
+
+@pytest.mark.parametrize(
+    "groups",
+    [
+        [[(ONE, Rat(5))]],
+        [[()]],
+        [[(ONE,), (ONE, ONE)]],
+        [[(ONE,)], [(ONE, ZERO)]],
+        [_ScaledGroup([(ONE, Rat(5))])],
+    ],
+    ids=["longer", "shorter", "mixed-group", "second-group", "pre-scaled"],
+)
+def test_hull_lp_rejects_a_generator_of_another_length(groups):
+    with pytest.raises(DimensionMismatchError):
+        hull_lp((ONE,), *groups)
+
+
+def _corrupt_first(change):
+    """Apply change to the first int of a list, or to r in its first (j, r)."""
+
+    def corrupted(items):
+        first, *rest = items
+        return [(first[0], change(first[1])) if isinstance(first, tuple) else change(first), *rest]
+
+    return corrupted
+
+
+def _corrupt_value(change):
+    return lambda answer: (answer[0], change(answer[1]))
+
+
+def _corrupt_prices(change):
+    return lambda answer: (_corrupt_first(change)(answer[0]), answer[1])
+
+
+# x = (1, 0) is the only point and y = 1 the only optimal price of
+# x₁ + x₂ = 1 under the costs (1, 0); y = -1 is a Farkas dual of x₁ = -1.
+SEGMENT = ([[1, 1]], [1], [1, 0])
+TAMPERS = [
+    (solve_feasibility, SEGMENT, "support", _corrupt_first(lambda r: -r),
+     "primal point has a negative coordinate"),
+    (solve_feasibility, SEGMENT, "support", _corrupt_first(lambda r: r + 1),
+     "primal point violates a constraint"),
+    (maximize, SEGMENT, "support", _corrupt_first(lambda r: -r),
+     "primal point has a negative coordinate"),
+    (maximize, SEGMENT, "support", _corrupt_first(lambda r: r + 1),
+     "primal point violates a constraint"),
+    (solve_feasibility, ([[1]], [-1], [0]), "farkas_duals", _corrupt_first(lambda y: -y),
+     "Farkas dual fails yᵀA <= 0"),
+    (solve_feasibility, ([[1]], [-1], [0]), "farkas_duals", _corrupt_first(lambda y: 0),
+     "Farkas dual fails yᵀb > 0"),
+    (maximize, SEGMENT, "optimal_duals", _corrupt_value(lambda v: v + 1),
+     "objective value mismatch"),
+    (maximize, SEGMENT, "optimal_duals", _corrupt_prices(lambda p: p - 1),
+     "dual prices fail yᵀA >= c"),
+    (maximize, SEGMENT, "optimal_duals", _corrupt_prices(lambda p: p + 1),
+     "strong duality check failed"),
+]
+
+
+@pytest.mark.parametrize("solve, program, method, change, message", TAMPERS)
+def test_every_exit_check_rejects_a_tampered_certificate(
+    monkeypatch, solve, program, method, change, message
+):
+    lp = standard_lp(*program)
+    solve(lp)  # the untouched answer passes every check
+    original = getattr(_Tableau, method)
+    monkeypatch.setattr(_Tableau, method, lambda tab, *args: change(original(tab, *args)))
+    with pytest.raises(InternalCheckError) as caught:
+        solve(lp)
+    assert str(caught.value) == message
+
+
+def _flat(channel):
+    return tuple(p for row in channel.rows for p in row)
+
+
+def test_library_lp_outcomes_pass_the_rational_oracles(monkeypatch):
+    """Every LP answer the oracles get back is re-checked against the
+    program's own rational fields, outside the solver's integer checks."""
+    seen = []
+
+    def recording(solve):
+        def wrapper(lp, *args, **kwargs):
+            out = solve(lp, *args, **kwargs)
+            seen.append((lp, out))
+            return out
+
+        return wrapper
+
+    for module in (brm, cpc, ordering):
+        monkeypatch.setattr(module, "solve_feasibility", recording(solve_feasibility))
+    monkeypatch.setattr(metric, "maximize", recording(maximize))
+
+    for seed in range(4):
+        # The noisier randomizer's region lies inside the cleaner one's.
+        clean = random_channel(2, 3, seed * 3, 6)
+        noisy = compose(random_channel(3, 3, seed * 3 + 1, 4), clean)
+        payoff = ((Rat(1, 2), ZERO, ZERO), (ZERO, Rat(1, 4), Rat(1, 4)))
+        regions = [brm.region_generators(brm.BrmGame(2, 2, 3, 3, payoff, ch)) for ch in (noisy, clean)]
+        assert brm.region_subset(regions[0], regions[1]).inside_all
+        brm.region_subset(regions[1], regions[0])
+        w, wp = random_channel(2, 3, seed + 40, 5), random_channel(3, 3, seed + 50, 5)
+        ordering.contains(wp, w)
+        ordering.contains(w, wp)
+        ordering.degraded_from(w, random_channel(2, 2, seed + 60, 4))
+        ordering.degraded_from(compose(random_channel(3, 2, seed + 70, 4), wp), wp)
+        terms = tuple(
+            cpc.CpcTerm(Rat(1, 3), random_channel(2, 2, seed * 7 + i, 4),
+                        random_channel(2, 2, seed * 7 + i + 3, 4))
+            for i in range(3)
+        )
+        cpc.caratheodory_reduce(cpc.CpcChannel(2, 2, 2, 2, terms))
+        metric.brm_vs_tv(w, random_channel(2, 3, seed + 80, 5), n_max=2, m_max=2, budget=2,
+                         seed=seed)
+
+    tags = {FEASIBLE: 0, INFEASIBLE: 0, OPTIMAL: 0}
+    for lp, out in seen:
+        tags[out.tag] += 1
+        if out.tag == FEASIBLE:
+            check_primal(lp, out.primal)
+        elif out.tag == INFEASIBLE:
+            check_farkas(lp, out.dual_certificate)
+        else:
+            check_optimal(lp, out.primal, out.dual_certificate, out.value)
+    assert min(tags.values()) >= 5, tags
+
+
+def image_by_one_scaling(lp):
+    """(L, L·A, L·b) from one scaled_ints over the whole program."""
+    scale, flat = scaled_ints(
+        v for row, b in zip(lp.constraint_matrix, lp.rhs) for v in (*row, b)
+    )
+    width = lp.num_cols + 1
+    rows = tuple(tuple(flat[k : k + width - 1]) for k in range(0, len(flat), width))
+    return scale, rows, tuple(flat[width - 1 :: width])
+
+
+@settings(max_examples=150)
+@given(instance=hull_sum_instances(), data=st.data())
+def test_hull_lp_image_equals_one_scaling_of_the_program(instance, data):
+    point, groups, _inside = instance
+    if data.draw(st.booleans()):
+        groups.insert(data.draw(st.integers(0, len(groups))), [])
+    scaled = [
+        _ScaledGroup(group) if data.draw(st.booleans()) else group for group in groups
+    ]
+    lp = hull_lp(point, *scaled)
+    assert lp == hull_lp(point, *groups)
+    assert lp._image == image_by_one_scaling(lp)
