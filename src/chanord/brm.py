@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import lcm
 from operator import add
 
 from .channel_core import Channel, DeterministicMap, channel_from_json, channel_to_json
@@ -273,31 +274,43 @@ def region_subset(
 
     Convexity makes checking a's generators sufficient; each check is a
     rational feasibility program over b's (deduplicated) generators, which
-    are scaled to ints once for all of them. The first generator found
-    outside is returned as the violator.
+    are scaled to ints once for all of them. Points are compared on int
+    images: a's and b's generators are each scaled once, and keyed at the
+    lcm of the two scales, to drop repeats of b and to skip a's points
+    already known inside. The first generator found outside is returned,
+    as the rational point, as the violator.
     """
     if a.u_size != b.u_size:
         raise DimensionMismatchError("regions live in different payoff spaces")
+    dim = a.u_size
+    b_scale, b_ints = scaled_ints(v for point in b.points for v in point)
+    a_scale, a_ints = scaled_ints(v for point in a.points for v in point)
+    common = lcm(a_scale, b_scale)
     b_unique = []
+    b_unique_ints = []
     b_seen = set()
-    for point in b.points:
-        if point not in b_seen:
-            b_seen.add(point)
+    for k, point in enumerate(b.points):
+        ints = b_ints[k * dim : (k + 1) * dim]
+        key = _key(ints, common // b_scale)
+        if key not in b_seen:
+            b_seen.add(key)
             b_unique.append(point)
-    b_group = _ScaledGroup(b_unique)
-    verdicts = {}
-    for point in a.points:
-        if point in verdicts:
+            b_unique_ints.extend(ints)
+    b_group = _ScaledGroup(b_unique, (b_scale, b_unique_ints))
+    inside = set()  # a's points found inside so far
+    for k, point in enumerate(a.points):
+        key = _key(a_ints[k * dim : (k + 1) * dim], common // a_scale)
+        if key in b_seen or key in inside:
             continue
-        if point in b_seen:
-            verdicts[point] = True
-            continue
-        lp = hull_lp(point, b_group)
-        inside = solve_feasibility(lp).tag == FEASIBLE
-        verdicts[point] = inside
-        if not inside:
+        if solve_feasibility(hull_lp(point, b_group)).tag != FEASIBLE:
             return RegionInclusion(inside_all=False, violator=point)
+        inside.add(key)
     return RegionInclusion(inside_all=True)
+
+
+def _key(ints, factor):
+    """A point's ints brought to a common scale, as a hashable key."""
+    return tuple(v * factor for v in ints) if factor != 1 else tuple(ints)
 
 
 def game_to_json(g: BrmGame) -> dict:

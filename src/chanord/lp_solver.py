@@ -25,10 +25,21 @@ returned are built from the very ints that were checked:
                  (every column) and yᵀb equal to the value (strong
                  duality, exact)
 
+priced_hull is column generation over one such hull program, whose
+generators are priced one at a time instead of listed (Dantzig–Wolfe
+1960, Gilmore–Gomory 1961). Its master keeps one tableau for the whole
+call: L is fixed up front by the caller, a priced column enters the live
+tableau as (D·B⁻¹)·(s·L·a), on ints, and Bland's rule continues phase
+one from the current basis. Every restricted answer is verified as
+above, on the master's image: a Farkas dual over every column entered so
+far, a point over its support.
+
 The pivot budget is a number of pivots per LP solve: one call of
 solve_feasibility or maximize may pivot DEFAULT_MAX_PIVOTS (100,000)
-times over both phases, expulsions of artificials included. Every oracle
-of the library solves under that default; exceeding it raises
+times over both phases, expulsions of artificials included. A master of
+priced_hull is one solve: the budget counts every pivot of all its
+restricted solves and of the final expulsion together. Every oracle of
+the library solves under that default; exceeding it raises
 ResourceLimitError instead of ever returning an unverified answer.
 """
 
@@ -117,19 +128,24 @@ class _ScaledGroup:
     group) and int_rows[i] the same times scale, the common denominator
     of the group. hull_lp scales a plain sequence into one of these on
     every call; a caller that asks about many points against one group
-    passes it pre-scaled instead.
+    passes it pre-scaled instead. A caller that has scaled the generators
+    already passes scaled, (scale, ints generator after generator), as
+    rational.scaled_ints returns it for their entries in that order.
     """
 
     __slots__ = ("size", "rows", "scale", "int_rows")
 
-    def __init__(self, generators):
+    def __init__(self, generators, scaled=None):
         generators = tuple(generators)
         if len({len(gen) for gen in generators}) > 1:
             raise DimensionMismatchError("hull generators differ in length")
-        self.size = n = len(generators)
+        self.size = len(generators)
         self.rows = tuple(zip(*generators))
-        self.scale, flat = scaled_ints(v for row in self.rows for v in row)
-        self.int_rows = tuple(tuple(flat[k : k + n]) for k in range(0, len(flat), n or 1))
+        if scaled is None:
+            scaled = scaled_ints(v for gen in generators for v in gen)
+        self.scale, flat = scaled
+        dim = len(self.rows)
+        self.int_rows = tuple(tuple(flat[i::dim]) for i in range(dim))
 
 
 def hull_lp(point, *groups) -> StandardLp:
@@ -217,12 +233,12 @@ class _Tableau:
     pivot path.
     """
 
-    def __init__(self, lp: StandardLp, max_pivots: int):
-        self.ncols = lp.num_cols
-        self.num_orig_rows = lp.num_rows
+    def __init__(self, image, ncols: int, max_pivots: int):
+        self.ncols = ncols
+        self.scale, a_rows, b = image
+        self.num_orig_rows = r = len(b)
         self.max_pivots = max_pivots
         self.pivots_used = 0
-        self.scale, a_rows, b = lp._image
         self.denom = 1
         # Row signs are flipped so the rhs is nonnegative; remembering the
         # signs lets duals be mapped back to the caller's row order.
@@ -232,10 +248,27 @@ class _Tableau:
         for i, (arow, bval) in enumerate(zip(a_rows, b)):
             sign = -1 if bval < 0 else 1
             self.row_signs.append(sign)
-            art = [0] * lp.num_rows
+            art = [0] * r
             art[i] = 1
             self.rows.append([sign * v for v in arow] + art + [sign * bval])
-            self.basis.append(self.ncols + i)
+            self.basis.append(ncols + i)
+
+    def append_column(self, ints):
+        """Enter one more original column, given as L·a over the rows, at
+        the end of the original block, keeping the basis.
+
+        Every stored row is its artificial block, D·B⁻¹, times the initial
+        rows [s·L·A | I | s·L·b] (a Bareiss pivot is a row operation), so
+        the new column's entries are that block times s·L·a, exact ints.
+        The artificial columns move one place right and keep their order
+        after every original column, so Bland's rule sees the same order.
+        """
+        start, r = self.ncols, self.num_orig_rows
+        signed = [sign * v for sign, v in zip(self.row_signs, ints)]
+        for row in self.rows:
+            row.insert(start, sum(map(mul, row[start : start + r], signed)))
+        self.basis = [bi + 1 if bi >= start else bi for bi in self.basis]
+        self.ncols += 1
 
     def _zrow(self, cost):
         """Reduced-cost row over the denominator, for int per-column costs."""
@@ -408,26 +441,32 @@ def _rationals(entries, den, width):
     return tuple(out)
 
 
-def _phase_one(lp: StandardLp, max_pivots: int):
-    tab = _Tableau(lp, max_pivots)
-    cost = [0] * tab.ncols + [-1] * lp.num_rows
-    z = tab.run(cost, tab.ncols + lp.num_rows)
+def _phase_one(tab: _Tableau, image):
+    """Phase one from the tableau's current basis: (None, Farkas dual) when
+    artificials stay positive, else (tab, None) with them expelled."""
+    r = tab.num_orig_rows
+    z = tab.run([0] * tab.ncols + [-1] * r, tab.ncols + r)
     if z[-1] > 0:  # -value·L·D; positive iff artificials remain
         y = tab.farkas_duals(z)
-        _check_farkas(lp._image, y, lp.num_cols)
+        _check_farkas(image, y, tab.ncols)
         return None, _rationals(enumerate(y), tab.denom, len(y))
     tab.drop_redundant_and_expel_artificials()
     return tab, None
 
 
-def solve_feasibility(lp: StandardLp, max_pivots: int = DEFAULT_MAX_PIVOTS) -> LpOutcome:
-    """Decide A·x = b, x ≥ 0, returning a verified point or Farkas dual."""
-    tab, farkas = _phase_one(lp, max_pivots)
+def _feasibility_outcome(tab: _Tableau, image) -> LpOutcome:
+    """Phase one and its verified answer: a point or a Farkas dual."""
+    tab, farkas = _phase_one(tab, image)
     if tab is None:
         return LpOutcome(tag=INFEASIBLE, dual_certificate=farkas)
     support = tab.support()
-    _check_primal(lp._image, support, tab.denom)
+    _check_primal(image, support, tab.denom)
     return LpOutcome(tag=FEASIBLE, primal=_rationals(support, tab.denom, tab.ncols))
+
+
+def solve_feasibility(lp: StandardLp, max_pivots: int = DEFAULT_MAX_PIVOTS) -> LpOutcome:
+    """Decide A·x = b, x ≥ 0, returning a verified point or Farkas dual."""
+    return _feasibility_outcome(_Tableau(lp._image, lp.num_cols, max_pivots), lp._image)
 
 
 def maximize(lp: StandardLp, max_pivots: int = DEFAULT_MAX_PIVOTS) -> LpOutcome:
@@ -436,7 +475,7 @@ def maximize(lp: StandardLp, max_pivots: int = DEFAULT_MAX_PIVOTS) -> LpOutcome:
     Raises LpInfeasibleError / LpUnboundedError accordingly. The outcome's
     dual_certificate holds the optimal dual prices.
     """
-    tab, _farkas = _phase_one(lp, max_pivots)
+    tab, _farkas = _phase_one(_Tableau(lp._image, lp.num_cols, max_pivots), lp._image)
     if tab is None:
         raise LpInfeasibleError("maximize called on an infeasible program")
     objective_scale, cost = scaled_ints(lp.objective)
@@ -454,3 +493,79 @@ def maximize(lp: StandardLp, max_pivots: int = DEFAULT_MAX_PIVOTS) -> LpOutcome:
         ),
         value=Rat(value, den),
     )
+
+
+class _HullMaster:
+    """The restricted master of priced_hull: is point in conv(columns)?
+
+    It is hull_lp(point, columns) with one group, its integer image fixed
+    at the caller's scale L, and one tableau kept from round to round: a
+    column enters the live tableau (_Tableau.append_column) and phase one
+    continues from the current basis. Its pivots share one budget.
+    """
+
+    def __init__(self, point, scale: int, max_pivots: int):
+        point_scale, point_ints = scaled_ints(point)
+        if scale % point_scale:
+            raise InternalCheckError("the point's denominators do not divide L")
+        self.point = tuple(point)
+        self.columns = []
+        self.keys = set()
+        factor = scale // point_scale
+        b = tuple(v * factor for v in point_ints) + (scale,)
+        self.image = (scale, tuple([] for _ in b), b)
+        self.tab = _Tableau(self.image, 0, max_pivots)
+
+    def add(self, column):
+        """Enter column as a generator: its coordinate rows, then a 1 on
+        the convexity row, all times L."""
+        if len(column) != len(self.point):
+            raise DimensionMismatchError("generator length does not match the point")
+        column_scale, ints = scaled_ints(column)
+        scale, a_rows, _b = self.image
+        if scale % column_scale:
+            raise InternalCheckError("a column's denominators do not divide L")
+        factor = scale // column_scale
+        ints = [v * factor for v in ints] + [scale]
+        key = tuple(ints)
+        if key in self.keys:
+            raise InternalCheckError("priced column is already in the master program")
+        self.keys.add(key)
+        for arow, v in zip(a_rows, ints):
+            arow.append(v)
+        self.tab.append_column(ints)
+        self.columns.append(tuple(column))
+
+    def solve(self) -> LpOutcome:
+        """The verified answer of the master over the columns so far."""
+        return _feasibility_outcome(self.tab, self.image)
+
+
+def priced_hull(point, price, scale: int, max_pivots: int = DEFAULT_MAX_PIVOTS) -> LpOutcome:
+    """Column generation for: is point in the hull of the columns price knows?
+
+    The master starts with no columns. While it is infeasible, its Farkas
+    dual y (l over the coordinates, c on the convexity row) goes to
+    price(y), which returns a column a with l·a + c > 0, or None when no
+    column has one. Each column enters the live master; no round starts
+    over.
+    Returns the last restricted outcome: FEASIBLE with weights over the
+    columns in the order price returned them, or INFEASIBLE with a dual
+    that price found no column against, hence a hyperplane separating
+    point from every column price knows.
+
+    scale is L, fixed up front: a multiple of every denominator of point
+    and of every column price can return. A column whose denominators do
+    not divide it raises InternalCheckError, never a verdict. max_pivots
+    bounds the pivots of the whole master, every restricted solve and the
+    final expulsion together.
+    """
+    master = _HullMaster(point, scale, max_pivots)
+    while True:
+        outcome = master.solve()
+        if outcome.tag == FEASIBLE:
+            return outcome
+        column = price(outcome.dual_certificate)
+        if column is None:
+            return outcome
+        master.add(column)

@@ -3,25 +3,28 @@
 W' contains W exactly when W is a convex combination of T ∘ W' ∘ R over
 deterministic pairs (R, T), and, dually, exactly when every game pays at
 least as well with W' as with W. contains runs both sides as one column
-generation: while the hull program over the pairs found so far is
-infeasible, its Farkas dual is a payoff whose optimal pair against W'
-enters next. It ends with a mixture that reconstructs W, or with a dual no
+generation, lp_solver.priced_hull: while the hull program over the pairs
+found so far is infeasible, its Farkas dual is a payoff whose optimal
+pair against W' enters next, as one more column of the same live
+tableau. It ends with a mixture that reconstructs W, or with a dual no
 pair beats, turned into a normalized positive payoff that strictly
-separates the channels. Both are re-verified exactly before being returned.
+separates the channels. Both are re-verified exactly before being
+returned; the mixture on ints, Σ α·D_g∘W'∘D_f rebuilt entry by entry
+from one scaling of W' and one of the weights.
 
-Every hull question here goes through lp_solver.hull_lp: the flattened
-target against the generated columns (containment), a row of w against
-the rows of wp (input-degradedness, one program per row), a row against
-the other rows (the srank input reduction), and the flattened w against
-a sum of |Y'| hulls (output-degradedness, w = T∘wp). Hull y' holds the
-|Y| ways to send column y' of wp to one output, and row y' of T is the
-point chosen in it. srank certifies its reduction with the two
-degradedness witnesses, not with containment.
+Every other hull question here goes through lp_solver.hull_lp: a row of
+w against the rows of wp (input-degradedness, one program per row), a
+row against the other rows (the srank input reduction), and the
+flattened w against a sum of |Y'| hulls (output-degradedness,
+w = T∘wp). Hull y' holds the |Y| ways to send column y' of wp to one
+output, and row y' of T is the point chosen in it. srank certifies its
+reduction with the two degradedness witnesses, not with containment.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .brm import BrmGame, optimal_average_payoff
 from .channel_core import (
@@ -39,8 +42,16 @@ from .cpc import (
     skew_compose_channel,
 )
 from .errors import DimensionMismatchError, InternalCheckError
-from .lp_solver import FEASIBLE, hull_lp, solve_feasibility
-from .rational import ONE, ZERO, parse_rat, parse_rat_matrix, parse_size, rat_str
+from .lp_solver import FEASIBLE, hull_lp, priced_hull, solve_feasibility
+from .rational import (
+    ONE,
+    ZERO,
+    parse_rat,
+    parse_rat_matrix,
+    parse_size,
+    rat_str,
+    scaled_ints,
+)
 
 CONTAINS = "contains"
 DOES_NOT_CONTAIN = "does-not-contain"
@@ -171,8 +182,9 @@ def contains(
     of distinct rows of w, a pricing step scans |X'|^n encoders and
     re-deriving a certificate's gap also scans n^n, w's own encoders after
     the merge. It bounds the size of each enumeration, not the time of
-    the whole call. Exceeding it, or the simplex's pivot budget, raises
-    ResourceLimitError, never a verdict.
+    the whole call. Exceeding it, or the pivot budget of the master (one
+    budget for all its rounds), raises ResourceLimitError, never a
+    verdict.
     """
     if wp == w:
         f = DeterministicMap(w.input_size, w.input_size,
@@ -185,28 +197,32 @@ def contains(
     w_red, input_map, output_injection = _reduce_target(w)
     n, m = w_red.input_size, w_red.output_size
     target = [p for row in w_red.rows for p in row]
-    # The master starts empty; its Farkas dual is then all ones, every pair
-    # ties, and the first column is the lexicographically first pair.
-    columns = []
+    # A pair column sums entries of one wp row, so its denominators divide
+    # those of wp; with the target's, they fix the master's scale.
+    scale = lcm(
+        scaled_ints(target)[0], scaled_ints(p for row in wp.rows for p in row)[0]
+    )
     pairs = []
-    while True:
-        outcome = solve_feasibility(hull_lp(target, columns))
-        if outcome.tag == FEASIBLE:
-            break
-        dual = outcome.dual_certificate
+
+    def price(dual):
+        # The empty master's Farkas dual is all ones: every pair ties, and
+        # the first column is the lexicographically first pair.
         payoff = tuple(tuple(dual[x * m : (x + 1) * m]) for x in range(n))
         game = BrmGame(n, wp.input_size, wp.output_size, m, payoff, wp)
         value, (f, g) = optimal_average_payoff(game, max_encoders=max_pairs)
         if n * value + dual[-1] <= 0:
-            # No pair prices positive: the restricted dual separates the
-            # target from every column, not only from the ones found.
-            certificate = _certificate_from_farkas(wp, w_red, dual, max_pairs)
-            return OrderingVerdict(tag=DOES_NOT_CONTAIN, certificate=certificate)
-        column = pair_column(wp, f, g)
-        if column in columns:
-            raise InternalCheckError("priced column is already in the master program")
-        columns.append(column)
+            return None
         pairs.append((f.image, g.image))
+        return pair_column(wp, f, g)
+
+    outcome = priced_hull(target, price, scale)
+    if outcome.tag != FEASIBLE:
+        # No pair prices positive: the restricted dual separates the
+        # target from every column, not only from the ones found.
+        certificate = _certificate_from_farkas(
+            wp, w_red, outcome.dual_certificate, max_pairs
+        )
+        return OrderingVerdict(tag=DOES_NOT_CONTAIN, certificate=certificate)
     weights = []
     for alpha, (f_img, g_img) in zip(outcome.primal, pairs):
         if alpha != 0:
@@ -230,15 +246,35 @@ def contains(
 
 
 def _verify_witness(witness: ContainmentWitness, wp: Channel, w: Channel):
-    total = ZERO
-    for (_pair, weight) in witness.basis_weights:
-        if weight <= 0:
-            raise InternalCheckError("witness carries a non-positive weight")
-        total += weight
-    if total != ONE:
+    """Rebuild Σ α·D_g∘wp∘D_f entry by entry on ints and compare it with w.
+
+    The weights are scaled to ints over their common denominator d_α and
+    wp to ints over d_W (one scaled_ints each), so the rebuilt channel is
+    an int matrix over d_α·d_W, compared with w by cross-multiplication.
+    """
+    weights = [weight for _pair, weight in witness.basis_weights]
+    if any(weight <= 0 for weight in weights):
+        raise InternalCheckError("witness carries a non-positive weight")
+    d_alpha, alphas = scaled_ints(weights)
+    if sum(alphas) != d_alpha:
         raise InternalCheckError("witness weights do not sum to 1")
-    if apply_witness(witness, wp) != w:
-        raise InternalCheckError("witness does not reconstruct the target channel")
+    d_w, wp_ints = scaled_ints(p for row in wp.rows for p in row)
+    m_p = wp.output_size
+    rebuilt = [[0] * w.output_size for _ in range(w.input_size)]
+    for ((f, g), _weight), alpha in zip(witness.basis_weights, alphas):
+        if (f.domain_size, f.codomain_size, g.domain_size, g.codomain_size) != (
+            w.input_size, wp.input_size, m_p, w.output_size
+        ):
+            raise InternalCheckError("witness pair does not fit the channels")
+        for row, xp in zip(rebuilt, f.image):
+            start = (xp - 1) * m_p
+            for y, p in zip(g.image, wp_ints[start : start + m_p]):
+                row[y - 1] += alpha * p
+    scale = d_alpha * d_w
+    for row, target in zip(rebuilt, w.rows):
+        for v, p in zip(row, target):
+            if v * int(p.denominator) != int(p.numerator) * scale:
+                raise InternalCheckError("witness does not reconstruct the target channel")
 
 
 def shannon_equivalent(w1: Channel, w2: Channel, max_pairs: int = DEFAULT_MAX_PAIRS):

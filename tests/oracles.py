@@ -1,12 +1,17 @@
 """Independent oracles used to freeze expected values in the tests.
 
 Everything here recomputes results by brute force or direct formula
-evaluation, deliberately avoiding the library's own algorithmic paths.
+evaluation, deliberately avoiding the library's own algorithmic paths;
+the one exception, cold_start_contains, is the earlier form of an
+algorithm, kept as the reference of the form that replaced it.
 """
 
 import math
 from itertools import combinations, product
 
+from chanord.brm import BrmGame, optimal_average_payoff
+from chanord.cpc import pair_column
+from chanord.lp_solver import FEASIBLE, hull_lp, solve_feasibility
 from chanord.rational import ONE, ZERO
 
 
@@ -364,3 +369,32 @@ def two_input_capacity(rows) -> float:
             hi = mid
     d1, d2 = mix(mid)
     return mid * d1 + (1.0 - mid) * d2
+
+
+def cold_start_contains(wp, w_red):
+    """Column generation for "wp contains w_red" with every restricted
+    master solved from nothing: one cold solve_feasibility(hull_lp(target,
+    columns)) per round, priced by the game that the Farkas dual defines.
+
+    This is how ordering.contains ran before its master was kept warm; it
+    is the reference the warm master's verdicts are checked against, so
+    it uses the library's game oracle and simplex but none of the master.
+    w_red must have distinct rows and no mass-free output. Returns the
+    final tag, FEASIBLE when wp contains w_red.
+    """
+    n, m = w_red.input_size, w_red.output_size
+    target = [p for row in w_red.rows for p in row]
+    columns = []
+    while True:
+        outcome = solve_feasibility(hull_lp(target, columns))
+        if outcome.tag == FEASIBLE:
+            return outcome.tag
+        dual = outcome.dual_certificate
+        payoff = tuple(tuple(dual[x * m : (x + 1) * m]) for x in range(n))
+        game = BrmGame(n, wp.input_size, wp.output_size, m, payoff, wp)
+        value, (f, g) = optimal_average_payoff(game)
+        if n * value + dual[-1] <= 0:
+            return outcome.tag
+        column = pair_column(wp, f, g)
+        assert column not in columns
+        columns.append(column)

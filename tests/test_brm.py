@@ -10,6 +10,7 @@ from oracles import (
 
 from chanord.brm import (
     BrmGame,
+    PayoffRegionGenerators,
     Strategy,
     average_payoff,
     game_from_json,
@@ -24,12 +25,14 @@ from chanord.brm import (
 from chanord.channel_core import (
     DeterministicMap,
     bsc,
+    compose,
     identity_channel,
     make_channel,
     random_channel,
 )
 from chanord.cpc import as_channel
 from chanord.errors import DimensionMismatchError, ResourceLimitError
+from chanord.lp_solver import FEASIBLE, hull_lp, solve_feasibility
 from chanord.prng import counter_int
 from chanord.rational import ONE, ZERO, Rat
 
@@ -457,3 +460,37 @@ def test_non_integer_game_sizes_are_a_value_error(key, size):
     bad[key] = size
     with pytest.raises(ValueError, match="malformed game JSON"):
         game_from_json(bad)
+
+
+def first_point_outside(a, b):
+    """The first of a's points outside conv(b), each solved against all of
+    b's points, repeats included; None when every point is inside."""
+    for point in a.points:
+        if solve_feasibility(hull_lp(point, b.points)).tag != FEASIBLE:
+            return point
+    return None
+
+
+def test_region_subset_on_repeated_points_matches_the_plain_programs():
+    answers = []
+    for seed in range(10):
+        u, x, y, v = 2, 2, 2 + seed % 2, 2
+        clean = random_channel(x, y, 3000 + seed, 6)
+        noisy = compose(random_channel(y, y, 3100 + seed, 4), clean)
+        payoff_a = random_payoff(u, v, 3200 + seed)
+        # b's payoff on other denominators half the time, so the two
+        # regions are scaled by different common denominators.
+        payoff_b = payoff_a if seed % 2 else random_payoff(u, v, 3300 + seed)
+        a = region_generators(BrmGame(u, x, y, v, payoff_a, clean))
+        b = region_generators(BrmGame(u, x, y, v, payoff_b, noisy))
+        assert len(set(a.points)) < len(a.points) and len(set(b.points)) < len(b.points)
+        # Repeats on both sides, and b's own points among a's.
+        a = PayoffRegionGenerators(u, b.points[:3] + a.points[::-1] + a.points)
+        b = PayoffRegionGenerators(u, b.points + b.points[::2])
+        for first, second in ((a, b), (b, a)):
+            expected = first_point_outside(first, second)
+            inclusion = region_subset(first, second)
+            assert inclusion.inside_all == (expected is None)
+            assert inclusion.violator == expected
+            answers.append(inclusion.inside_all)
+    assert True in answers and False in answers

@@ -14,7 +14,7 @@ from chanord.channel_core import (
 from chanord import cli, metric, ordering, params
 from chanord.cli import main
 from chanord.errors import InternalCheckError
-from chanord.lp_solver import solve_feasibility
+from chanord.lp_solver import priced_hull
 from chanord.ordering import witness_from_json, apply_witness
 from chanord.rational import Rat
 
@@ -293,7 +293,9 @@ def test_out_of_range_cap_flags_are_usage_errors(capsys, write_channel):
 
 def test_pivot_budget_exhaustion_exits_2(capsys, write_channel, monkeypatch):
     monkeypatch.setattr(
-        ordering, "solve_feasibility", lambda lp: solve_feasibility(lp, max_pivots=0)
+        ordering,
+        "priced_hull",
+        lambda point, price, scale: priced_hull(point, price, scale, max_pivots=0),
     )
     a = write_channel("a.json", identity_channel(2))
     b = write_channel("b.json", bsc("1/10"))

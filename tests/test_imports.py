@@ -1,14 +1,18 @@
-"""Every name a library module imports must be used in that module.
+"""Every name a library module imports must be used in that module, and
+every binding the benchmark's tracer shims must exist.
 
 __init__.py is left out: its imports are the package's re-exports.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "chanord"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "chanord"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -52,3 +56,19 @@ def test_library_modules_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def traced_bindings():
+    """(module, attribute) of every shim in bench/tracing.py's SHIMS."""
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return sorted({f"{module}.{attr}" for module, attr, _span in tracing.SHIMS})
+
+
+@pytest.mark.parametrize("binding", traced_bindings())
+def test_every_traced_binding_is_bound_in_its_module(binding):
+    # The tracer replaces these module attributes; a binding that is
+    # dropped would break tracing, not only leave a layer unmeasured.
+    module, attr = binding.split(".")
+    assert attr in vars(importlib.import_module(f"chanord.{module}"))

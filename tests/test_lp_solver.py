@@ -24,10 +24,12 @@ from chanord.lp_solver import (
     FEASIBLE,
     INFEASIBLE,
     OPTIMAL,
+    _HullMaster,
     _ScaledGroup,
     _Tableau,
     hull_lp,
     maximize,
+    priced_hull,
     solve_feasibility,
     standard_lp,
 )
@@ -467,6 +469,18 @@ def test_library_lp_outcomes_pass_the_rational_oracles(monkeypatch):
     for module in (brm, cpc, ordering):
         monkeypatch.setattr(module, "solve_feasibility", recording(solve_feasibility))
     monkeypatch.setattr(metric, "maximize", recording(maximize))
+    # Every restricted answer of a warm master, as the cold program over
+    # the columns entered so far.
+    master_solve = _HullMaster.solve
+    master_tags = []
+
+    def recording_master(master):
+        out = master_solve(master)
+        seen.append((hull_lp(master.point, master.columns), out))
+        master_tags.append(out.tag)
+        return out
+
+    monkeypatch.setattr(_HullMaster, "solve", recording_master)
 
     for seed in range(4):
         # The noisier randomizer's region lies inside the cleaner one's.
@@ -479,6 +493,7 @@ def test_library_lp_outcomes_pass_the_rational_oracles(monkeypatch):
         w, wp = random_channel(2, 3, seed + 40, 5), random_channel(3, 3, seed + 50, 5)
         ordering.contains(wp, w)
         ordering.contains(w, wp)
+        assert ordering.contains(wp, compose(wp, random_channel(3, 3, seed + 90, 4))).holds
         ordering.degraded_from(w, random_channel(2, 2, seed + 60, 4))
         ordering.degraded_from(compose(random_channel(3, 2, seed + 70, 4), wp), wp)
         terms = tuple(
@@ -500,6 +515,7 @@ def test_library_lp_outcomes_pass_the_rational_oracles(monkeypatch):
         else:
             check_optimal(lp, out.primal, out.dual_certificate, out.value)
     assert min(tags.values()) >= 5, tags
+    assert min(master_tags.count(tag) for tag in (FEASIBLE, INFEASIBLE)) >= 5, master_tags
 
 
 def image_by_one_scaling(lp):
@@ -524,3 +540,90 @@ def test_hull_lp_image_equals_one_scaling_of_the_program(instance, data):
     lp = hull_lp(point, *scaled)
     assert lp == hull_lp(point, *groups)
     assert lp._image == image_by_one_scaling(lp)
+
+
+def listed_price(generators):
+    """A priced_hull callback over listed generators: the first generator
+    g with the largest l·g + c, or None when that is not positive."""
+
+    def price(dual):
+        *normal, offset = dual
+        best, value = None, ZERO
+        for gen in generators:
+            level = sum((a * b for a, b in zip(normal, gen)), start=offset)
+            if level > value:
+                best, value = gen, level
+        return best
+
+    return price
+
+
+def common_scale(point, generators):
+    return scaled_ints([*point, *(v for gen in generators for v in gen)])[0]
+
+
+@settings(max_examples=150)
+@given(instance=hull_instances())
+def test_priced_hull_agrees_with_the_listed_hull_program(instance):
+    point, generators = instance
+    entered = []
+    price = listed_price(generators)
+
+    def recording_price(dual):
+        column = price(dual)
+        if column is not None:
+            entered.append(column)
+        return column
+
+    out = priced_hull(point, recording_price, common_scale(point, generators))
+    assert out.tag == solve_feasibility(hull_lp(point, generators)).tag
+    # The answer is one of hull_lp over the columns entered, and a final
+    # Farkas dual separates the point from every listed generator.
+    check_hull_sum_outcome(point, [entered], out)
+    if out.tag == INFEASIBLE:
+        check_hull_sum_outcome(point, [generators], out)
+
+
+def test_master_pivot_budget_counts_every_round_and_the_expulsion(monkeypatch):
+    # The master needs four rounds, and an artificial left basic at zero
+    # is expelled by a pivot at the end.
+    half = Rat(1, 2)
+    point = (ZERO, ZERO)
+    price = listed_price([point, (ZERO, half), (half, ONE)])
+    pivots = []
+    original = _Tableau._pivot
+
+    def counting(tab, z, pr, pc):
+        pivots.append(z is None)  # only an expulsion pivots without a z row
+        original(tab, z, pr, pc)
+
+    monkeypatch.setattr(_Tableau, "_pivot", counting)
+    rounds = []
+    master_solve = _HullMaster.solve
+    monkeypatch.setattr(
+        _HullMaster, "solve", lambda master: rounds.append(1) or master_solve(master)
+    )
+    out = priced_hull(point, price, 2)
+    assert out.tag == FEASIBLE and len(rounds) == 4 and pivots[-1]
+    budget = len(pivots)
+    assert priced_hull(point, price, 2, max_pivots=budget) == out
+    with pytest.raises(ResourceLimitError, match="pivot budget"):
+        priced_hull(point, price, 2, max_pivots=budget - 1)
+
+
+def test_master_scale_must_cover_every_denominator():
+    third = (Rat(1, 3), Rat(2, 3))
+    half = (Rat(1, 2), Rat(1, 2))
+    with pytest.raises(InternalCheckError, match="column's denominators"):
+        priced_hull(half, listed_price([third]), 2)
+    with pytest.raises(InternalCheckError, match="point's denominators"):
+        priced_hull(half, listed_price([half]), 3)
+    assert priced_hull(half, listed_price([third, (ONE, ZERO)]), 6).tag == FEASIBLE
+
+
+def test_master_rejects_a_column_entered_twice_or_of_another_length():
+    columns = iter([(ZERO,), (ZERO,)])
+    with pytest.raises(InternalCheckError, match="already in the master"):
+        priced_hull((ONE,), lambda dual: next(columns, None), 1)
+    with pytest.raises(DimensionMismatchError):
+        priced_hull((ONE,), lambda dual: (ONE, ZERO), 1)

@@ -2,7 +2,7 @@ import random
 from itertools import product
 
 import pytest
-from oracles import all_decoder_columns, all_simulation_columns
+from oracles import all_decoder_columns, all_simulation_columns, cold_start_contains
 
 from chanord import ordering
 from chanord.brm import BrmGame, optimal_average_payoff, region_generators, region_subset
@@ -23,7 +23,7 @@ from chanord.errors import (
     InternalCheckError,
     ResourceLimitError,
 )
-from chanord.lp_solver import FEASIBLE, hull_lp, solve_feasibility
+from chanord.lp_solver import FEASIBLE, _HullMaster, hull_lp, priced_hull, solve_feasibility
 from chanord.ordering import (
     apply_witness,
     certificate_from_json,
@@ -326,14 +326,90 @@ def test_degraded_from_agrees_with_the_full_decoder_hull():
 
 
 def test_pivot_budget_exhaustion_is_an_error_not_a_verdict(monkeypatch):
-    def starved(lp):
-        return solve_feasibility(lp, max_pivots=0)
+    def starved(point, price, scale):
+        return priced_hull(point, price, scale, max_pivots=0)
 
-    monkeypatch.setattr(ordering, "solve_feasibility", starved)
+    monkeypatch.setattr(ordering, "priced_hull", starved)
     wp = random_channel(2, 2, 1901, 8)
     w = skew_compose_channel(random_cpc(2, 2, 2, 2, seed=1902), wp)
     with pytest.raises(ResourceLimitError, match="pivot budget"):
         contains(wp, w)
+
+
+def test_warm_master_agrees_with_cold_solves_round_by_round(monkeypatch):
+    rounds = []
+    master_solve = _HullMaster.solve
+
+    def with_cold_solve(master):
+        out = master_solve(master)
+        cold = solve_feasibility(hull_lp(master.point, master.columns))
+        rounds.append((out.tag, cold.tag))
+        return out
+
+    monkeypatch.setattr(_HullMaster, "solve", with_cold_solve)
+    verdicts = []
+    for seed in range(24):
+        xp, yp, x, y = 2 + seed % 2, 2 + seed // 2 % 2, 2 + seed // 4 % 2, 2 + seed // 8 % 2
+        wp = random_channel(xp, yp, 2000 + seed, 6)
+        if seed % 3 == 0:
+            w = skew_compose_channel(random_cpc(x, xp, yp, y, seed=2100 + seed), wp)
+        else:
+            w = random_channel(x, y, 2200 + seed, 6)
+        verdict = contains(wp, w)
+        w_red = ordering._reduce_target(w)[0]
+        assert (cold_start_contains(wp, w_red) == FEASIBLE) == verdict.holds
+        verdicts.append(verdict.holds)
+    assert all(warm == cold for warm, cold in rounds)
+    assert True in verdicts and False in verdicts
+    assert len(rounds) > 4 * len(verdicts)
+
+
+def _mixed_witness():
+    wp, w = identity_channel(2), bsc("1/10")
+    witness = contains(wp, w).witness
+    assert len(witness.basis_weights) >= 2
+    ordering._verify_witness(witness, wp, w)
+    return witness, wp, w
+
+
+def _replace_weights(witness, change):
+    pairs = [pair for pair, _weight in witness.basis_weights]
+    weights = change([weight for _pair, weight in witness.basis_weights])
+    return ordering.ContainmentWitness(tuple(zip(pairs, weights)))
+
+
+def test_integer_witness_check_rejects_a_shifted_weight():
+    witness, wp, w = _mixed_witness()
+    shift = min(weight for _pair, weight in witness.basis_weights) / 2
+    shifted = _replace_weights(witness, lambda ws: [ws[0] + shift, ws[1] - shift, *ws[2:]])
+    with pytest.raises(InternalCheckError, match="does not reconstruct"):
+        ordering._verify_witness(shifted, wp, w)
+
+
+def test_integer_witness_check_rejects_a_changed_decoder_image():
+    witness, wp, w = _mixed_witness()
+    ((f, g), weight), rest = witness.basis_weights[0], witness.basis_weights[1:]
+    flipped = DeterministicMap(g.domain_size, g.codomain_size, (3 - g.image[0],) + g.image[1:])
+    changed = ordering.ContainmentWitness((((f, flipped), weight),) + rest)
+    with pytest.raises(InternalCheckError, match="does not reconstruct"):
+        ordering._verify_witness(changed, wp, w)
+
+
+def test_integer_witness_check_rejects_a_pair_of_another_shape():
+    witness, wp, w = _mixed_witness()
+    ((f, g), weight), rest = witness.basis_weights[0], witness.basis_weights[1:]
+    wider = DeterministicMap(g.domain_size, g.codomain_size + 1, g.image)
+    with pytest.raises(InternalCheckError, match="does not fit"):
+        ordering._verify_witness(
+            ordering.ContainmentWitness((((f, wider), weight),) + rest), wp, w
+        )
+
+
+def test_integer_witness_check_rejects_weights_that_do_not_sum_to_one():
+    witness, wp, w = _mixed_witness()
+    for change in (lambda ws: [v / 2 for v in ws], lambda ws: [2 * ws[0], *ws[1:]]):
+        with pytest.raises(InternalCheckError, match="do not sum to 1"):
+            ordering._verify_witness(_replace_weights(witness, change), wp, w)
 
 
 def test_srank_upper_bound_cases():
