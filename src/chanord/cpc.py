@@ -21,7 +21,12 @@ Carathéodory reduction is a hull question like every other in the
 library and goes through lp_solver.hull_lp: the flattened channel lies in
 the hull of its term atoms, and one vertex solve of that program keeps a
 basic solution. Its support is a set of linearly independent columns of
-[1; atoms], hence at most dim + 1 affinely independent atoms.
+[1; atoms], hence at most |support| + 1 ≤ dim + 1 affinely independent
+atoms, support being the coordinates where the channel is nonzero. The
+atoms and the point are built on the program's integer image, from one
+scaling each of the weights, of every R entry and of every T entry, and
+the coordinates where the channel is 0 (every atom is 0 there) are left
+out of the program.
 """
 
 from __future__ import annotations
@@ -37,8 +42,8 @@ from .channel_core import (
     deterministic,
 )
 from .errors import DimensionMismatchError, InternalCheckError
-from .lp_solver import FEASIBLE, hull_lp, solve_feasibility
-from .rational import ONE, ZERO, Rat, parse_rat, parse_size, rat_str
+from .lp_solver import FEASIBLE, _ScaledGroup, hull_lp, solve_feasibility
+from .rational import ONE, ZERO, Rat, parse_rat, parse_size, rat_str, scaled_ints
 
 # One cap for every enumeration of deterministic maps. For contains, the
 # metric search and brm-opt it bounds the encoders |X'|^|X| that one game
@@ -169,47 +174,75 @@ def pair_column(wp: Channel, f: DeterministicMap, g: DeterministicMap) -> tuple:
     return tuple(flat)
 
 
-def _flat_atom(term: CpcTerm, v: CpcChannel) -> tuple:
-    """Flattened R⊗T matrix of one term (the term's as_channel, weight 1)."""
-    single = CpcChannel(
-        v.x_size, v.xp_size, v.yp_size, v.y_size, (CpcTerm(ONE, term.r, term.t),)
-    )
-    flat = as_channel(single)
-    return tuple(p for row in flat.rows for p in row)
-
-
 def caratheodory_reduce(v: CpcChannel) -> CpcChannel:
     """Shrink the term list without changing the flattened channel.
 
-    Identical (R, T) atoms are merged, then one vertex solve of
-    hull_lp(flattened v, atoms) re-weights them. Phase one of the simplex
-    returns a basic solution, whose nonzero weights sit on linearly
-    independent columns of [1; atoms]: the kept atoms are affinely
-    independent and number at most x·y'·x'·y + 1. The solver re-verifies
-    that the new weights flatten to exactly the same channel.
+    The program is built on its integer image: one scaled_ints over the
+    weights (d_α), one over every R entry (d_R) and one over every T entry
+    (d_T). Terms of weight 0 are dropped and identical (R, T) atoms merged
+    on those ints, first appearance first. Atom k is R_k ⊗ T_k as ints
+    over d_R·d_T, in as_channel's row-major order, and the point
+    Σ α_k·atom_k as ints over d_α·d_R·d_T. Where the point is 0 every atom
+    is 0 (positive weights, nonnegative entries), so those coordinate rows
+    read 0 = 0 and are left out: they never enter a ratio test nor the
+    phase-one cost, so the pivot path is the one of the full program.
+
+    One vertex solve of hull_lp(point, atoms) then re-weights the atoms.
+    Phase one returns a basic solution, whose nonzero weights sit on
+    linearly independent columns of [1; atoms]: the kept atoms are
+    affinely independent and number at most |support of the point| + 1
+    ≤ x·y'·x'·y + 1. The solver re-verifies that the new weights rebuild
+    the point exactly.
     """
-    merged = {}
-    order = []
-    for term in v.terms:
-        if term.weight == 0:
-            continue
-        key = (term.r, term.t)
-        if key in merged:
-            merged[key] = CpcTerm(merged[key].weight + term.weight, term.r, term.t)
-        else:
-            merged[key] = term
-            order.append(key)
-    terms = [merged[key] for key in order]
+    terms = [term for term in v.terms if term.weight != 0]
     if not terms:
         raise ValueError("convex-product channel has no mass")
-    atoms = [_flat_atom(term, v) for term in terms]
-    point = tuple(p for row in as_channel(v).rows for p in row)
-    outcome = solve_feasibility(hull_lp(point, atoms))
+    alpha_scale, alphas = scaled_ints(term.weight for term in terms)
+    r_scale, r_ints = scaled_ints(p for term in terms for row in term.r.rows for p in row)
+    t_scale, t_ints = scaled_ints(p for term in terms for row in term.t.rows for p in row)
+    r_len = v.x_size * v.xp_size
+    t_len = v.yp_size * v.y_size
+    merged = {}  # (R ints, T ints) -> [first term, summed int weight]
+    for k, (term, alpha) in enumerate(zip(terms, alphas)):
+        key = (
+            tuple(r_ints[k * r_len : (k + 1) * r_len]),
+            tuple(t_ints[k * t_len : (k + 1) * t_len]),
+        )
+        if key in merged:
+            merged[key][1] += alpha
+        else:
+            merged[key] = [term, alpha]
+    atoms = []
+    point = [0] * (r_len * t_len)
+    for (r_key, t_key), (_term, alpha) in merged.items():
+        atom = []
+        for x in range(v.x_size):
+            r_row = r_key[x * v.xp_size : (x + 1) * v.xp_size]
+            for yp in range(v.yp_size):
+                t_row = t_key[yp * v.y_size : (yp + 1) * v.y_size]
+                for rv in r_row:
+                    atom.extend([rv * tv for tv in t_row] if rv else (0,) * v.y_size)
+        atoms.append(atom)
+        point = [p + alpha * a for p, a in zip(point, atom)]
+    support = [i for i, p in enumerate(point) if p]
+    dropped = [i for i, p in enumerate(point) if not p]
+    if any(atom[i] for atom in atoms for i in dropped):
+        raise InternalCheckError("an atom is nonzero where the mixture is zero")
+    atom_scale = r_scale * t_scale
+    point_scale = alpha_scale * atom_scale
+    generators = [
+        tuple(Rat(atom[i], atom_scale) if atom[i] else ZERO for i in support)
+        for atom in atoms
+    ]
+    flat = [atom[i] for atom in atoms for i in support]
+    point_rats = tuple(Rat(point[i], point_scale) for i in support)
+    group = _ScaledGroup(generators, (atom_scale, flat))
+    outcome = solve_feasibility(hull_lp(point_rats, group))
     if outcome.tag != FEASIBLE:
         raise InternalCheckError("convex-product channel is outside its atoms' hull")
     kept = tuple(
         CpcTerm(weight, term.r, term.t)
-        for weight, term in zip(outcome.primal, terms)
+        for weight, (term, _alpha) in zip(outcome.primal, merged.values())
         if weight != 0
     )
     return CpcChannel(v.x_size, v.xp_size, v.yp_size, v.y_size, kept)

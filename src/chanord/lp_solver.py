@@ -11,7 +11,9 @@ image, keeps every row as Python ints over one shared positive
 denominator D, and pivots integer-preserving (Edmonds–Bareiss), so the
 inner loops never build a rational, whichever backend rational.py picks.
 One global L, rather than a scale per row, keeps every sign test and tie
-of the rational simplex, hence its pivot path, vertex and duals.
+of the rational simplex, hence its pivot path, vertex and duals. A row
+whose pivot-column entry is 0 only rescales at a pivot, p·t // D, and
+skips the pivot row; in a tall hull program most rows do.
 
 Every answer carries a certificate that is re-verified exactly against
 the image, never against tableau rows, on ints; the exact rationals
@@ -125,12 +127,13 @@ class _ScaledGroup:
     """A generator group of hull_lp, transposed and scaled to ints once.
 
     rows[i] holds coordinate i of every generator (none for an empty
-    group) and int_rows[i] the same times scale, the common denominator
+    group) and int_rows[i] the same times scale, a common denominator
     of the group. hull_lp scales a plain sequence into one of these on
     every call; a caller that asks about many points against one group
     passes it pre-scaled instead. A caller that has scaled the generators
     already passes scaled, (scale, ints generator after generator), as
-    rational.scaled_ints returns it for their entries in that order.
+    rational.scaled_ints returns it for their entries in that order; any
+    common denominator will do, not only the least.
     """
 
     __slots__ = ("size", "rows", "scale", "int_rows")
@@ -167,7 +170,9 @@ def hull_lp(point, *groups) -> StandardLp:
 
     The program's integer image is built here, one scaled_ints per group
     and one for the point, brought to L, the lcm of their scales: the
-    same L and ints as one scaled_ints over the whole program.
+    same L and ints as one scaled_ints over the whole program. A
+    pre-scaled group whose scale is not the least may bring a larger L;
+    one L > 0 scales every row alike, so no sign test or answer changes.
     """
     dim = len(point)
     groups = [g if isinstance(g, _ScaledGroup) else _ScaledGroup(g) for g in groups]
@@ -380,8 +385,16 @@ class _Tableau:
 
 
 def _eliminate(target, row, p, d, pc):
-    """(p·target − target[pc]·row) / d entrywise, exact by Bareiss."""
+    """(p·target − target[pc]·row) / d entrywise, exact by Bareiss.
+
+    A row whose multiplier target[pc] is 0 only rescales, p·t // d: the
+    same ints without the pivot row. Guarding its zero entries as well
+    (`if t else 0`) was measured faster on the sparse Carathéodory rows
+    but slower on the denser rows of the game regions, so it is not kept.
+    """
     f = target[pc]
+    if f == 0:
+        return [p * t // d for t in target]
     return [(p * t - f * v) // d for t, v in zip(target, row)]
 
 

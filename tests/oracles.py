@@ -2,15 +2,17 @@
 
 Everything here recomputes results by brute force or direct formula
 evaluation, deliberately avoiding the library's own algorithmic paths;
-the one exception, cold_start_contains, is the earlier form of an
-algorithm, kept as the reference of the form that replaced it.
+the exceptions, cold_start_contains and fraction_caratheodory_reduce,
+are earlier forms of an algorithm, kept as the reference of the form
+that replaced them.
 """
 
 import math
 from itertools import combinations, product
 
 from chanord.brm import BrmGame, optimal_average_payoff
-from chanord.cpc import pair_column
+from chanord.cpc import CpcChannel, CpcTerm, as_channel, pair_column
+from chanord.errors import InternalCheckError
 from chanord.lp_solver import FEASIBLE, hull_lp, solve_feasibility
 from chanord.rational import ONE, ZERO
 
@@ -398,3 +400,45 @@ def cold_start_contains(wp, w_red):
         column = pair_column(wp, f, g)
         assert column not in columns
         columns.append(column)
+
+
+def _flat_atom(term, v):
+    """Flattened R⊗T matrix of one term (the term's as_channel, weight 1)."""
+    single = CpcChannel(
+        v.x_size, v.xp_size, v.yp_size, v.y_size, (CpcTerm(ONE, term.r, term.t),)
+    )
+    return tuple(p for row in as_channel(single).rows for p in row)
+
+
+def fraction_caratheodory_reduce(v):
+    """cpc.caratheodory_reduce as it ran on rationals: identical (R, T)
+    atoms merged on their Channel values, every atom and the point built
+    through as_channel, and one vertex solve of the full hull program,
+    every coordinate row kept. It is the reference the integer-image
+    reduction must agree with term for term.
+    """
+    merged = {}
+    order = []
+    for term in v.terms:
+        if term.weight == 0:
+            continue
+        key = (term.r, term.t)
+        if key in merged:
+            merged[key] = CpcTerm(merged[key].weight + term.weight, term.r, term.t)
+        else:
+            merged[key] = term
+            order.append(key)
+    terms = [merged[key] for key in order]
+    if not terms:
+        raise ValueError("convex-product channel has no mass")
+    atoms = [_flat_atom(term, v) for term in terms]
+    point = tuple(p for row in as_channel(v).rows for p in row)
+    outcome = solve_feasibility(hull_lp(point, atoms))
+    if outcome.tag != FEASIBLE:
+        raise InternalCheckError("convex-product channel is outside its atoms' hull")
+    kept = tuple(
+        CpcTerm(weight, term.r, term.t)
+        for weight, term in zip(outcome.primal, terms)
+        if weight != 0
+    )
+    return CpcChannel(v.x_size, v.xp_size, v.yp_size, v.y_size, kept)

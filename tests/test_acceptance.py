@@ -21,7 +21,13 @@ from chanord.channel_core import (
     deterministic,
     random_channel,
 )
-from chanord.cpc import CpcChannel, CpcTerm, skew_compose_channel, skew_compose_cpc
+from chanord.cpc import (
+    CpcChannel,
+    CpcTerm,
+    caratheodory_reduce,
+    skew_compose_channel,
+    skew_compose_cpc,
+)
 from chanord.metric import brm_distance_lower_bound, brm_vs_tv
 from chanord.ordering import (
     apply_witness,
@@ -215,6 +221,15 @@ def test_criterion_4_transitivity_through_composed_witnesses():
         wit32 = contains(w2, w3).witness
         chained = skew_compose_cpc(witness_to_cpc(wit32), witness_to_cpc(wit21))
         if skew_compose_channel(chained, w1) != w3:
+            failures += 1
+        # Carathéodory: the reduced witness still simulates w3, with at
+        # most dim + 1 terms and no more than it started with.
+        reduced = caratheodory_reduce(chained)
+        dim = x3 * y1 * x1 * y3
+        if (
+            skew_compose_channel(reduced, w1) != w3
+            or len(reduced.terms) > min(dim + 1, len(chained.terms))
+        ):
             failures += 1
     print(f"ACCEPTANCE 4 (witness transitivity): {'PASS' if failures == 0 else 'FAIL'}")
     assert failures == 0

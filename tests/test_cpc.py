@@ -1,15 +1,20 @@
+import random
 from itertools import product
 
 import pytest
 
+import oracles
 from oracles import (
     all_simulation_columns,
     cpc_entry,
     flat_skew_contraction,
+    fraction_caratheodory_reduce,
     matrix_rank,
 )
 
+from chanord import cpc
 from chanord.channel_core import (
+    Channel,
     DeterministicMap,
     compose,
     deterministic,
@@ -28,7 +33,8 @@ from chanord.cpc import (
     skew_compose_channel,
     skew_compose_cpc,
 )
-from chanord.errors import DimensionMismatchError
+from chanord.errors import DimensionMismatchError, InternalCheckError
+from chanord.lp_solver import solve_feasibility
 from chanord.ordering import contains, witness_to_cpc
 from chanord.rational import ONE, ZERO, Rat
 
@@ -273,6 +279,99 @@ def test_caratheodory_reduce_large_mixture():
         # Affinely independent atoms: [1; atoms] has full column rank.
         columns = [[ONE] + atom(term, v) for term in reduced.terms]
         assert matrix_rank(columns) == len(reduced.terms)
+
+
+def repeated_mixture(x, xp, yp, y, seed, n_terms, den=6):
+    """n_terms terms drawn from a pool of about n_terms/2 (R, T) pairs, so
+    pairs repeat, with integer weights in [0, 4] normalized: some weights
+    are 0 and the others have mixed denominators."""
+    rng = random.Random(seed)
+    pool = [
+        (random_channel(x, xp, seed + i, den), random_channel(yp, y, seed + 50 + i, den))
+        for i in range(max(1, n_terms // 2))
+    ]
+    draws = [rng.randint(0, 4) for _ in range(n_terms)]
+    draws[0] = draws[0] or 1
+    pairs = [rng.choice(pool) for _ in range(n_terms)]
+    total = sum(draws)
+    return CpcChannel(
+        x, xp, yp, y,
+        tuple(CpcTerm(Rat(k, total), r, t) for k, (r, t) in zip(draws, pairs)),
+    )
+
+
+def dense_mixture(x, xp, yp, y, seed, n_terms):
+    """Non-deterministic atoms that are mostly nonzero, R and T on
+    different denominator bounds, weights 1/6, 1/12, 1/20, … and the rest."""
+    weights = [Rat(1, (k + 2) * (k + 3)) for k in range(n_terms - 1)]
+    weights.append(ONE - sum(weights, start=ZERO))
+    return CpcChannel(
+        x, xp, yp, y,
+        tuple(
+            CpcTerm(w, random_channel(x, xp, seed + i, 30),
+                    random_channel(yp, y, seed + 70 + i, 17))
+            for i, w in enumerate(weights)
+        ),
+    )
+
+
+PARITY_CASES = (
+    [witness_chain(seed) for seed in (940, 950, 960, 970, 980)]
+    + [repeated_mixture(*shape, seed=1000 + 10 * k, n_terms=n)
+       for k, (shape, n) in enumerate(product(
+           ((2, 2, 2, 2), (2, 3, 2, 2), (3, 2, 2, 3)), (4, 12, 30)))]
+    + [dense_mixture(*shape, seed=1200 + 10 * k, n_terms=n)
+       for k, (shape, n) in enumerate(product(((2, 2, 2, 2), (3, 2, 3, 2)), (3, 20)))]
+    + [repeated_mixture(*shape, seed=1300 + 10 * k, n_terms=8)
+       for k, shape in enumerate(((1, 1, 1, 1), (1, 2, 2, 1), (2, 1, 1, 3), (1, 3, 1, 2),
+                                  (3, 1, 2, 1)))]
+)
+
+
+@pytest.mark.parametrize("v", PARITY_CASES)
+def test_caratheodory_reduce_equals_the_rational_reduction(v, monkeypatch):
+    """The integer-image reduction keeps the very terms, order and weights
+    of the Fraction reduction over the full hull program, and its program
+    is that program without the rows whose point coordinate is 0."""
+    programs = []
+
+    def recording(lp):
+        programs.append(lp)
+        return solve_feasibility(lp)
+
+    monkeypatch.setattr(cpc, "solve_feasibility", recording)
+    monkeypatch.setattr(oracles, "solve_feasibility", recording)
+    reduced = caratheodory_reduce(v)
+    assert reduced == fraction_caratheodory_reduce(v)
+    ints, full = programs
+    assert list(zip(ints.constraint_matrix, ints.rhs)) == [
+        (row, b) for row, b in zip(full.constraint_matrix, full.rhs) if b != 0
+    ]
+    assert as_channel(reduced) == as_channel(v)
+    dim = v.x_size * v.yp_size * v.xp_size * v.y_size
+    support = sum(1 for row in as_channel(v).rows for p in row if p)
+    assert len(reduced.terms) <= support + 1 <= dim + 1
+
+
+def unchecked_channel(rows):
+    """A Channel whose rows skip validation, to reach internal guards."""
+    ch = object.__new__(Channel)
+    object.__setattr__(ch, "input_size", len(rows))
+    object.__setattr__(ch, "output_size", len(rows[0]))
+    object.__setattr__(ch, "rows", tuple(tuple(Rat(p) for p in row) for row in rows))
+    return ch
+
+
+def test_caratheodory_reduce_rejects_an_atom_on_a_dropped_coordinate():
+    # The two atoms cancel on the first coordinate, so the mixture is 0
+    # there while each atom is not: only a negative entry can do that.
+    t = identity_channel(1)
+    v = CpcChannel(1, 2, 1, 1, (
+        CpcTerm(Rat(1, 2), unchecked_channel([[1, 0]]), t),
+        CpcTerm(Rat(1, 2), unchecked_channel([[-1, 2]]), t),
+    ))
+    with pytest.raises(InternalCheckError, match="nonzero where the mixture is zero"):
+        caratheodory_reduce(v)
 
 
 def test_cpc_json_round_trip():

@@ -27,6 +27,7 @@ from chanord.lp_solver import (
     _HullMaster,
     _ScaledGroup,
     _Tableau,
+    _eliminate,
     hull_lp,
     maximize,
     priced_hull,
@@ -329,9 +330,13 @@ def general_programs(draw):
     copies of rows (some negated) leave artificials basic at zero, whose
     expulsion may pivot on a negative entry; an all-zero row is dropped
     (rhs 0) or makes the program infeasible; the objective has any sign,
-    so unbounded programs occur."""
+    so unbounded programs occur. A tall program has more rows than
+    columns, with several 0 = 0 rows and duplicated rows among them, as a
+    Carathéodory hull program has: their rows mostly update with a zero
+    multiplier."""
     cols = draw(st.integers(1, 5))
-    rows = draw(st.integers(1, 4))
+    tall = draw(st.integers(0, 3)) == 0
+    rows = draw(st.integers(cols + 1, cols + 4) if tall else st.integers(1, 4))
     matrix = [[draw(mixed_rationals()) for _ in range(cols)] for _ in range(rows)]
     if draw(st.booleans()):
         x0 = [Rat(draw(st.integers(0, 2))) for _ in range(cols)]
@@ -343,6 +348,16 @@ def general_programs(draw):
         factor = draw(st.sampled_from([Rat(-2), Rat(-1), Rat(1, 3), Rat(2)]))
         matrix.append([factor * v for v in matrix[i]])
         rhs.append(factor * rhs[i])
+    if tall:
+        for _ in range(draw(st.integers(1, 3))):
+            i = draw(st.integers(0, len(matrix)))
+            if draw(st.booleans()):
+                matrix.insert(i, [ZERO] * cols)
+                rhs.insert(i, ZERO)
+            else:
+                j = draw(st.integers(0, len(matrix) - 1))
+                matrix.insert(i, list(matrix[j]))
+                rhs.insert(i, rhs[j])
     if draw(st.integers(0, 3)) == 0:
         matrix.append([ZERO] * cols)
         rhs.append(draw(st.sampled_from([ZERO, ONE])))
@@ -375,6 +390,26 @@ def test_simplex_matches_rational_reference_pivot_for_pivot(lp, maximizing):
     if pivots:
         with pytest.raises(ResourceLimitError):
             solve(lp, max_pivots=pivots - 1)
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_eliminate_is_the_bareiss_update_with_and_without_a_multiplier(data):
+    """Every entry becomes (p·t − f·v) // d, f the target's pivot-column
+    entry, whether f is 0 (the rescaling shortcut) or not."""
+    width = data.draw(st.integers(1, 8))
+    ints = st.integers(-(10**12), 10**12)
+    target = data.draw(st.lists(ints, min_size=width, max_size=width))
+    row = data.draw(st.lists(ints, min_size=width, max_size=width))
+    pc = data.draw(st.integers(0, width - 1))
+    if data.draw(st.booleans()):
+        target[pc] = 0
+    p = data.draw(ints.filter(bool))
+    d = data.draw(st.integers(1, 10**6))
+    f = target[pc]
+    assert _eliminate(target, row, p, d, pc) == [
+        (p * t - f * v) // d for t, v in zip(target, row)
+    ]
 
 
 @pytest.mark.parametrize(
@@ -482,6 +517,7 @@ def test_library_lp_outcomes_pass_the_rational_oracles(monkeypatch):
 
     monkeypatch.setattr(_HullMaster, "solve", recording_master)
 
+    chain_rows = []
     for seed in range(4):
         # The noisier randomizer's region lies inside the cleaner one's.
         clean = random_channel(2, 3, seed * 3, 6)
@@ -502,6 +538,18 @@ def test_library_lp_outcomes_pass_the_rational_oracles(monkeypatch):
             for i in range(3)
         )
         cpc.caratheodory_reduce(cpc.CpcChannel(2, 2, 2, 2, terms))
+        # A chained containment witness: its hull program keeps one row
+        # per coordinate where the mixture is nonzero, plus convexity.
+        w2 = compose(random_channel(3, 2, seed + 100, 4), compose(wp, random_channel(2, 3, seed + 110, 4)))
+        w3 = compose(random_channel(2, 2, seed + 120, 4), compose(w2, random_channel(2, 2, seed + 130, 4)))
+        chained = cpc.skew_compose_cpc(
+            ordering.witness_to_cpc(ordering.contains(w2, w3).witness),
+            ordering.witness_to_cpc(ordering.contains(wp, w2).witness),
+        )
+        cpc.caratheodory_reduce(chained)
+        support = sum(1 for row in cpc.as_channel(chained).rows for p in row if p)
+        assert seen[-1][0].num_rows == support + 1
+        chain_rows.append((seen[-1][0].num_rows, len(_flat(cpc.as_channel(chained))) + 1))
         metric.brm_vs_tv(w, random_channel(2, 3, seed + 80, 5), n_max=2, m_max=2, budget=2,
                          seed=seed)
 
@@ -516,6 +564,8 @@ def test_library_lp_outcomes_pass_the_rational_oracles(monkeypatch):
             check_optimal(lp, out.primal, out.dual_certificate, out.value)
     assert min(tags.values()) >= 5, tags
     assert min(master_tags.count(tag) for tag in (FEASIBLE, INFEASIBLE)) >= 5, master_tags
+    # At least one chain leaves coordinates out, so the count guard bites.
+    assert any(kept < full for kept, full in chain_rows), chain_rows
 
 
 def image_by_one_scaling(lp):
