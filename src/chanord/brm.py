@@ -14,12 +14,13 @@ simulates: by the paper's characterization the strategy is a
 convex-product channel, wiring W through it gives a channel U -> V, and
 the payoff of u is that channel's row u against l(u, ·).
 
-optimal_average_payoff is the game oracle that containment prices its
-columns with. It walks every encoder f: U -> X over the tables, and
-encoders sharing a prefix of images share its partial score sums. The
-scaling is positive, so the value and the reported optimal pair (first
-encoder, smallest decoders) are exactly those of scoring every pair in
-rational arithmetic.
+The game optimum is one int core, _best_pair: it walks every encoder
+f: U -> X over the tables, and encoders sharing a prefix of images share
+its partial score sums. optimal_average_payoff wraps it for rational
+games; containment prices its columns on it directly, with the master's
+int dual as l. Every scaling is positive, so the value and the reported
+optimal pair (first encoder, smallest decoders) are exactly those of
+scoring every pair in rational arithmetic.
 """
 
 from __future__ import annotations
@@ -147,62 +148,37 @@ def _plus(sums, scores):
     return [list(map(add, acc, row)) for acc, row in zip(sums, scores)]
 
 
-def _score_tables(g: BrmGame):
-    """(d, tables): tables[u][x][y] lists W(y|x)·l(u, v) over v, times d.
+def _score_tables(w_ints, l_ints, y_size: int, v_size: int):
+    """tables[u][x][y] lists w(y|x)·l(u, v) over v, for W and l given as
+    flat int lists, row after row (W rows of |Y|, l rows of |V|).
 
-    d = d_W·d_l is the product of the common denominators of W and l, so
-    every entry is a Python int and a pair's payoff for u is a sum of |Y|
-    entries over d.
+    With W and l scaled by common denominators d_W and d_l, every entry
+    is a Python int and a pair's payoff for u is a sum of |Y| entries
+    over d_W·d_l.
     """
-    d_w, w_int = scaled_ints(p for row in g.randomizer.rows for p in row)
-    d_l, l_int = scaled_ints(c for row in g.payoff_matrix for c in row)
-    y_size, v_size = g.y_size, g.v_size
-    tables = [
-        [
-            [
-                [w * l for l in l_int[u * v_size : (u + 1) * v_size]]
-                for w in w_int[x * y_size : (x + 1) * y_size]
-            ]
-            for x in range(g.x_size)
-        ]
-        for u in range(g.u_size)
+    w_rows = [w_ints[k : k + y_size] for k in range(0, len(w_ints), y_size)]
+    return [
+        [[[w * l for l in l_ints[k : k + v_size]] for w in w_row] for w_row in w_rows]
+        for k in range(0, len(l_ints), v_size)
     ]
-    return d_w * d_l, tables
 
 
-def optimal_average_payoff(
-    g: BrmGame, max_encoders: int = DEFAULT_MAX_PAIRS
-):
-    """Exact supremum of the average payoff, attained at a deterministic pair.
+def _best_pair(tables):
+    """(best total, encoder images, decoder images) over int score tables.
 
-    The average payoff is linear in the strategy mixture, so the optimum is
-    at a deterministic pair; for a fixed encoder f the best decoder picks,
-    per output y, a v maximizing Σ_u W(y|f(u))·l(u, v). Returns
-    (value, (encoder, decoder)); the argmax is the lexicographically first
-    optimal encoder, and per output the smallest optimal decoder index.
-
-    The scan runs on Python ints: W and l are scaled by the common
-    denominators d_W and d_l, and for every secret u and input x the
-    (y, v) score vector W(y|x)·l(u, v) is tabulated once. Encoders are
-    walked in itertools.product order, so encoders sharing a prefix share
-    its partial score sums and each encoder costs |Y|·|V| integer
-    additions and |Y| maxima. A positive scaling changes no
-    comparison, so the strict-improvement tests keep the tie order, and
-    the value is one exact division, total / (d_W·d_l·|U|).
+    The total of a pair is Σ_u Σ_y tables[u][f(u)][y][g(y)]; images are
+    0-based. Encoders are walked in itertools.product order, so encoders
+    sharing a prefix share its partial score sums and each encoder costs
+    |Y|·|V| integer additions and |Y| maxima. Only a strict improvement
+    replaces the best, so the first optimal encoder is kept, and per
+    output the smallest optimal decoder image.
     """
-    count = g.x_size**g.u_size
-    if count > max_encoders:
-        raise ResourceLimitError(
-            f"encoder enumeration has {count} elements (cap {max_encoders})"
-        )
-    y_size, v_size = g.y_size, g.v_size
-    scale, tables = _score_tables(g)
-
+    x_size, y_size, v_size = len(tables[0]), len(tables[0][0]), len(tables[0][0][0])
     # An odometer over encoders in itertools.product order, without
     # recursion: partial[u] holds the score sums of images[:u], so moving
     # position d recomputes only the sums from d on. The last secret's
     # images are scanned directly against its prefix.
-    last = g.u_size - 1
+    last = len(tables) - 1
     images = [0] * last
     partial = [[[0] * v_size for _ in range(y_size)]] + [None] * last
     best_total = None
@@ -216,18 +192,45 @@ def optimal_average_payoff(
             if best_total is None or total > best_total:
                 best_total, best_sums, best_images = total, sums, (*images, x)
         d = last - 1
-        while d >= 0 and images[d] == g.x_size - 1:
+        while d >= 0 and images[d] == x_size - 1:
             d -= 1
         if d < 0:
             break
         images[d] += 1
         images[d + 1 :] = [0] * (last - d - 1)
     # max returns the first maximal index, the smallest optimal decoder.
-    g_img = tuple(max(range(v_size), key=acc.__getitem__) + 1 for acc in best_sums)
-    value = Rat(best_total, scale * g.u_size)
-    return value, (
-        DeterministicMap(g.u_size, g.x_size, tuple(x + 1 for x in best_images)),
-        DeterministicMap(g.y_size, g.v_size, g_img),
+    g_img = tuple(max(range(v_size), key=acc.__getitem__) for acc in best_sums)
+    return best_total, best_images, g_img
+
+
+def optimal_average_payoff(
+    g: BrmGame, max_encoders: int = DEFAULT_MAX_PAIRS
+):
+    """Exact supremum of the average payoff, attained at a deterministic pair.
+
+    The average payoff is linear in the strategy mixture, so the optimum is
+    at a deterministic pair; for a fixed encoder f the best decoder picks,
+    per output y, a v maximizing Σ_u W(y|f(u))·l(u, v). Returns
+    (value, (encoder, decoder)); the argmax is the lexicographically first
+    optimal encoder, and per output the smallest optimal decoder index.
+
+    The scan is _best_pair on Python ints: W and l are scaled by their
+    common denominators d_W and d_l and tabulated once by _score_tables.
+    A positive scaling changes no comparison, so the strict-improvement
+    tests keep the tie order, and the value is one exact division,
+    total / (d_W·d_l·|U|).
+    """
+    count = g.x_size**g.u_size
+    if count > max_encoders:
+        raise ResourceLimitError(
+            f"encoder enumeration has {count} elements (cap {max_encoders})"
+        )
+    d_w, w_ints = scaled_ints(p for row in g.randomizer.rows for p in row)
+    d_l, l_ints = scaled_ints(c for row in g.payoff_matrix for c in row)
+    total, f_img, g_img = _best_pair(_score_tables(w_ints, l_ints, g.y_size, g.v_size))
+    return Rat(total, d_w * d_l * g.u_size), (
+        DeterministicMap(g.u_size, g.x_size, tuple(x + 1 for x in f_img)),
+        DeterministicMap(g.y_size, g.v_size, tuple(v + 1 for v in g_img)),
     )
 
 
@@ -254,7 +257,9 @@ def region_generators(
         raise ResourceLimitError(
             f"deterministic-pair basis has {count} elements (cap {max_pairs})"
         )
-    scale, tables = _score_tables(g)
+    d_w, w_ints = scaled_ints(p for row in g.randomizer.rows for p in row)
+    d_l, l_ints = scaled_ints(c for row in g.payoff_matrix for c in row)
+    scale, tables = d_w * d_l, _score_tables(w_ints, l_ints, g.y_size, g.v_size)
     points = []
     for f_img in product(range(g.x_size), repeat=g.u_size):
         # choices[y][v] holds every secret's score when g sends y to v.

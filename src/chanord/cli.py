@@ -50,7 +50,10 @@ def _digest(path: str) -> str:
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError as exc:  # the decoder recurses once per level
+            raise ValueError(f"JSON nested too deeply in {path}") from exc
 
 
 def _load_channel(path: str):
@@ -61,13 +64,15 @@ def _load_game(path: str):
     return game_from_json(_load_json(path))
 
 
-def _int_at_least(low: int):
-    """argparse type: an int no smaller than low, else a usage error."""
+def _int_at_least(low: int, high: int | None = None):
+    """argparse type: an int no smaller than low, and no larger than high
+    if given, else a usage error."""
 
     def parse(text: str) -> int:
         value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if value < low or (high is not None and value > high):
+            bounds = f">= {low}" if high is None else f"in {low}..{high}"
+            raise argparse.ArgumentTypeError(f"must be {bounds}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in its invalid-value error
@@ -136,9 +141,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--M", type=int, required=True)
     p.add_argument(
         "--max-outputs-pow",
-        type=_int_at_least(0),
+        type=_int_at_least(0, 18),  # no run enumerates 10^18 blocks or codebooks
         default=6,
-        help="cap output-block/codebook enumerations at 10^THIS (default 6)",
+        help="cap output-block/codebook enumerations at 10^THIS, 0..18 (default 6)",
     )
 
     p = sub.add_parser("embed", help="canonical embedding of a channel")

@@ -29,12 +29,14 @@ returned are built from the very ints that were checked:
 
 priced_hull is column generation over one such hull program, whose
 generators are priced one at a time instead of listed (Dantzig–Wolfe
-1960, Gilmore–Gomory 1961). Its master keeps one tableau for the whole
-call: L is fixed up front by the caller, a priced column enters the live
-tableau as (D·B⁻¹)·(s·L·a), on ints, and Bland's rule continues phase
-one from the current basis. Every restricted answer is verified as
-above, on the master's image: a Farkas dual over every column entered so
-far, a point over its support.
+1960, Gilmore–Gomory 1961). Its master speaks its integer image: the
+caller fixes L up front and passes L·point, the pricer receives the
+checked Farkas dual as ints over D and returns L·a as ints, and the
+column enters the live tableau as (D·B⁻¹)·(s·L·a); Bland's rule then
+continues phase one from the current basis. Rationals are built once,
+for the final answer. Every restricted answer is verified as above, on
+the master's image: a Farkas dual over every column entered so far, a
+point over its support.
 
 The pivot budget is a number of pivots per LP solve: one call of
 solve_feasibility or maximize may pivot DEFAULT_MAX_PIVOTS (100,000)
@@ -455,23 +457,25 @@ def _rationals(entries, den, width):
 
 
 def _phase_one(tab: _Tableau, image):
-    """Phase one from the tableau's current basis: (None, Farkas dual) when
-    artificials stay positive, else (tab, None) with them expelled."""
+    """Phase one from the tableau's current basis: the checked Farkas dual,
+    as ints over D, when artificials stay positive; else None, with them
+    expelled."""
     r = tab.num_orig_rows
     z = tab.run([0] * tab.ncols + [-1] * r, tab.ncols + r)
     if z[-1] > 0:  # -value·L·D; positive iff artificials remain
         y = tab.farkas_duals(z)
         _check_farkas(image, y, tab.ncols)
-        return None, _rationals(enumerate(y), tab.denom, len(y))
+        return y
     tab.drop_redundant_and_expel_artificials()
-    return tab, None
+    return None
 
 
-def _feasibility_outcome(tab: _Tableau, image) -> LpOutcome:
-    """Phase one and its verified answer: a point or a Farkas dual."""
-    tab, farkas = _phase_one(tab, image)
-    if tab is None:
-        return LpOutcome(tag=INFEASIBLE, dual_certificate=farkas)
+def _feasibility_outcome(tab: _Tableau, image, farkas) -> LpOutcome:
+    """The verified answer after phase one: the point of the expelled
+    tableau when farkas is None, else the Farkas dual farkas/D."""
+    if farkas is not None:
+        dual = _rationals(enumerate(farkas), tab.denom, len(farkas))
+        return LpOutcome(tag=INFEASIBLE, dual_certificate=dual)
     support = tab.support()
     _check_primal(image, support, tab.denom)
     return LpOutcome(tag=FEASIBLE, primal=_rationals(support, tab.denom, tab.ncols))
@@ -479,7 +483,8 @@ def _feasibility_outcome(tab: _Tableau, image) -> LpOutcome:
 
 def solve_feasibility(lp: StandardLp, max_pivots: int = DEFAULT_MAX_PIVOTS) -> LpOutcome:
     """Decide A·x = b, x ≥ 0, returning a verified point or Farkas dual."""
-    return _feasibility_outcome(_Tableau(lp._image, lp.num_cols, max_pivots), lp._image)
+    tab = _Tableau(lp._image, lp.num_cols, max_pivots)
+    return _feasibility_outcome(tab, lp._image, _phase_one(tab, lp._image))
 
 
 def maximize(lp: StandardLp, max_pivots: int = DEFAULT_MAX_PIVOTS) -> LpOutcome:
@@ -488,8 +493,8 @@ def maximize(lp: StandardLp, max_pivots: int = DEFAULT_MAX_PIVOTS) -> LpOutcome:
     Raises LpInfeasibleError / LpUnboundedError accordingly. The outcome's
     dual_certificate holds the optimal dual prices.
     """
-    tab, _farkas = _phase_one(_Tableau(lp._image, lp.num_cols, max_pivots), lp._image)
-    if tab is None:
+    tab = _Tableau(lp._image, lp.num_cols, max_pivots)
+    if _phase_one(tab, lp._image) is not None:
         raise LpInfeasibleError("maximize called on an infeasible program")
     objective_scale, cost = scaled_ints(lp.objective)
     # Artificial columns stay out of the entering scan; they only track B⁻¹.
@@ -508,77 +513,42 @@ def maximize(lp: StandardLp, max_pivots: int = DEFAULT_MAX_PIVOTS) -> LpOutcome:
     )
 
 
-class _HullMaster:
-    """The restricted master of priced_hull: is point in conv(columns)?
-
-    It is hull_lp(point, columns) with one group, its integer image fixed
-    at the caller's scale L, and one tableau kept from round to round: a
-    column enters the live tableau (_Tableau.append_column) and phase one
-    continues from the current basis. Its pivots share one budget.
-    """
-
-    def __init__(self, point, scale: int, max_pivots: int):
-        point_scale, point_ints = scaled_ints(point)
-        if scale % point_scale:
-            raise InternalCheckError("the point's denominators do not divide L")
-        self.point = tuple(point)
-        self.columns = []
-        self.keys = set()
-        factor = scale // point_scale
-        b = tuple(v * factor for v in point_ints) + (scale,)
-        self.image = (scale, tuple([] for _ in b), b)
-        self.tab = _Tableau(self.image, 0, max_pivots)
-
-    def add(self, column):
-        """Enter column as a generator: its coordinate rows, then a 1 on
-        the convexity row, all times L."""
-        if len(column) != len(self.point):
-            raise DimensionMismatchError("generator length does not match the point")
-        column_scale, ints = scaled_ints(column)
-        scale, a_rows, _b = self.image
-        if scale % column_scale:
-            raise InternalCheckError("a column's denominators do not divide L")
-        factor = scale // column_scale
-        ints = [v * factor for v in ints] + [scale]
-        key = tuple(ints)
-        if key in self.keys:
-            raise InternalCheckError("priced column is already in the master program")
-        self.keys.add(key)
-        for arow, v in zip(a_rows, ints):
-            arow.append(v)
-        self.tab.append_column(ints)
-        self.columns.append(tuple(column))
-
-    def solve(self) -> LpOutcome:
-        """The verified answer of the master over the columns so far."""
-        return _feasibility_outcome(self.tab, self.image)
-
-
-def priced_hull(point, price, scale: int, max_pivots: int = DEFAULT_MAX_PIVOTS) -> LpOutcome:
+def priced_hull(
+    point_ints, price, scale: int, max_pivots: int = DEFAULT_MAX_PIVOTS
+) -> LpOutcome:
     """Column generation for: is point in the hull of the columns price knows?
 
-    The master starts with no columns. While it is infeasible, its Farkas
-    dual y (l over the coordinates, c on the convexity row) goes to
-    price(y), which returns a column a with l·a + c > 0, or None when no
-    column has one. Each column enters the live master; no round starts
-    over.
-    Returns the last restricted outcome: FEASIBLE with weights over the
-    columns in the order price returned them, or INFEASIBLE with a dual
-    that price found no column against, hence a hyperplane separating
-    point from every column price knows.
+    The master is hull_lp(point, columns) with one group, on its integer
+    image at the caller's scale L: point_ints is L·point, and every column
+    enters as L·a. It starts with no columns. While it is infeasible, its
+    checked Farkas dual y, ints over D (l over the coordinates, c on the
+    convexity row), goes to price(y); a positive multiple of a separating
+    (l, c) still separates. price returns L·a as ints for a column a with
+    l·a + c > 0, or None when no column has one. Each column enters the
+    live tableau; no round starts over.
+    Returns the last restricted outcome, as exact rationals: FEASIBLE with
+    weights over the columns in the order price returned them, or
+    INFEASIBLE with the dual y/D that price found no column against, hence
+    a hyperplane separating point from every column price knows.
 
-    scale is L, fixed up front: a multiple of every denominator of point
-    and of every column price can return. A column whose denominators do
-    not divide it raises InternalCheckError, never a verdict. max_pivots
-    bounds the pivots of the whole master, every restricted solve and the
-    final expulsion together.
+    max_pivots bounds the pivots of the whole master, every restricted
+    solve and the final expulsion together.
     """
-    master = _HullMaster(point, scale, max_pivots)
+    b = (*point_ints, scale)
+    image = (scale, tuple([] for _ in b), b)
+    tab = _Tableau(image, 0, max_pivots)
+    keys = set()
     while True:
-        outcome = master.solve()
-        if outcome.tag == FEASIBLE:
-            return outcome
-        column = price(outcome.dual_certificate)
+        farkas = _phase_one(tab, image)
+        column = None if farkas is None else price(farkas)
         if column is None:
-            return outcome
-        master.add(column)
+            return _feasibility_outcome(tab, image, farkas)
+        if len(column) != len(point_ints):
+            raise DimensionMismatchError("generator length does not match the point")
+        ints = (*column, scale)
+        if ints in keys:
+            raise InternalCheckError("priced column is already in the master program")
+        keys.add(ints)
+        for arow, v in zip(image[1], ints):
+            arow.append(v)
+        tab.append_column(ints)

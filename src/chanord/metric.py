@@ -22,6 +22,7 @@ strictly increases the true difference.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .brm import BrmGame, optimal_average_payoff
 from .channel_core import Channel, tv_distance
@@ -150,10 +151,15 @@ def brm_distance_lower_bound(
     """
     if n_max < 1 or m_max < 1 or budget < 1:
         raise ValueError("n_max, m_max, and budget must be >= 1")
-    dims = sorted(
-        ((n, m) for n in range(1, n_max + 1) for m in range(1, m_max + 1)),
-        key=lambda nm: (nm[0] * nm[1], nm),
+    # Trial t plays shape t mod the shape count, in (n·m, n, m) order, so
+    # only the first budget shapes are built.
+    shapes = (
+        (n, size // n)
+        for size in range(1, n_max * m_max + 1)
+        for n in range(max(1, -(-size // m_max)), min(n_max, size) + 1)
+        if size % n == 0
     )
+    dims = list(islice(shapes, budget))
     def diff(n, m, payoff):
         v1, pair1 = _opt(w1, n, m, payoff, max_encoders)
         v2, pair2 = _opt(w2, n, m, payoff, max_encoders)

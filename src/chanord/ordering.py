@@ -6,11 +6,15 @@ least as well with W' as with W. contains runs both sides as one column
 generation, lp_solver.priced_hull: while the hull program over the pairs
 found so far is infeasible, its Farkas dual is a payoff whose optimal
 pair against W' enters next, as one more column of the same live
-tableau. It ends with a mixture that reconstructs W, or with a dual no
-pair beats, turned into a normalized positive payoff that strictly
-separates the channels. Both are re-verified exactly before being
-returned; the mixture on ints, Σ α·D_g∘W'∘D_f rebuilt entry by entry
-from one scaling of W' and one of the weights.
+tableau. Pricing and entry run on the master's integer image L·[A | b]:
+W' and the target are scaled once per call, the dual arrives as ints
+and is scored against W''s int tables (brm._best_pair), and a pair's
+column enters as W''s ints times L/d_W; no round builds a rational. It
+ends with a mixture that reconstructs W, or with a dual no pair beats,
+turned into a normalized positive payoff that strictly separates the
+channels. Both are re-verified exactly before being returned; the
+mixture on ints, Σ α·D_g∘W'∘D_f rebuilt entry by entry from one scaling
+of W' and one of the weights.
 
 Every other hull question here goes through lp_solver.hull_lp: a row of
 w against the rows of wp (input-degradedness, one program per row), a
@@ -26,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .brm import BrmGame, optimal_average_payoff
+from .brm import BrmGame, _best_pair, _score_tables, optimal_average_payoff
 from .channel_core import (
     Channel,
     DeterministicMap,
@@ -34,14 +38,8 @@ from .channel_core import (
     deterministic,
     identity_channel,
 )
-from .cpc import (
-    DEFAULT_MAX_PAIRS,
-    CpcChannel,
-    cpc_from_pairs,
-    pair_column,
-    skew_compose_channel,
-)
-from .errors import DimensionMismatchError, InternalCheckError
+from .cpc import DEFAULT_MAX_PAIRS, CpcChannel, cpc_from_pairs, skew_compose_channel
+from .errors import DimensionMismatchError, InternalCheckError, ResourceLimitError
 from .lp_solver import FEASIBLE, hull_lp, priced_hull, solve_feasibility
 from .rational import (
     ONE,
@@ -179,12 +177,12 @@ def contains(
     """Decide whether wp contains w, with a verified witness either way.
 
     max_pairs caps the encoders each game optimum scans. With n the number
-    of distinct rows of w, a pricing step scans |X'|^n encoders and
-    re-deriving a certificate's gap also scans n^n, w's own encoders after
-    the merge. It bounds the size of each enumeration, not the time of
-    the whole call. Exceeding it, or the pivot budget of the master (one
-    budget for all its rounds), raises ResourceLimitError, never a
-    verdict.
+    of distinct rows of w, a pricing step scans |X'|^n encoders, checked
+    once before the master starts, and re-deriving a certificate's gap
+    also scans n^n, w's own encoders after the merge. It bounds the size
+    of each enumeration, not the time of the whole call. Exceeding it, or
+    the pivot budget of the master (one budget for all its rounds), raises
+    ResourceLimitError, never a verdict.
     """
     if wp == w:
         f = DeterministicMap(w.input_size, w.input_size,
@@ -196,26 +194,36 @@ def contains(
         return OrderingVerdict(tag=CONTAINS, witness=witness)
     w_red, input_map, output_injection = _reduce_target(w)
     n, m = w_red.input_size, w_red.output_size
-    target = [p for row in w_red.rows for p in row]
+    count = wp.input_size**n
+    if count > max_pairs:
+        raise ResourceLimitError(
+            f"encoder enumeration has {count} elements (cap {max_pairs})"
+        )
     # A pair column sums entries of one wp row, so its denominators divide
-    # those of wp; with the target's, they fix the master's scale.
-    scale = lcm(
-        scaled_ints(target)[0], scaled_ints(p for row in wp.rows for p in row)[0]
-    )
+    # d_W; with the target's, they fix the master's scale L.
+    d_t, target = scaled_ints(p for row in w_red.rows for p in row)
+    d_w, wp_ints = scaled_ints(p for row in wp.rows for p in row)
+    scale = lcm(d_t, d_w)
+    m_p, factor = wp.output_size, scale // d_w
     pairs = []
 
     def price(dual):
-        # The empty master's Farkas dual is all ones: every pair ties, and
-        # the first column is the lexicographically first pair.
-        payoff = tuple(tuple(dual[x * m : (x + 1) * m]) for x in range(n))
-        game = BrmGame(n, wp.input_size, wp.output_size, m, payoff, wp)
-        value, (f, g) = optimal_average_payoff(game, max_encoders=max_pairs)
-        if n * value + dual[-1] <= 0:
+        # dual is (l, c) as ints over D. The game of payoff l against wp
+        # pays total/(d_W·D·n) on average at its optimum, so some pair
+        # prices l·a + c > 0 exactly when total + d_W·c > 0. The empty
+        # master's dual is all ones: every pair ties, and the first column
+        # is the lexicographically first pair.
+        total, f_img, g_img = _best_pair(_score_tables(wp_ints, dual[:-1], m_p, m))
+        if total + d_w * dual[-1] <= 0:
             return None
-        pairs.append((f.image, g.image))
-        return pair_column(wp, f, g)
+        pairs.append((f_img, g_img))
+        column = [0] * (n * m)
+        for x, xp in enumerate(f_img):
+            for v, p in zip(g_img, wp_ints[xp * m_p : (xp + 1) * m_p]):
+                column[x * m + v] += p * factor
+        return column
 
-    outcome = priced_hull(target, price, scale)
+    outcome = priced_hull([v * (scale // d_t) for v in target], price, scale)
     if outcome.tag != FEASIBLE:
         # No pair prices positive: the restricted dual separates the
         # target from every column, not only from the ones found.
@@ -232,12 +240,12 @@ def contains(
             f = DeterministicMap(
                 w.input_size,
                 wp.input_size,
-                tuple(f_img[input_map(x) - 1] for x in range(1, w.input_size + 1)),
+                tuple(f_img[rep - 1] + 1 for rep in input_map.image),
             )
             g = DeterministicMap(
                 wp.output_size,
                 w.output_size,
-                tuple(output_injection(v) for v in g_img),
+                tuple(output_injection(v + 1) for v in g_img),
             )
             weights.append(((f, g), alpha))
     witness = ContainmentWitness(tuple(weights))

@@ -2,19 +2,28 @@
 
 Everything here recomputes results by brute force or direct formula
 evaluation, deliberately avoiding the library's own algorithmic paths;
-the exceptions, cold_start_contains and fraction_caratheodory_reduce,
-are earlier forms of an algorithm, kept as the reference of the form
-that replaced them.
+the exceptions, cold_start_contains, rational_contains and
+fraction_caratheodory_reduce, are earlier forms of an algorithm, kept as
+the reference of the form that replaced them.
 """
 
 import math
 from itertools import combinations, product
 
+from chanord import ordering
 from chanord.brm import BrmGame, optimal_average_payoff
-from chanord.cpc import CpcChannel, CpcTerm, as_channel, pair_column
+from chanord.channel_core import DeterministicMap
+from chanord.cpc import DEFAULT_MAX_PAIRS, CpcChannel, CpcTerm, as_channel, pair_column
 from chanord.errors import InternalCheckError
-from chanord.lp_solver import FEASIBLE, hull_lp, solve_feasibility
-from chanord.rational import ONE, ZERO
+from chanord.lp_solver import (
+    FEASIBLE,
+    INFEASIBLE,
+    LpOutcome,
+    hull_lp,
+    priced_hull,
+    solve_feasibility,
+)
+from chanord.rational import ONE, ZERO, Rat, scaled_ints
 
 
 def solve_square(matrix, rhs):
@@ -400,6 +409,98 @@ def cold_start_contains(wp, w_red):
         column = pair_column(wp, f, g)
         assert column not in columns
         columns.append(column)
+
+
+def round_by_round(on_round):
+    """A stand-in for lp_solver.priced_hull that reports every restricted
+    answer of its master as on_round(point, columns, outcome), with point
+    and the columns entered so far as rationals: each dual handed to the
+    pricer as an INFEASIBLE outcome (ints over D, so a positive multiple
+    of the rational Farkas dual), and a FEASIBLE final answer.
+    """
+
+    def wrapper(point_ints, price, scale, *args, **kwargs):
+        point = tuple(Rat(v, scale) for v in point_ints)
+        columns = []
+
+        def recording_price(dual):
+            restricted = LpOutcome(tag=INFEASIBLE, dual_certificate=tuple(map(Rat, dual)))
+            on_round(point, tuple(columns), restricted)
+            column = price(dual)
+            if column is not None:
+                columns.append(tuple(Rat(v, scale) for v in column))
+            return column
+
+        out = priced_hull(point_ints, recording_price, scale, *args, **kwargs)
+        if out.tag == FEASIBLE:
+            on_round(point, tuple(columns), out)
+        return out
+
+    return wrapper
+
+
+def rational_price(wp, n, m, scale, pairs, max_pairs=DEFAULT_MAX_PAIRS):
+    """The pricer ordering.contains ran on rationals, scaled to L = scale.
+
+    The master's int dual (any positive multiple of a Farkas dual will do)
+    becomes a rational payoff game against wp, solved by
+    optimal_average_payoff; the optimal pair prices positive when
+    n·value + c > 0, and its pair_column enters as L·column. Each pair
+    priced positive is appended to pairs as (encoder, decoder).
+    """
+
+    def price(dual):
+        dual = [Rat(v) for v in dual]
+        payoff = tuple(tuple(dual[x * m : (x + 1) * m]) for x in range(n))
+        game = BrmGame(n, wp.input_size, wp.output_size, m, payoff, wp)
+        value, (f, g) = optimal_average_payoff(game, max_encoders=max_pairs)
+        if n * value + dual[-1] <= 0:
+            return None
+        pairs.append((f, g))
+        column = [v * scale for v in pair_column(wp, f, g)]
+        if any(v.denominator != 1 for v in column):
+            raise InternalCheckError("a column's denominators do not divide L")
+        return [int(v) for v in column]
+
+    return price
+
+
+def rational_contains(wp, w, max_pairs=DEFAULT_MAX_PAIRS):
+    """ordering.contains with lp_solver.priced_hull driven by rational_price.
+
+    The same target reduction, scale L, certificate and witness pull-back
+    as the library, so the verdict must be identical wherever the two
+    pricers return the same columns. wp and w must differ (contains
+    answers wp == w without a master).
+    """
+    w_red, input_map, output_injection = ordering._reduce_target(w)
+    n, m = w_red.input_size, w_red.output_size
+    target = [p for row in w_red.rows for p in row]
+    scale = math.lcm(
+        scaled_ints(target)[0], scaled_ints(p for row in wp.rows for p in row)[0]
+    )
+    pairs = []
+    price = rational_price(wp, n, m, scale, pairs, max_pairs)
+    outcome = priced_hull([int(p * scale) for p in target], price, scale)
+    if outcome.tag != FEASIBLE:
+        certificate = ordering._certificate_from_farkas(
+            wp, w_red, outcome.dual_certificate, max_pairs
+        )
+        return ordering.OrderingVerdict(
+            tag=ordering.DOES_NOT_CONTAIN, certificate=certificate
+        )
+    weights = []
+    for alpha, (f, g) in zip(outcome.primal, pairs):
+        if alpha != 0:
+            # Inputs of w collapse onto their representatives first, and
+            # simulated outputs re-inject into w's full output alphabet.
+            f_w = DeterministicMap(w.input_size, wp.input_size, tuple(map(f, input_map.image)))
+            g_w = DeterministicMap(
+                wp.output_size, w.output_size, tuple(map(output_injection, g.image))
+            )
+            weights.append(((f_w, g_w), alpha))
+    witness = ordering.ContainmentWitness(tuple(weights))
+    return ordering.OrderingVerdict(tag=ordering.CONTAINS, witness=witness)
 
 
 def _flat_atom(term, v):

@@ -291,6 +291,28 @@ def test_out_of_range_cap_flags_are_usage_errors(capsys, write_channel):
     assert code == 2 and report is None and "cap 1)" in err
 
 
+def test_outputs_pow_above_18_is_a_usage_error(capsys, write_channel):
+    # 10^N is never computed for an N out of range.
+    a = write_channel("a.json", bsc("1/10"))
+    for value in ("19", str(10**7)):
+        code, report, err = run_cli(
+            capsys, "perr", a, "--n", "1", "--M", "1", "--max-outputs-pow", value
+        )
+        assert code == 1 and report is None and "must be in 0..18" in err
+    code, report, _err = run_cli(
+        capsys, "perr", a, "--n", "1", "--M", "1", "--max-outputs-pow", "18"
+    )
+    assert code == 0 and report["error_probability"] == "0"
+
+
+def test_deeply_nested_json_is_an_input_error(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    code, report, err = run_cli(capsys, "contain", str(deep), str(deep))
+    assert code == 1 and report is None
+    assert err.startswith("input error:") and "nested too deeply" in err
+
+
 def test_pivot_budget_exhaustion_exits_2(capsys, write_channel, monkeypatch):
     monkeypatch.setattr(
         ordering,

@@ -166,3 +166,48 @@ def test_failed_ascent_check_is_not_swallowed(monkeypatch):
     monkeypatch.setattr(metric, "_restricted_ascent", broken)
     with pytest.raises(InternalCheckError):
         brm_distance_lower_bound(bsc(0), bsc("1/2"), n_max=2, m_max=2, budget=2)
+
+
+def old_shape_order(n_max, m_max):
+    return sorted(
+        ((n, m) for n in range(1, n_max + 1) for m in range(1, m_max + 1)),
+        key=lambda nm: (nm[0] * nm[1], nm),
+    )
+
+
+def test_estimates_equal_those_of_the_full_shape_list(monkeypatch):
+    # Trial t plays shape t mod the shape count in (n·m, n, m) order, with
+    # budgets that cycle and that stop short of the list.
+    w1, w2 = random_channel(2, 2, 91, 6), random_channel(2, 2, 92, 6)
+    played = []
+    sample = metric._sample_payoff
+
+    def recording_sample(seed, trial, n, m):
+        played.append((n, m))
+        return sample(seed, trial, n, m)
+
+    for n_max in range(1, 6):
+        for m_max in range(1, 6):
+            old = old_shape_order(n_max, m_max)
+            for budget in (n_max * m_max + 3, max(1, n_max * m_max // 2)):
+                monkeypatch.setattr(metric, "_sample_payoff", recording_sample)
+                played.clear()
+                est = brm_distance_lower_bound(
+                    w1, w2, n_max=n_max, m_max=m_max, budget=budget, seed=3
+                )
+                assert played == [old[t % len(old)] for t in range(budget)]
+                # Every shape listed up front and cycled, as the search ran
+                # before it built only the shapes it tries.
+                monkeypatch.undo()
+                monkeypatch.setattr(metric, "islice", lambda _shapes, _budget: old)
+                full = brm_distance_lower_bound(
+                    w1, w2, n_max=n_max, m_max=m_max, budget=budget, seed=3
+                )
+                monkeypatch.undo()
+                assert est == full
+
+
+def test_huge_shape_caps_build_only_the_shapes_tried():
+    w1, w2 = bsc(0), bsc("1/2")
+    huge = brm_distance_lower_bound(w1, w2, n_max=10**6, m_max=10**6, budget=2, seed=1)
+    assert huge == brm_distance_lower_bound(w1, w2, n_max=1, m_max=2, budget=2, seed=1)

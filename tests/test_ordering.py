@@ -2,7 +2,13 @@ import random
 from itertools import product
 
 import pytest
-from oracles import all_decoder_columns, all_simulation_columns, cold_start_contains
+from oracles import (
+    all_decoder_columns,
+    all_simulation_columns,
+    cold_start_contains,
+    rational_contains,
+    round_by_round,
+)
 
 from chanord import ordering
 from chanord.brm import BrmGame, optimal_average_payoff, region_generators, region_subset
@@ -23,7 +29,7 @@ from chanord.errors import (
     InternalCheckError,
     ResourceLimitError,
 )
-from chanord.lp_solver import FEASIBLE, _HullMaster, hull_lp, priced_hull, solve_feasibility
+from chanord.lp_solver import FEASIBLE, hull_lp, priced_hull, solve_feasibility
 from chanord.ordering import (
     apply_witness,
     certificate_from_json,
@@ -266,15 +272,13 @@ def test_priced_column_already_in_the_master_is_an_internal_error(monkeypatch):
     # instead of the optimal one must be caught, not looped on.
     wp = random_channel(2, 2, 1405, 8)
     w = skew_compose_channel(random_cpc(2, 2, 2, 2, seed=1406), wp)
-    real = optimal_average_payoff
+    real = ordering._best_pair
 
-    def stale_argmax(game, max_encoders):
-        value, _pair = real(game, max_encoders=max_encoders)
-        f = DeterministicMap(game.u_size, game.x_size, (1,) * game.u_size)
-        g = DeterministicMap(game.y_size, game.v_size, (1,) * game.y_size)
-        return value, (f, g)
+    def stale_argmax(tables):
+        total, f_img, g_img = real(tables)
+        return total, (0,) * len(f_img), (0,) * len(g_img)
 
-    monkeypatch.setattr("chanord.ordering.optimal_average_payoff", stale_argmax)
+    monkeypatch.setattr(ordering, "_best_pair", stale_argmax)
     with pytest.raises(InternalCheckError, match="already in the master"):
         contains(wp, w)
 
@@ -338,15 +342,12 @@ def test_pivot_budget_exhaustion_is_an_error_not_a_verdict(monkeypatch):
 
 def test_warm_master_agrees_with_cold_solves_round_by_round(monkeypatch):
     rounds = []
-    master_solve = _HullMaster.solve
 
-    def with_cold_solve(master):
-        out = master_solve(master)
-        cold = solve_feasibility(hull_lp(master.point, master.columns))
+    def with_cold_solve(point, columns, out):
+        cold = solve_feasibility(hull_lp(point, columns))
         rounds.append((out.tag, cold.tag))
-        return out
 
-    monkeypatch.setattr(_HullMaster, "solve", with_cold_solve)
+    monkeypatch.setattr(ordering, "priced_hull", round_by_round(with_cold_solve))
     verdicts = []
     for seed in range(24):
         xp, yp, x, y = 2 + seed % 2, 2 + seed // 2 % 2, 2 + seed // 4 % 2, 2 + seed // 8 % 2
@@ -362,6 +363,31 @@ def test_warm_master_agrees_with_cold_solves_round_by_round(monkeypatch):
     assert all(warm == cold for warm, cold in rounds)
     assert True in verdicts and False in verdicts
     assert len(rounds) > 4 * len(verdicts)
+
+
+def test_contains_prices_exactly_as_the_rational_pricer():
+    # Pricing on the master's ints must enter the same columns as the
+    # rational game oracle, so verdicts, witnesses and certificates agree
+    # exactly. Kinds cycle: simulated, random, and each with a repeated row.
+    outcomes = []
+    for seed in range(48):
+        xp, yp, x, y = 2 + seed % 2, 2 + seed // 4 % 2, 2 + seed // 8 % 2, 2 + seed // 16
+        wp = random_channel(xp, yp, 2300 + seed, 6)
+        if seed % 2 == 0:
+            w = skew_compose_channel(random_cpc(x, xp, yp, y, seed=2400 + seed), wp)
+        else:
+            w = random_channel(x, y, 2500 + seed, 6)
+        repeated = seed % 4 >= 2
+        if repeated:
+            w = Channel(x + 1, y, w.rows + (w.rows[seed % x],))
+            assert ordering._reduce_target(w)[0].input_size < w.input_size
+        verdict = contains(wp, w)
+        assert verdict == rational_contains(wp, w)
+        outcomes.append((seed % 2 == 0, repeated, verdict.holds))
+    assert all(holds for simulated, _repeated, holds in outcomes if simulated)
+    for repeated in (False, True):
+        random_verdicts = {h for s, r, h in outcomes if not s and r == repeated}
+        assert random_verdicts == {True, False}
 
 
 def _mixed_witness():
