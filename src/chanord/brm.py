@@ -32,7 +32,7 @@ from operator import add
 
 from .channel_core import Channel, DeterministicMap, channel_from_json, channel_to_json
 from .cpc import DEFAULT_MAX_PAIRS, CpcChannel, cpc_from_pairs, skew_compose_channel
-from .errors import DimensionMismatchError, ResourceLimitError
+from .errors import DimensionMismatchError, enforce_cap
 from .lp_solver import FEASIBLE, _ScaledGroup, hull_lp, solve_feasibility
 from .rational import (
     ONE,
@@ -220,11 +220,7 @@ def optimal_average_payoff(
     tests keep the tie order, and the value is one exact division,
     total / (d_W·d_l·|U|).
     """
-    count = g.x_size**g.u_size
-    if count > max_encoders:
-        raise ResourceLimitError(
-            f"encoder enumeration has {count} elements (cap {max_encoders})"
-        )
+    enforce_cap(g.x_size**g.u_size, max_encoders, "encoder enumeration", "elements")
     d_w, w_ints = scaled_ints(p for row in g.randomizer.rows for p in row)
     d_l, l_ints = scaled_ints(c for row in g.payoff_matrix for c in row)
     total, f_img, g_img = _best_pair(_score_tables(w_ints, l_ints, g.y_size, g.v_size))
@@ -253,10 +249,7 @@ def region_generators(
     max_pairs; that failure is a budget statement, never a verdict.
     """
     count = g.x_size**g.u_size * g.v_size**g.y_size
-    if count > max_pairs:
-        raise ResourceLimitError(
-            f"deterministic-pair basis has {count} elements (cap {max_pairs})"
-        )
+    enforce_cap(count, max_pairs, "deterministic-pair basis", "elements")
     d_w, w_ints = scaled_ints(p for row in g.randomizer.rows for p in row)
     d_l, l_ints = scaled_ints(c for row in g.payoff_matrix for c in row)
     scale, tables = d_w * d_l, _score_tables(w_ints, l_ints, g.y_size, g.v_size)
@@ -291,21 +284,16 @@ def region_subset(
     b_scale, b_ints = scaled_ints(v for point in b.points for v in point)
     a_scale, a_ints = scaled_ints(v for point in a.points for v in point)
     common = lcm(a_scale, b_scale)
-    b_unique = []
-    b_unique_ints = []
-    b_seen = set()
-    for k, point in enumerate(b.points):
+    b_unique = {}  # key -> ints of b's first point with it
+    for k in range(len(b.points)):
         ints = b_ints[k * dim : (k + 1) * dim]
-        key = _key(ints, common // b_scale)
-        if key not in b_seen:
-            b_seen.add(key)
-            b_unique.append(point)
-            b_unique_ints.extend(ints)
-    b_group = _ScaledGroup(b_unique, (b_scale, b_unique_ints))
+        b_unique.setdefault(_key(ints, common // b_scale), ints)
+    flat = [v for ints in b_unique.values() for v in ints]
+    b_group = _ScaledGroup(b_scale, flat, len(b_unique), dim)
     inside = set()  # a's points found inside so far
     for k, point in enumerate(a.points):
         key = _key(a_ints[k * dim : (k + 1) * dim], common // a_scale)
-        if key in b_seen or key in inside:
+        if key in b_unique or key in inside:
             continue
         if solve_feasibility(hull_lp(point, b_group)).tag != FEASIBLE:
             return RegionInclusion(inside_all=False, violator=point)

@@ -228,16 +228,11 @@ def caratheodory_reduce(v: CpcChannel) -> CpcChannel:
     dropped = [i for i, p in enumerate(point) if not p]
     if any(atom[i] for atom in atoms for i in dropped):
         raise InternalCheckError("an atom is nonzero where the mixture is zero")
-    atom_scale = r_scale * t_scale
-    point_scale = alpha_scale * atom_scale
-    generators = [
-        tuple(Rat(atom[i], atom_scale) if atom[i] else ZERO for i in support)
-        for atom in atoms
-    ]
+    dim, atom_scale = len(support), r_scale * t_scale
     flat = [atom[i] for atom in atoms for i in support]
-    point_rats = tuple(Rat(point[i], point_scale) for i in support)
-    group = _ScaledGroup(generators, (atom_scale, flat))
-    outcome = solve_feasibility(hull_lp(point_rats, group))
+    group = _ScaledGroup(atom_scale, flat, len(atoms), dim)
+    point_group = _ScaledGroup(alpha_scale * atom_scale, [point[i] for i in support], 1, dim)
+    outcome = solve_feasibility(hull_lp(point_group, group))
     if outcome.tag != FEASIBLE:
         raise InternalCheckError("convex-product channel is outside its atoms' hull")
     kept = tuple(

@@ -3,17 +3,18 @@
 Programs are max cᵀx subject to A·x = b, x ≥ 0, with every coefficient an
 exact rational. The solver is a dense-tableau two-phase simplex with
 Bland's pivoting rule, so it terminates on every input; nothing is ever
-rounded. Each program has one integer image, L·[A | b]: the caller's
-rationals scaled by their common denominator L (rational.scaled_ints)
-before any pivot. hull_lp builds it group by group and attaches it; any
-other StandardLp computes it on first use. The tableau starts from that
-image, keeps every row as Python ints over one shared positive
-denominator D, and pivots integer-preserving (Edmonds–Bareiss), so the
-inner loops never build a rational, whichever backend rational.py picks.
-One global L, rather than a scale per row, keeps every sign test and tie
-of the rational simplex, hence its pivot path, vertex and duals. A row
-whose pivot-column entry is 0 only rescales at a pivot, p·t // D, and
-skips the pivot row; in a tall hull program most rows do.
+rounded. A program is its integer image, L·[A | b] as Python ints (L > 0
+a common denominator), and its rational objective c; A and b are read
+back from the image. standard_lp scales the caller's rationals once
+(rational.scaled_ints), and hull_lp builds the image group by group,
+from ints a caller may already hold. The tableau starts from that image,
+keeps every row as Python ints over one shared positive denominator D,
+and pivots integer-preserving (Edmonds–Bareiss), so the inner loops
+never build a rational, whichever backend rational.py picks. One global
+L, rather than a scale per row, keeps every sign test and tie of the
+rational simplex, hence its pivot path, vertex and duals. A row whose
+pivot-column entry is 0 only rescales at a pivot, p·t // D, and skips
+the pivot row; in a tall hull program most rows do.
 
 Every answer carries a certificate that is re-verified exactly against
 the image, never against tableau rows, on ints; the exact rationals
@@ -51,7 +52,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
+from itertools import islice
+from math import gcd, lcm
 from operator import mul
 
 from .errors import (
@@ -61,7 +63,7 @@ from .errors import (
     LpUnboundedError,
     ResourceLimitError,
 )
-from .rational import ONE, ZERO, Rat, scaled_ints
+from .rational import ZERO, Rat, scaled_ints
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -72,85 +74,95 @@ DEFAULT_MAX_PIVOTS = 100_000
 
 @dataclass(frozen=True)
 class StandardLp:
-    """Equality-form data: A (r×c), right-hand side b, objective c_vec.
+    """max cᵀx over A·x = b, x ≥ 0, held as its integer image.
 
-    Variables are implicitly nonnegative. Use a zero objective for pure
-    feasibility questions.
+    scale is L, a positive int common denominator; a_ints are the rows of
+    L·A and b_ints is L·b, as ints; objective is c, exact rationals (zero
+    for a feasibility question). constraint_matrix and rhs, A and b as
+    exact rationals, are derived from the image once, on first use.
     """
 
-    constraint_matrix: tuple
-    rhs: tuple
+    scale: int
+    a_ints: tuple
+    b_ints: tuple
     objective: tuple
 
     def __post_init__(self):
-        r = len(self.constraint_matrix)
-        if len(self.rhs) != r:
+        if type(self.scale) is not int or self.scale < 1:
+            raise ValueError(f"scale must be a positive int, got {self.scale!r}")
+        if len(self.b_ints) != len(self.a_ints):
             raise DimensionMismatchError("rhs length does not match row count")
         c = len(self.objective)
-        for row in self.constraint_matrix:
+        for row in self.a_ints:
             if len(row) != c:
                 raise DimensionMismatchError("constraint row length mismatch")
 
     @property
     def num_rows(self) -> int:
-        return len(self.constraint_matrix)
+        return len(self.a_ints)
 
     @property
     def num_cols(self) -> int:
         return len(self.objective)
 
     @cached_property
-    def _image(self):
-        """(L, L·A as int rows, L·b as ints), L the common denominator of
-        A and b. hull_lp sets the same image without this scan."""
-        scale, flat = scaled_ints(
-            v
-            for arow, bval in zip(self.constraint_matrix, self.rhs)
-            for v in (*arow, bval)
-        )
-        width = self.num_cols + 1
-        rows = tuple(tuple(flat[k : k + width - 1]) for k in range(0, len(flat), width))
-        return scale, rows, tuple(flat[width - 1 :: width])
+    def constraint_matrix(self) -> tuple:
+        return tuple(tuple(Rat(v, self.scale) for v in row) for row in self.a_ints)
+
+    @cached_property
+    def rhs(self) -> tuple:
+        return tuple(Rat(v, self.scale) for v in self.b_ints)
 
 
 def standard_lp(matrix, rhs, objective=None) -> StandardLp:
-    """Convenience constructor converting entries to exact rationals."""
-    mat = tuple(tuple(Rat(v) for v in row) for row in matrix)
-    b = tuple(Rat(v) for v in rhs)
+    """The program of A = matrix, b = rhs and c = objective (zero if None),
+    their entries anything Rat accepts; A and b are scaled once, to their
+    least common denominator L. Rationals and ints are read as they are:
+    Rat is called on entries only when one of them needs parsing."""
+    rows = [tuple(row) for row in matrix] + [tuple(rhs)]
+    try:
+        scale, flat = scaled_ints(v for row in rows for v in row)
+    except AttributeError:  # an entry such as a "p/q" string or a float
+        rows = [tuple(map(Rat, row)) for row in rows]
+        scale, flat = scaled_ints(v for row in rows for v in row)
+    ints = iter(flat)
+    *a_ints, b_ints = (tuple(islice(ints, len(row))) for row in rows)
     if objective is None:
-        width = len(mat[0]) if mat else 0
-        c = (ZERO,) * width
-    else:
-        c = tuple(Rat(v) for v in objective)
-    return StandardLp(mat, b, c)
+        objective = (ZERO,) * (len(rows[0]) if a_ints else 0)
+    c = tuple(v if type(v) is Rat else Rat(v) for v in objective)
+    return StandardLp(scale, tuple(a_ints), b_ints, c)
 
 
 class _ScaledGroup:
-    """A generator group of hull_lp, transposed and scaled to ints once.
+    """A generator group of hull_lp, as ints over one scale, transposed.
 
-    rows[i] holds coordinate i of every generator (none for an empty
-    group) and int_rows[i] the same times scale, a common denominator
-    of the group. hull_lp scales a plain sequence into one of these on
-    every call; a caller that asks about many points against one group
-    passes it pre-scaled instead. A caller that has scaled the generators
-    already passes scaled, (scale, ints generator after generator), as
-    rational.scaled_ints returns it for their entries in that order; any
-    common denominator will do, not only the least.
+    Built from (scale, ints, size, length): the entries of size generators
+    of length coordinates, times scale, generator after generator, as
+    scaled_ints returns them. Any common denominator will do; the gcd
+    reduces it to the least. int_rows[i] holds coordinate i of every
+    generator. hull_lp scales plain generators with of() on every call; a
+    caller that holds the ints, or tests many points against one group,
+    passes a group, and may pass the point as a group of one generator.
     """
 
-    __slots__ = ("size", "rows", "scale", "int_rows")
+    __slots__ = ("scale", "size", "length", "int_rows")
 
-    def __init__(self, generators, scaled=None):
+    def __init__(self, scale: int, ints, size: int, length: int):
+        common = gcd(scale, *ints)
+        if common > 1:
+            scale, ints = scale // common, [v // common for v in ints]
+        self.scale, self.size, self.length = scale, size, length
+        self.int_rows = tuple(tuple(ints[i::length]) for i in range(length))
+
+    @classmethod
+    def of(cls, generators):
+        """The group of a sequence of equally long rational generators."""
         generators = tuple(generators)
-        if len({len(gen) for gen in generators}) > 1:
+        lengths = {len(gen) for gen in generators}
+        if len(lengths) > 1:
             raise DimensionMismatchError("hull generators differ in length")
-        self.size = len(generators)
-        self.rows = tuple(zip(*generators))
-        if scaled is None:
-            scaled = scaled_ints(v for gen in generators for v in gen)
-        self.scale, flat = scaled
-        dim = len(self.rows)
-        self.int_rows = tuple(tuple(flat[i::dim]) for i in range(dim))
+        scale, ints = scaled_ints(v for gen in generators for v in gen)
+        return cls(scale, ints, len(generators), lengths.pop() if lengths else 0)
 
 
 def hull_lp(point, *groups) -> StandardLp:
@@ -170,37 +182,30 @@ def hull_lp(point, *groups) -> StandardLp:
     generator whose length is not the point's raises
     DimensionMismatchError.
 
-    The program's integer image is built here, one scaled_ints per group
-    and one for the point, brought to L, the lcm of their scales: the
-    same L and ints as one scaled_ints over the whole program. A
-    pre-scaled group whose scale is not the least may bring a larger L;
-    one L > 0 scales every row alike, so no sign test or answer changes.
+    Only the integer image is built: the point and each group as ints at
+    their least scale (a _ScaledGroup; the point may come as one of a
+    single generator), brought to L, the lcm of those scales. That is
+    the L and the ints of one scaled_ints over the whole program.
     """
-    dim = len(point)
-    groups = [g if isinstance(g, _ScaledGroup) else _ScaledGroup(g) for g in groups]
-    filled = [g for g in groups if g.size]
-    if any(len(g.rows) != dim for g in filled):
+    if isinstance(point, _ScaledGroup):
+        point_scale, point_ints = point.scale, [v for (v,) in point.int_rows]
+    else:
+        point_scale, point_ints = scaled_ints(point)
+    dim = len(point_ints)
+    groups = [g if isinstance(g, _ScaledGroup) else _ScaledGroup.of(g) for g in groups]
+    if any(g.size and g.length != dim for g in groups):
         raise DimensionMismatchError("generator length does not match the point")
-    point_scale, point_ints = scaled_ints(point)
     scale = lcm(point_scale, *(g.scale for g in groups))
-    rows = [sum((g.rows[i] for g in filled), ()) for i in range(dim)]
-    factors = [(g, scale // g.scale) for g in filled]
-    int_rows = [
-        tuple(v * f for g, f in factors for v in g.int_rows[i]) for i in range(dim)
-    ]
+    factors = [(g, scale // g.scale) for g in groups if g.size]
+    rows = [tuple(v * f for g, f in factors for v in g.int_rows[i]) for i in range(dim)]
     width = sum(g.size for g in groups)
     start = 0
     for g in groups:
-        end = start + g.size
-        rows.append((ZERO,) * start + (ONE,) * g.size + (ZERO,) * (width - end))
-        int_rows.append((0,) * start + (scale,) * g.size + (0,) * (width - end))
-        start = end
-    k = len(groups)
+        rows.append((0,) * start + (scale,) * g.size + (0,) * (width - start - g.size))
+        start += g.size
     factor = scale // point_scale
-    lp = StandardLp(tuple(rows), tuple(point) + (ONE,) * k, (ZERO,) * width)
-    image = (scale, tuple(int_rows), tuple(v * factor for v in point_ints) + (scale,) * k)
-    object.__setattr__(lp, "_image", image)
-    return lp
+    b_ints = tuple(v * factor for v in point_ints) + (scale,) * len(groups)
+    return StandardLp(scale, tuple(rows), b_ints, (ZERO,) * width)
 
 
 @dataclass(frozen=True)
@@ -219,16 +224,16 @@ class _Tableau:
     dual extractions read. The tableau is rows / denom: every row, and
     every reduced-cost row, holds ints over the one positive denom D.
 
-    The initial rows are [s·L·A_i | e_i | s·L·b_i], read off the
-    program's integer image (L the common denominator of A and b), with
+    The initial rows are [s·L·A_i | e_i | s·L·b_i], read off image, the
+    program's integer image (L·A, L·b), kept for the exit checks, with
     s = ±1 making the rhs nonnegative; the artificial block stays the
     identity. A pivot on entry p leaves its row as it is, replaces each
     other entry t of a row whose pivot-column entry is f by
     (p·t − f·v) // D, v being the pivot row's entry in t's column, and
-    makes p the new D (Edmonds 1967,
-    Bareiss 1968): every entry is then a minor of the initial rows, so
-    each division is exact. Only expelling an artificial can pivot on a
-    negative entry; all rows and D are then negated to keep D positive.
+    makes p the new D (Edmonds 1967, Bareiss 1968): every entry is then a
+    minor of the initial rows, so each division is exact. Only expelling
+    an artificial can pivot on a negative entry; all rows and D are then
+    negated to keep D positive.
 
     Scaling [A | b] by one L > 0 multiplies the phase-one reduced costs of
     the original columns by L and all ratio-test quotients of one column
@@ -242,23 +247,19 @@ class _Tableau:
 
     def __init__(self, image, ncols: int, max_pivots: int):
         self.ncols = ncols
-        self.scale, a_rows, b = image
+        a_rows, b = self.image = image
         self.num_orig_rows = r = len(b)
         self.max_pivots = max_pivots
         self.pivots_used = 0
         self.denom = 1
         # Row signs are flipped so the rhs is nonnegative; remembering the
         # signs lets duals be mapped back to the caller's row order.
-        self.row_signs = []
-        self.rows = []
-        self.basis = []
-        for i, (arow, bval) in enumerate(zip(a_rows, b)):
-            sign = -1 if bval < 0 else 1
-            self.row_signs.append(sign)
-            art = [0] * r
-            art[i] = 1
-            self.rows.append([sign * v for v in arow] + art + [sign * bval])
-            self.basis.append(ncols + i)
+        self.row_signs = [-1 if bval < 0 else 1 for bval in b]
+        self.rows = [
+            [s * v for v in arow] + [0] * i + [1] + [0] * (r - i - 1) + [s * bval]
+            for i, (s, arow, bval) in enumerate(zip(self.row_signs, a_rows, b))
+        ]
+        self.basis = list(range(ncols, ncols + r))
 
     def append_column(self, ints):
         """Enter one more original column, given as L·a over the rows, at
@@ -400,14 +401,14 @@ def _eliminate(target, row, p, d, pc):
     return [(p * t - f * v) // d for t, v in zip(target, row)]
 
 
-# The exit checks read the program's integer image (L, L·A, L·b), never
+# The exit checks read the program's integer image (L·A, L·b), never
 # tableau rows. Every scale in play (L, D, Lc) is positive, so each sign
 # test and equality below is the rational one on the caller's data.
 
 
 def _check_primal(image, support, denom):
     """x = r/D over its support: x ≥ 0 and (L·A)·r = D·(L·b)."""
-    _scale, a_rows, b = image
+    a_rows, b = image
     if any(r < 0 for _j, r in support):
         raise InternalCheckError("primal point has a negative coordinate")
     for arow, bval in zip(a_rows, b):
@@ -426,7 +427,7 @@ def _dual_columns(a_rows, y, ncols):
 
 def _check_farkas(image, y, ncols):
     """y (ints, over D > 0): yᵀA ≤ 0 and yᵀb > 0."""
-    _scale, a_rows, b = image
+    a_rows, b = image
     if any(v > 0 for v in _dual_columns(a_rows, y, ncols)):
         raise InternalCheckError("Farkas dual fails yᵀA <= 0")
     if sum(map(mul, y, b)) <= 0:
@@ -437,7 +438,7 @@ def _check_optimal(image, cost, support, denom, prices, value):
     """cost = Lc·c as ints, x = r/D, dual prices L·prices/(Lc·D) and value
     value/(Lc·D): A·x = b, x ≥ 0, cᵀx = value, yᵀA ≥ c and yᵀb = value."""
     _check_primal(image, support, denom)
-    _scale, a_rows, b = image
+    a_rows, b = image
     if sum(cost[j] * r for j, r in support) != value:
         raise InternalCheckError("objective value mismatch")
     columns = _dual_columns(a_rows, prices, len(cost))
@@ -456,7 +457,7 @@ def _rationals(entries, den, width):
     return tuple(out)
 
 
-def _phase_one(tab: _Tableau, image):
+def _phase_one(tab: _Tableau):
     """Phase one from the tableau's current basis: the checked Farkas dual,
     as ints over D, when artificials stay positive; else None, with them
     expelled."""
@@ -464,27 +465,27 @@ def _phase_one(tab: _Tableau, image):
     z = tab.run([0] * tab.ncols + [-1] * r, tab.ncols + r)
     if z[-1] > 0:  # -value·L·D; positive iff artificials remain
         y = tab.farkas_duals(z)
-        _check_farkas(image, y, tab.ncols)
+        _check_farkas(tab.image, y, tab.ncols)
         return y
     tab.drop_redundant_and_expel_artificials()
     return None
 
 
-def _feasibility_outcome(tab: _Tableau, image, farkas) -> LpOutcome:
+def _feasibility_outcome(tab: _Tableau, farkas) -> LpOutcome:
     """The verified answer after phase one: the point of the expelled
     tableau when farkas is None, else the Farkas dual farkas/D."""
     if farkas is not None:
         dual = _rationals(enumerate(farkas), tab.denom, len(farkas))
         return LpOutcome(tag=INFEASIBLE, dual_certificate=dual)
     support = tab.support()
-    _check_primal(image, support, tab.denom)
+    _check_primal(tab.image, support, tab.denom)
     return LpOutcome(tag=FEASIBLE, primal=_rationals(support, tab.denom, tab.ncols))
 
 
 def solve_feasibility(lp: StandardLp, max_pivots: int = DEFAULT_MAX_PIVOTS) -> LpOutcome:
     """Decide A·x = b, x ≥ 0, returning a verified point or Farkas dual."""
-    tab = _Tableau(lp._image, lp.num_cols, max_pivots)
-    return _feasibility_outcome(tab, lp._image, _phase_one(tab, lp._image))
+    tab = _Tableau((lp.a_ints, lp.b_ints), lp.num_cols, max_pivots)
+    return _feasibility_outcome(tab, _phase_one(tab))
 
 
 def maximize(lp: StandardLp, max_pivots: int = DEFAULT_MAX_PIVOTS) -> LpOutcome:
@@ -493,21 +494,21 @@ def maximize(lp: StandardLp, max_pivots: int = DEFAULT_MAX_PIVOTS) -> LpOutcome:
     Raises LpInfeasibleError / LpUnboundedError accordingly. The outcome's
     dual_certificate holds the optimal dual prices.
     """
-    tab = _Tableau(lp._image, lp.num_cols, max_pivots)
-    if _phase_one(tab, lp._image) is not None:
+    tab = _Tableau((lp.a_ints, lp.b_ints), lp.num_cols, max_pivots)
+    if _phase_one(tab) is not None:
         raise LpInfeasibleError("maximize called on an infeasible program")
     objective_scale, cost = scaled_ints(lp.objective)
     # Artificial columns stay out of the entering scan; they only track B⁻¹.
     z = tab.run(cost + [0] * tab.num_orig_rows, tab.ncols)
     support = tab.support()
     prices, value = tab.optimal_duals(z)
-    _check_optimal(lp._image, cost, support, tab.denom, prices, value)
+    _check_optimal(tab.image, cost, support, tab.denom, prices, value)
     den = objective_scale * tab.denom
     return LpOutcome(
         tag=OPTIMAL,
         primal=_rationals(support, tab.denom, tab.ncols),
         dual_certificate=_rationals(
-            ((k, tab.scale * p) for k, p in enumerate(prices)), den, len(prices)
+            ((k, lp.scale * p) for k, p in enumerate(prices)), den, len(prices)
         ),
         value=Rat(value, den),
     )
@@ -535,20 +536,19 @@ def priced_hull(
     solve and the final expulsion together.
     """
     b = (*point_ints, scale)
-    image = (scale, tuple([] for _ in b), b)
-    tab = _Tableau(image, 0, max_pivots)
+    tab = _Tableau((tuple([] for _ in b), b), 0, max_pivots)
     keys = set()
     while True:
-        farkas = _phase_one(tab, image)
+        farkas = _phase_one(tab)
         column = None if farkas is None else price(farkas)
         if column is None:
-            return _feasibility_outcome(tab, image, farkas)
+            return _feasibility_outcome(tab, farkas)
         if len(column) != len(point_ints):
             raise DimensionMismatchError("generator length does not match the point")
         ints = (*column, scale)
         if ints in keys:
             raise InternalCheckError("priced column is already in the master program")
         keys.add(ints)
-        for arow, v in zip(image[1], ints):
+        for arow, v in zip(tab.image[0], ints):
             arow.append(v)
         tab.append_column(ints)

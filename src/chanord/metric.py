@@ -28,7 +28,7 @@ from .brm import BrmGame, optimal_average_payoff
 from .channel_core import Channel, tv_distance
 from .cpc import DEFAULT_MAX_PAIRS, pair_column
 from .errors import DimensionMismatchError, InternalCheckError
-from .lp_solver import StandardLp, maximize
+from .lp_solver import maximize, standard_lp
 from .prng import counter_int
 from .rational import ONE, ZERO, Rat, rat_str
 
@@ -75,29 +75,16 @@ def _restricted_ascent(active, pieces, n, m):
     the optimal payoff is the vector of dual prices on those rows.
     """
     dim = n * m
-    k = len(pieces)
-    ncols = k + dim + 2  # piece mixture, slacks, z+ and z-
-    rows = []
-    rhs = []
-    for coord in range(dim):
-        row = [ZERO] * ncols
-        for j in range(k):
-            row[j] = active[coord] - pieces[j][coord]
-        row[k + coord] = ONE
-        row[k + dim] = -ONE
-        row[k + dim + 1] = ONE
-        rows.append(tuple(row))
-        rhs.append(ZERO)
-    convexity = [ZERO] * ncols
-    for j in range(k):
-        convexity[j] = ONE
-    rows.append(tuple(convexity))
-    rhs.append(ONE)
-    objective = [ZERO] * ncols
-    objective[k + dim] = -ONE
-    objective[k + dim + 1] = ONE
-    lp = StandardLp(tuple(rows), tuple(rhs), tuple(objective))
-    outcome = maximize(lp)
+    # Columns: piece mixture, slacks, z+ and z-.
+    rows = [
+        [a - piece[coord] for piece in pieces]
+        + [ZERO] * coord + [ONE] + [ZERO] * (dim - coord - 1)
+        + [-ONE, ONE]
+        for coord, a in enumerate(active)
+    ]
+    rows.append([ONE] * len(pieces) + [ZERO] * (dim + 2))
+    objective = [ZERO] * (len(pieces) + dim) + [-ONE, ONE]
+    outcome = maximize(standard_lp(rows, [ZERO] * dim + [ONE], objective))
     duals = outcome.dual_certificate
     candidate = duals[:dim]
     total = sum(candidate, start=ZERO)

@@ -39,8 +39,8 @@ from .channel_core import (
     identity_channel,
 )
 from .cpc import DEFAULT_MAX_PAIRS, CpcChannel, cpc_from_pairs, skew_compose_channel
-from .errors import DimensionMismatchError, InternalCheckError, ResourceLimitError
-from .lp_solver import FEASIBLE, hull_lp, priced_hull, solve_feasibility
+from .errors import DimensionMismatchError, InternalCheckError, enforce_cap
+from .lp_solver import FEASIBLE, _ScaledGroup, hull_lp, priced_hull, solve_feasibility
 from .rational import (
     ONE,
     ZERO,
@@ -194,11 +194,7 @@ def contains(
         return OrderingVerdict(tag=CONTAINS, witness=witness)
     w_red, input_map, output_injection = _reduce_target(w)
     n, m = w_red.input_size, w_red.output_size
-    count = wp.input_size**n
-    if count > max_pairs:
-        raise ResourceLimitError(
-            f"encoder enumeration has {count} elements (cap {max_pairs})"
-        )
+    enforce_cap(wp.input_size**n, max_pairs, "encoder enumeration", "elements")
     # A pair column sums entries of one wp row, so its denominators divide
     # d_W; with the target's, they fix the master's scale L.
     d_t, target = scaled_ints(p for row in w_red.rows for p in row)
@@ -325,15 +321,17 @@ def input_degraded_from(w: Channel, wp: Channel) -> Channel | None:
     """Some input randomizer R with w = wp ∘ R, or None if none exists.
 
     Row x of R is the weight vector of row x of w as a convex combination
-    of the rows of wp, one hull program per row.
+    of the rows of wp, one hull program per row; wp's rows are scaled to
+    ints once for all of them.
     """
     if w.output_size != wp.output_size:
         raise DimensionMismatchError("input_degraded_from: output alphabets differ")
     if w == wp:
         return identity_channel(w.input_size)
+    group = _ScaledGroup.of(wp.rows)
     r_rows = []
     for row in w.rows:
-        outcome = solve_feasibility(hull_lp(row, wp.rows))
+        outcome = solve_feasibility(hull_lp(row, group))
         if outcome.tag != FEASIBLE:
             return None
         r_rows.append(outcome.primal)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement, product
 
 from .channel_core import Channel
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, enforce_cap
 from .rational import ONE, ZERO
 
 DEFAULT_MAX_OUTPUT_BLOCKS = 10**6
@@ -155,11 +155,8 @@ def ml_error_probability(
     for word in e.codewords:
         if any(symbol > w.input_size for symbol in word):
             raise ValueError("codeword symbol outside the channel input alphabet")
-    block_count = w.output_size**e.blocklength
-    if block_count > max_output_blocks:
-        raise ResourceLimitError(
-            f"output enumeration has {block_count} blocks (cap {max_output_blocks})"
-        )
+    blocks = w.output_size**e.blocklength
+    enforce_cap(blocks, max_output_blocks, "output enumeration", "blocks")
     credited = ZERO
     for block in product(range(w.output_size), repeat=e.blocklength):
         best = ZERO
@@ -189,12 +186,8 @@ def optimal_error_probability(
     """
     if n < 1 or big_m < 1:
         raise ValueError("blocklength and message count must be >= 1")
-    word_count = w.input_size**n
-    codebook_count = math.comb(word_count + big_m - 1, big_m)
-    if codebook_count > max_codebooks:
-        raise ResourceLimitError(
-            f"codebook enumeration has {codebook_count} multisets (cap {max_codebooks})"
-        )
+    codebooks = _codebook_count(w.input_size, n, big_m, max_codebooks)
+    enforce_cap(codebooks, max_codebooks, "codebook enumeration", "multisets")
     words = list(product(range(1, w.input_size + 1), repeat=n))
     best = None
     for codebook in combinations_with_replacement(words, big_m):
@@ -205,3 +198,22 @@ def optimal_error_probability(
             if best == 0:
                 break
     return best
+
+
+def _codebook_count(symbols: int, n: int, size: int, cap: int):
+    """C(symbols**n + size − 1, size), the multisets of size codewords of
+    length n, or None when bit lengths alone show it exceeds cap.
+
+    No number much past the cap is built. For symbols of bit length
+    b ≥ 2, 2^(n·(b − 1)) ≤ symbols**n < 2^(2·n·(b − 1)), and there are at
+    least as many codebooks as words. The count is C(t, k) with t = words
+    + size − 1 and k = min(size, words − 1); as t − k ≥ k it is at least
+    2^k, so math.comb runs only for k below cap's bit length.
+    """
+    if symbols > 1 and n * (symbols.bit_length() - 1) >= cap.bit_length():
+        return None
+    words = symbols**n
+    k = min(size, words - 1)
+    if k >= cap.bit_length():
+        return None
+    return math.comb(words + size - 1, k)

@@ -2,9 +2,9 @@
 
 Everything here recomputes results by brute force or direct formula
 evaluation, deliberately avoiding the library's own algorithmic paths;
-the exceptions, cold_start_contains, rational_contains and
-fraction_caratheodory_reduce, are earlier forms of an algorithm, kept as
-the reference of the form that replaced them.
+the exceptions, rational_hull_program, cold_start_contains,
+rational_contains and fraction_caratheodory_reduce, are earlier forms of
+an algorithm, kept as the reference of the form that replaced them.
 """
 
 import math
@@ -222,6 +222,26 @@ def check_optimal(lp, x, y, value):
     for j in range(lp.num_cols):
         assert _column_dot(lp, y, j) >= lp.objective[j]
     assert sum((yi * bi for yi, bi in zip(y, lp.rhs)), start=ZERO) == value
+
+
+def rational_hull_program(point, *groups):
+    """(A, b, c) of hull_lp(point, *groups) in exact rationals, built the
+    way hull_lp built its rational rows before a program became its
+    integer image: one row per coordinate, holding that coordinate of
+    every generator, group after group; then one convexity row per group,
+    1 on its own generators; b is the point and then a 1 per group; c is
+    zero."""
+    groups = [list(group) for group in groups]
+    width = sum(len(group) for group in groups)
+    rows = [
+        tuple(gen[i] for group in groups for gen in group) for i in range(len(point))
+    ]
+    start = 0
+    for group in groups:
+        end = start + len(group)
+        rows.append((ZERO,) * start + (ONE,) * len(group) + (ZERO,) * (width - end))
+        start = end
+    return tuple(rows), tuple(point) + (ONE,) * len(groups), (ZERO,) * width
 
 
 def cpc_entry(v, x, yp, xp, y):

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -13,7 +14,7 @@ from chanord.channel_core import (
 )
 from chanord import cli, metric, ordering, params
 from chanord.cli import main
-from chanord.errors import InternalCheckError
+from chanord.errors import InternalCheckError, ResourceLimitError, enforce_cap
 from chanord.lp_solver import priced_hull
 from chanord.ordering import witness_from_json, apply_witness
 from chanord.rational import Rat
@@ -330,3 +331,36 @@ def test_non_integer_channel_size_is_an_input_error(capsys, tmp_path):
     bad.write_text(json.dumps({"input_size": 1.9, "output_size": True, "rows": [["1"]]}))
     code, report, err = run_cli(capsys, "capacity", str(bad))
     assert code == 1 and report is None and "malformed channel JSON" in err
+
+
+def test_a_cap_failure_with_an_unprintable_count_exits_2(capsys, tmp_path):
+    # 2^14300 pairs has more digits than Python prints as a str.
+    y = 14300
+    w = {"input_size": 1, "output_size": y, "rows": [["1"] + ["0"] * (y - 1)]}
+    game = tmp_path / "g.json"
+    game.write_text(json.dumps({"u": 1, "x": 1, "y": y, "v": 2, "l": [["1/2", "1/2"]], "w": w}))
+    code, report, err = run_cli(capsys, "region", str(game))
+    assert code == 2 and report is None
+    assert "has at least 2^14300 elements (cap 65536)" in err
+
+
+# 2^n words decide the first three by bit length; in the last, 2^19 words
+# do not, and the count C(2^19 + 399999, 400000) is at least 2^400000.
+@pytest.mark.parametrize(
+    "n, m", [("20", "400000"), ("30", "100000000"), ("100000000", "2"), ("19", "400000")]
+)
+def test_perr_decides_a_huge_codebook_count_at_once(capsys, write_channel, n, m):
+    a = write_channel("a.json", bsc("1/10"))
+    started = time.perf_counter()
+    code, report, err = run_cli(capsys, "perr", a, "--n", n, "--M", m)
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and report is None
+    assert "codebook enumeration has more than 1000000 multisets (cap 1000000)" in err
+
+
+def test_cap_messages_print_the_count_or_a_power_of_two_below_it():
+    enforce_cap(5, 5, "enumeration", "elements")
+    for count, text in [(6, "6"), (None, "more than 5"), (3 * 2**20000, "at least 2^20001")]:
+        with pytest.raises(ResourceLimitError) as caught:
+            enforce_cap(count, 5, "enumeration", "elements")
+        assert str(caught.value) == f"enumeration has {text} elements (cap 5)"

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from oracles import (
     check_optimal,
     check_primal,
     matrix_rank,
+    rational_hull_program,
     reference_simplex,
     round_by_round,
     vertex_enumeration_maximum,
@@ -25,6 +28,7 @@ from chanord.lp_solver import (
     FEASIBLE,
     INFEASIBLE,
     OPTIMAL,
+    StandardLp,
     _ScaledGroup,
     _Tableau,
     _eliminate,
@@ -216,14 +220,15 @@ def test_hull_lp_weights_or_separating_hyperplane(instance):
 
 
 @st.composite
-def hull_sum_instances(draw):
-    """A point and 1–3 generator groups of 0–3 generators each, so empty
-    and one-generator groups occur. When no group is empty, half the
-    points are drawn as a sum of one convex combination per group."""
+def hull_sum_instances(draw, max_groups=3):
+    """A point and 1 to max_groups generator groups of 0–3 generators
+    each, so empty and one-generator groups occur. When no group is empty,
+    half the points are drawn as a sum of one convex combination per
+    group."""
     dim = draw(st.integers(1, 3))
     groups = [
         [tuple(draw(small_rationals()) for _ in range(dim)) for _ in range(size)]
-        for size in draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+        for size in draw(st.lists(st.integers(0, 3), min_size=1, max_size=max_groups))
     ]
     if all(groups) and draw(st.booleans()):
         point = [ZERO] * dim
@@ -419,9 +424,11 @@ def test_eliminate_is_the_bareiss_update_with_and_without_a_multiplier(data):
         [[()]],
         [[(ONE,), (ONE, ONE)]],
         [[(ONE,)], [(ONE, ZERO)]],
-        [_ScaledGroup([(ONE, Rat(5))])],
+        [_ScaledGroup.of([(ONE, Rat(5))])],
+        [_ScaledGroup(1, [], 1, 0)],
     ],
-    ids=["longer", "shorter", "mixed-group", "second-group", "pre-scaled"],
+    ids=["longer", "shorter", "mixed-group", "second-group", "pre-scaled",
+         "pre-scaled-shorter"],
 )
 def test_hull_lp_rejects_a_generator_of_another_length(groups):
     with pytest.raises(DimensionMismatchError):
@@ -490,7 +497,8 @@ def _flat(channel):
 
 def test_library_lp_outcomes_pass_the_rational_oracles(monkeypatch):
     """Every LP answer the oracles get back is re-checked against the
-    program's own rational fields, outside the solver's integer checks."""
+    program's rational A, b and c, derived from its integer image, outside
+    the solver's integer checks."""
     seen = []
 
     def recording(solve):
@@ -565,28 +573,116 @@ def test_library_lp_outcomes_pass_the_rational_oracles(monkeypatch):
     assert any(kept < full for kept, full in chain_rows), chain_rows
 
 
-def image_by_one_scaling(lp):
+def image_by_one_scaling(matrix, rhs):
     """(L, L·A, L·b) from one scaled_ints over the whole program."""
-    scale, flat = scaled_ints(
-        v for row, b in zip(lp.constraint_matrix, lp.rhs) for v in (*row, b)
-    )
-    width = lp.num_cols + 1
+    scale, flat = scaled_ints(v for row, b in zip(matrix, rhs) for v in (*row, b))
+    width = len(flat) // len(rhs)
     rows = tuple(tuple(flat[k : k + width - 1]) for k in range(0, len(flat), width))
     return scale, rows, tuple(flat[width - 1 :: width])
 
 
-@settings(max_examples=150)
-@given(instance=hull_sum_instances(), data=st.data())
-def test_hull_lp_image_equals_one_scaling_of_the_program(instance, data):
-    point, groups, _inside = instance
-    if data.draw(st.booleans()):
-        groups.insert(data.draw(st.integers(0, len(groups))), [])
-    scaled = [
-        _ScaledGroup(group) if data.draw(st.booleans()) else group for group in groups
-    ]
-    lp = hull_lp(point, *scaled)
+def prescaled(generators, length, factor):
+    """generators as a _ScaledGroup at factor times their least scale."""
+    scale, ints = scaled_ints(v for gen in generators for v in gen)
+    return _ScaledGroup(scale * factor, [v * factor for v in ints], len(generators), length)
+
+
+@st.composite
+def prescaled_hull_programs(draw):
+    """hull_lp arguments drawn as hull_sum_instances, with 1–4 groups and
+    empty groups inserted; each group, and the point, is passed either
+    as rationals or pre-scaled at a multiple of its least scale. Returns
+    (point, groups as rationals, the arguments as passed)."""
+    point, groups, _inside = draw(hull_sum_instances(max_groups=4))
+    if len(groups) < 4 and draw(st.booleans()):
+        groups.insert(draw(st.integers(0, len(groups))), [])
+    factors = st.one_of(st.none(), st.sampled_from([1, 2, 6]))
+
+    def as_passed(generators, plain):
+        factor = draw(factors)
+        return plain if factor is None else prescaled(generators, len(point), factor)
+
+    passed = [as_passed([point], point), *(as_passed(g, g) for g in groups)]
+    return point, groups, passed
+
+
+@settings(max_examples=200)
+@given(program=prescaled_hull_programs())
+def test_hull_lp_image_equals_one_scaling_of_the_program(program):
+    point, groups, passed = program
+    lp = hull_lp(*passed)
     assert lp == hull_lp(point, *groups)
-    assert lp._image == image_by_one_scaling(lp)
+    assert (lp.scale, lp.a_ints, lp.b_ints) == image_by_one_scaling(
+        *rational_hull_program(point, *groups)[:2]
+    )
+
+
+@settings(max_examples=200)
+@given(program=prescaled_hull_programs())
+def test_hull_lp_derives_the_rational_program(program):
+    point, groups, passed = program
+    lp = hull_lp(*passed)
+    assert (lp.constraint_matrix, lp.rhs, lp.objective) == rational_hull_program(
+        point, *groups
+    )
+    assert (lp.num_rows, lp.num_cols) == (len(point) + len(groups), len(lp.objective))
+
+
+# (A, b, c) with mixed denominators, and one of whole numbers for int.
+FRACTIONAL = (
+    [[Rat(1, 2), Rat(-3)], [ZERO, Rat(5, 6)], [Rat(7), Rat(-1, 4)]],
+    [Rat(2, 3), ONE, Rat(-9, 10)],
+    [Rat(-1, 5), Rat(4)],
+)
+WHOLE = ([[Rat(3), Rat(-2)], [ZERO, ONE], [Rat(4), Rat(-7)]], [Rat(5), ZERO, -ONE],
+         [Rat(2), Rat(-3)])
+
+
+@pytest.mark.parametrize(
+    "convert, program",
+    [(int, WHOLE), (str, FRACTIONAL), (Fraction, FRACTIONAL), (Rat, FRACTIONAL)],
+    ids=["int", "str", "Fraction", "Rat"],
+)
+def test_standard_lp_round_trips_its_entries(convert, program):
+    matrix, rhs, objective = program
+    lp = standard_lp(
+        [[convert(v) for v in row] for row in matrix],
+        [convert(v) for v in rhs],
+        [convert(v) for v in objective],
+    )
+    assert lp.constraint_matrix == tuple(map(tuple, matrix))
+    assert lp.rhs == tuple(rhs) and lp.objective == tuple(objective)
+    assert all(type(v) is Rat for v in lp.objective)
+    assert (lp.scale, lp.a_ints, lp.b_ints) == image_by_one_scaling(matrix, rhs)
+    # The derived rationals are computed once and are read-only.
+    assert lp.constraint_matrix is lp.constraint_matrix and lp.rhs is lp.rhs
+    with pytest.raises(AttributeError):
+        lp.rhs = ()
+    assert standard_lp(matrix, rhs).objective == (ZERO, ZERO)
+    assert standard_lp([], []).num_cols == 0
+
+
+@pytest.mark.parametrize(
+    "fields, error",
+    [
+        ((0, ((1,),), (1,), (ZERO,)), ValueError),
+        ((-2, ((1,),), (1,), (ZERO,)), ValueError),
+        ((Rat(2), ((1,),), (1,), (ZERO,)), ValueError),
+        ((True, ((1,),), (1,), (ZERO,)), ValueError),
+        ((1, ((1,),), (1, 2), (ZERO,)), DimensionMismatchError),
+        ((1, ((1, 2),), (1,), (ZERO,)), DimensionMismatchError),
+    ],
+    ids=["zero-scale", "negative-scale", "rational-scale", "bool-scale",
+         "rhs-length", "row-length"],
+)
+def test_standard_lp_rejects_a_bad_scale_or_shape(fields, error):
+    StandardLp(1, ((1,),), (1,), (ZERO,))  # the well-formed program passes
+    with pytest.raises(error):
+        StandardLp(*fields)
+    if error is DimensionMismatchError:
+        scale, a_ints, b_ints, objective = fields
+        with pytest.raises(error):
+            standard_lp(a_ints, b_ints, objective)
 
 
 def listed_price(generators, scale):
@@ -650,7 +746,7 @@ def test_master_pivot_budget_counts_every_round_and_the_expulsion(monkeypatch):
     rounds = []  # one phase one per restricted solve of the master
     phase_one = lp_solver._phase_one
     monkeypatch.setattr(
-        lp_solver, "_phase_one", lambda tab, image: rounds.append(1) or phase_one(tab, image)
+        lp_solver, "_phase_one", lambda tab: rounds.append(1) or phase_one(tab)
     )
     out = priced_hull(point, price, 2)
     assert out.tag == FEASIBLE and len(rounds) == 4 and pivots[-1]

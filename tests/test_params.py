@@ -185,3 +185,21 @@ def test_capacity_agrees_with_two_input_bisection(w, eps):
     got = capacity(w, eps)
     assert got <= exact + 1e-12
     assert exact - got <= eps + 1e-12
+
+
+def test_codebook_cap_boundary_is_the_exact_multiset_count():
+    w = random_channel(2, 3, 5, 8)
+    for n, m in [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2)]:
+        count = math.comb(2**n + m - 1, m)
+        optimal_error_probability(n, m, w, max_codebooks=count)
+        message = rf"has (more than {count - 1}|{count}) multisets \(cap {count - 1}\)"
+        with pytest.raises(ResourceLimitError, match=message):
+            optimal_error_probability(n, m, w, max_codebooks=count - 1)
+
+
+def test_output_block_cap_prints_the_exact_count():
+    enc, w = Encoder(1, 2, ((1, 1),)), identity_channel(3)
+    assert ml_error_probability(enc, w, max_output_blocks=9) == ZERO
+    for cap in (8, 3):
+        with pytest.raises(ResourceLimitError, match=rf"has 9 blocks \(cap {cap}\)"):
+            ml_error_probability(enc, w, max_output_blocks=cap)
