@@ -9,6 +9,7 @@ by index offset and row-major flattening (second factor fastest).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DimensionMismatchError
 from .prng import counter_int
@@ -117,8 +118,14 @@ def compose(v: Channel, w: Channel) -> Channel:
     return Channel(w.input_size, v.output_size, tuple(rows))
 
 
+@lru_cache(maxsize=1024)
 def deterministic(f: DeterministicMap) -> Channel:
-    """The deterministic channel of f: all mass on y == f(x)."""
+    """The deterministic channel of f: all mass on y == f(x).
+
+    Memoized on f (a frozen map that hashes on its ints, and Channels are
+    immutable), so every witness and composition that names the same map
+    shares one validated channel instead of rebuilding it.
+    """
     rows = []
     for x in range(1, f.domain_size + 1):
         row = [ZERO] * f.codomain_size

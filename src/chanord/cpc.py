@@ -8,7 +8,11 @@ the simulated channel Σ_i α_i · T_i ∘ W' ∘ R_i.
 
 Skew-composition is only exposed on CpcChannel values: applied to a
 non-convex-product joint channel the same contraction formula need not
-produce a channel at all, so the type is the guard.
+produce a channel at all, so the type is the guard. It composes every
+term pair on integer images, from one scaling each of the R's and T's
+of either operand, and builds each distinct composed matrix once;
+deterministic channels, memoized in channel_core, are shared rather
+than rebuilt, here and in cpc_from_pairs.
 
 The deterministic pairs (f, g) are the extreme points of this set. This
 module never lists them: pair_column builds the simulated column
@@ -32,6 +36,7 @@ out of the program.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .channel_core import (
     Channel,
@@ -129,15 +134,56 @@ def skew_compose_cpc(v: CpcChannel, vp: CpcChannel) -> CpcChannel:
     v wires X -> X' and Y' -> Y; vp wires X' -> X'' and Y'' -> Y'. The result
     wires X -> X'' and Y'' -> Y with one term per term pair:
     (α_i·α'_j, R'_j ∘ R_i, T_i ∘ T'_j).
+
+    The compositions run on integer images: one scaled_ints each over the
+    R entries of v, the R entries of vp, the T entries of v and the T
+    entries of vp, so R'_j ∘ R_i is an int matrix product over d_R·d_R'
+    and T_i ∘ T'_j one over d_T·d_T'. Term pairs repeat their factors, so
+    each distinct composed matrix becomes one Channel per call; one whose
+    entries are all 0 or 1 is taken from deterministic.
     """
     if v.xp_size != vp.x_size or v.yp_size != vp.y_size:
         raise DimensionMismatchError("skew_compose_cpc: middle alphabets differ")
-    terms = tuple(
-        CpcTerm(a.weight * b.weight, compose(b.r, a.r), compose(a.t, b.t))
-        for a in v.terms
-        for b in vp.terms
+    d_r, r_left = _int_matrices([term.r for term in v.terms])
+    d_rp, r_right = _int_matrices([term.r for term in vp.terms])
+    d_t, t_left = _int_matrices([term.t for term in v.terms])
+    d_tp, t_right = _int_matrices([term.t for term in vp.terms])
+    r_built, t_built = {}, {}
+    terms = []
+    for a, r, t in zip(v.terms, r_left, t_left):
+        for b, rp, tp in zip(vp.terms, r_right, t_right):
+            r_rows, t_rows = _int_product(r, rp), _int_product(tp, t)
+            if r_rows not in r_built:
+                r_built[r_rows] = _channel_over(r_rows, d_r * d_rp)
+            if t_rows not in t_built:
+                t_built[t_rows] = _channel_over(t_rows, d_t * d_tp)
+            terms.append(CpcTerm(a.weight * b.weight, r_built[r_rows], t_built[t_rows]))
+    return CpcChannel(v.x_size, vp.xp_size, vp.yp_size, v.y_size, tuple(terms))
+
+
+def _int_matrices(channels):
+    """(d, each channel's rows as int tuples over d), from one scaled_ints
+    over every entry of channels of one shape."""
+    d, ints = scaled_ints(p for ch in channels for row in ch.rows for p in row)
+    n, m = channels[0].input_size, channels[0].output_size
+    rows = [tuple(ints[i : i + m]) for i in range(0, len(ints), m)]
+    return d, [tuple(rows[i : i + n]) for i in range(0, len(rows), n)]
+
+
+def _int_product(first, then):
+    """The int rows of the composition that runs first, then then."""
+    columns = tuple(zip(*then))
+    return tuple(tuple(sum(map(mul, row, col)) for col in columns) for row in first)
+
+
+def _channel_over(rows, d):
+    """The channel of int rows over d, each row summing to d."""
+    if all(p == 0 or p == d for row in rows for p in row):
+        image = tuple(row.index(d) + 1 for row in rows)
+        return deterministic(DeterministicMap(len(rows), len(rows[0]), image))
+    return Channel(
+        len(rows), len(rows[0]), tuple(tuple(Rat(p, d) for p in row) for row in rows)
     )
-    return CpcChannel(v.x_size, vp.xp_size, vp.yp_size, v.y_size, terms)
 
 
 def skew_compose_channel(v: CpcChannel, wp: Channel) -> Channel:

@@ -245,16 +245,20 @@ def contains(
             )
             weights.append(((f, g), alpha))
     witness = ContainmentWitness(tuple(weights))
-    _verify_witness(witness, wp, w)
+    _verify_witness(witness, wp, w, (d_w, wp_ints))
     return OrderingVerdict(tag=CONTAINS, witness=witness)
 
 
-def _verify_witness(witness: ContainmentWitness, wp: Channel, w: Channel):
+def _verify_witness(
+    witness: ContainmentWitness, wp: Channel, w: Channel, wp_image=None
+):
     """Rebuild Σ α·D_g∘wp∘D_f entry by entry on ints and compare it with w.
 
     The weights are scaled to ints over their common denominator d_α and
-    wp to ints over d_W (one scaled_ints each), so the rebuilt channel is
-    an int matrix over d_α·d_W, compared with w by cross-multiplication.
+    wp to ints over d_W (one scaled_ints each; wp_image, if given, is
+    (d_W, ints) of wp row-major as the caller already scaled it), so the
+    rebuilt channel is an int matrix over d_α·d_W, compared with w by
+    cross-multiplication.
     """
     weights = [weight for _pair, weight in witness.basis_weights]
     if any(weight <= 0 for weight in weights):
@@ -262,7 +266,7 @@ def _verify_witness(witness: ContainmentWitness, wp: Channel, w: Channel):
     d_alpha, alphas = scaled_ints(weights)
     if sum(alphas) != d_alpha:
         raise InternalCheckError("witness weights do not sum to 1")
-    d_w, wp_ints = scaled_ints(p for row in wp.rows for p in row)
+    d_w, wp_ints = wp_image or scaled_ints(p for row in wp.rows for p in row)
     m_p = wp.output_size
     rebuilt = [[0] * w.output_size for _ in range(w.input_size)]
     for ((f, g), _weight), alpha in zip(witness.basis_weights, alphas):
@@ -297,14 +301,16 @@ def degraded_from(w: Channel, wp: Channel) -> Channel | None:
         return identity_channel(w.output_size)
     m_from, m_to = wp.output_size, w.output_size
     # Generator (y2, y1) puts column y2 of wp at output y1 in every input's
-    # block; row y2 of T picks a point of group y2's hull.
-    groups = [
-        [
-            tuple(p if y == y1 else ZERO for p in column for y in range(m_to))
-            for y1 in range(m_to)
-        ]
-        for column in zip(*wp.rows)
-    ]
+    # block; row y2 of T picks a point of group y2's hull. The groups are
+    # cut as ints from one scaling of wp; each reduces to its least scale.
+    d_w, wp_ints = scaled_ints(p for row in wp.rows for p in row)
+    length = w.input_size * m_to
+    groups = []
+    for y2 in range(m_from):
+        ints = [0] * (m_to * length)
+        for y1 in range(m_to):
+            ints[y1 * length + y1 : (y1 + 1) * length : m_to] = wp_ints[y2::m_from]
+        groups.append(_ScaledGroup(d_w, ints, m_to, length))
     outcome = solve_feasibility(hull_lp([p for row in w.rows for p in row], *groups))
     if outcome.tag != FEASIBLE:
         return None

@@ -3,8 +3,10 @@
 Everything here recomputes results by brute force or direct formula
 evaluation, deliberately avoiding the library's own algorithmic paths;
 the exceptions, rational_hull_program, cold_start_contains,
-rational_contains and fraction_caratheodory_reduce, are earlier forms of
-an algorithm, kept as the reference of the form that replaced them.
+rational_contains, fraction_caratheodory_reduce,
+fraction_skew_compose_cpc and rational_group_degraded_from, are earlier
+forms of an algorithm, kept as the reference of the form that replaced
+them.
 """
 
 import math
@@ -12,9 +14,9 @@ from itertools import combinations, product
 
 from chanord import ordering
 from chanord.brm import BrmGame, optimal_average_payoff
-from chanord.channel_core import DeterministicMap
+from chanord.channel_core import Channel, DeterministicMap, compose
 from chanord.cpc import DEFAULT_MAX_PAIRS, CpcChannel, CpcTerm, as_channel, pair_column
-from chanord.errors import InternalCheckError
+from chanord.errors import DimensionMismatchError, InternalCheckError
 from chanord.lp_solver import (
     FEASIBLE,
     INFEASIBLE,
@@ -563,3 +565,43 @@ def fraction_caratheodory_reduce(v):
         if weight != 0
     )
     return CpcChannel(v.x_size, v.xp_size, v.yp_size, v.y_size, kept)
+
+
+def fraction_skew_compose_cpc(v, vp):
+    """cpc.skew_compose_cpc as it ran on rationals: every term pair
+    composed with channel_core.compose, R'_j ∘ R_i and T_i ∘ T'_j, each a
+    new Channel. It is the reference the integer-image skew-composition
+    must agree with term for term.
+    """
+    if v.xp_size != vp.x_size or v.yp_size != vp.y_size:
+        raise DimensionMismatchError("skew_compose_cpc: middle alphabets differ")
+    terms = tuple(
+        CpcTerm(a.weight * b.weight, compose(b.r, a.r), compose(a.t, b.t))
+        for a in v.terms
+        for b in vp.terms
+    )
+    return CpcChannel(v.x_size, vp.xp_size, vp.yp_size, v.y_size, terms)
+
+
+def rational_group_degraded_from(w, wp):
+    """ordering.degraded_from as it built its hull groups: group y2 holds
+    |Y| rational generators, generator y1 putting column y2 of wp at
+    output y1 of every input's block and ZERO elsewhere, which hull_lp
+    scales to ints group by group. It is the reference the groups cut
+    from one scaling of wp must agree with, witness for witness.
+    """
+    m_from, m_to = wp.output_size, w.output_size
+    groups = [
+        [
+            tuple(p if y == y1 else ZERO for p in column for y in range(m_to))
+            for y1 in range(m_to)
+        ]
+        for column in zip(*wp.rows)
+    ]
+    outcome = solve_feasibility(hull_lp([p for row in w.rows for p in row], *groups))
+    if outcome.tag != FEASIBLE:
+        return None
+    return Channel(
+        m_from, m_to,
+        tuple(outcome.primal[y2 * m_to : (y2 + 1) * m_to] for y2 in range(m_from)),
+    )

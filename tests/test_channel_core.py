@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -197,3 +198,17 @@ def test_non_integer_sizes_are_a_value_error(key, size):
     obj[key] = size
     with pytest.raises(ValueError, match="malformed channel JSON"):
         channel_from_json(obj)
+
+
+def test_memoized_deterministic_equals_a_freshly_built_channel():
+    rng = random.Random(20)
+    for _ in range(60):
+        n, m = rng.randint(1, 5), rng.randint(1, 5)
+        f = DeterministicMap(n, m, tuple(rng.randint(1, m) for _ in range(n)))
+        fresh = make_channel([[1 if y == f(x) else 0 for y in range(1, m + 1)]
+                              for x in range(1, n + 1)])
+        assert deterministic(f) == fresh
+        assert all(type(p) is Rat for row in deterministic(f).rows for p in row)
+        # An equal map built anew shares the one channel.
+        assert deterministic(DeterministicMap(n, m, tuple(f.image))) is deterministic(f)
+    assert deterministic.cache_info().maxsize is not None

@@ -392,3 +392,43 @@ def test_non_integer_cpc_sizes_are_a_value_error(index, size):
     bad["sizes"][index] = size
     with pytest.raises(ValueError, match="malformed convex-product channel JSON"):
         cpc_from_json(bad)
+
+
+def witness_operands(seed):
+    """The two deterministic-pair witnesses (v32, v21) that witness_chain
+    composes, W1 ⊒ W2 ⊒ W3 built from the same seeds."""
+    w1 = random_channel(2, 3, seed, 6)
+    w2 = skew_compose_channel(random_cpc(3, 2, 3, 2, seed=seed + 1), w1)
+    w3 = skew_compose_channel(random_cpc(2, 3, 2, 2, seed=seed + 2), w2)
+    return witness_to_cpc(contains(w2, w3).witness), witness_to_cpc(contains(w1, w2).witness)
+
+
+SKEW_CASES = (
+    [witness_operands(seed) for seed in (940, 950, 960, 970)]
+    + [
+        (random_cpc(x, xp, yp, y, seed=1400 + k, n_terms=1 + k % 4),
+         random_cpc(xp, xpp, ypp, yp, seed=1450 + k, n_terms=1 + (k // 4) % 4))
+        for k, (x, xp, yp, y, xpp, ypp) in enumerate(
+            [(2, 2, 2, 2, 2, 2), (1, 3, 2, 1, 2, 3), (3, 2, 1, 2, 3, 2),
+             (2, 3, 3, 2, 1, 2), (3, 1, 2, 3, 2, 1), (2, 2, 3, 3, 3, 2),
+             (1, 1, 1, 1, 1, 1), (3, 3, 2, 2, 2, 3)]
+            * 2
+        )
+    ]
+)
+
+
+@pytest.mark.parametrize("v, vp", SKEW_CASES)
+def test_skew_compose_cpc_equals_the_rational_composition(v, vp):
+    """The integer-image skew-composition keeps the very terms, order,
+    weights, R and T of the composition through channel_core.compose."""
+    composed = skew_compose_cpc(v, vp)
+    reference = oracles.fraction_skew_compose_cpc(v, vp)
+    assert [(t.weight, t.r, t.t) for t in composed.terms] == [
+        (t.weight, t.r, t.t) for t in reference.terms
+    ]
+    assert composed == reference
+    assert cpc_to_json(composed) == cpc_to_json(reference)
+    for term in composed.terms:
+        for channel in (term.r, term.t):
+            assert all(type(p) is Rat for row in channel.rows for p in row)

@@ -1,6 +1,7 @@
 import random
 from itertools import product
 
+import oracles
 import pytest
 from oracles import (
     all_decoder_columns,
@@ -559,3 +560,30 @@ def test_non_integer_witness_sizes_are_a_value_error(key, size):
     obj[key] = size
     with pytest.raises(ValueError, match="malformed witness JSON"):
         witness_from_json(obj)
+
+
+def test_degraded_from_equals_the_rational_group_program(monkeypatch):
+    """Groups cut from one scaling of wp give the program, verdict and T
+    of the rational generator groups, on yes and no cases."""
+    programs = []
+
+    def recording(lp):
+        programs.append(lp)
+        return solve_feasibility(lp)
+
+    monkeypatch.setattr(ordering, "solve_feasibility", recording)
+    monkeypatch.setattr(oracles, "solve_feasibility", recording)
+    verdicts = []
+    for k, (n, mp, m) in enumerate(product(range(1, 5), (1, 2, 4), (1, 3, 4))):
+        wp = random_channel(n, mp, 2400 + k, 7)
+        for w in (compose(random_channel(mp, m, 2500 + k, 5), wp),
+                  random_channel(n, m, 2600 + k, 9)):
+            if w == wp:
+                continue
+            programs.clear()
+            witness = degraded_from(w, wp)
+            assert witness == oracles.rational_group_degraded_from(w, wp)
+            ours, reference = programs
+            assert ours == reference
+            verdicts.append(witness is not None)
+    assert True in verdicts and False in verdicts
