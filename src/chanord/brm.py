@@ -17,10 +17,11 @@ the payoff of u is that channel's row u against l(u, ·).
 The game optimum is one int core, _best_pair: it walks every encoder
 f: U -> X over the tables, and encoders sharing a prefix of images share
 its partial score sums. optimal_average_payoff wraps it for rational
-games; containment prices its columns on it directly, with the master's
-int dual as l. Every scaling is positive, so the value and the reported
-optimal pair (first encoder, smallest decoders) are exactly those of
-scoring every pair in rational arithmetic.
+games, through _scaled_optimum, which the metric search calls with each
+channel scaled once; containment prices its columns on it directly, with
+the master's int dual as l. Every scaling is positive, so the value and
+the reported optimal pair (first encoder, smallest decoders) are exactly
+those of scoring every pair in rational arithmetic.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from operator import add
 from .channel_core import Channel, DeterministicMap, channel_from_json, channel_to_json
 from .cpc import DEFAULT_MAX_PAIRS, CpcChannel, cpc_from_pairs, skew_compose_channel
 from .errors import DimensionMismatchError, enforce_cap
-from .lp_solver import FEASIBLE, _ScaledGroup, hull_lp, solve_feasibility
+from .lp_solver import FEASIBLE, _ScaledGroup, hull_lp, hull_outcomes, solve_feasibility
 from .rational import (
     ONE,
     ZERO,
@@ -221,12 +222,22 @@ def optimal_average_payoff(
     total / (d_W·d_l·|U|).
     """
     enforce_cap(g.x_size**g.u_size, max_encoders, "encoder enumeration", "elements")
-    d_w, w_ints = scaled_ints(p for row in g.randomizer.rows for p in row)
-    d_l, l_ints = scaled_ints(c for row in g.payoff_matrix for c in row)
-    total, f_img, g_img = _best_pair(_score_tables(w_ints, l_ints, g.y_size, g.v_size))
-    return Rat(total, d_w * d_l * g.u_size), (
-        DeterministicMap(g.u_size, g.x_size, tuple(x + 1 for x in f_img)),
-        DeterministicMap(g.y_size, g.v_size, tuple(v + 1 for v in g_img)),
+    w_image = scaled_ints(p for row in g.randomizer.rows for p in row)
+    return _scaled_optimum(w_image, g.x_size, g.y_size, g.payoff_matrix, g.v_size)
+
+
+def _scaled_optimum(w_image, x_size: int, y_size: int, payoff, v_size: int):
+    """optimal_average_payoff's (value, (encoder, decoder)) for a randomizer
+    given as its int image w_image = (d_W, its entries over d_W, row after
+    row) and payoff rows as rationals. A caller that solves many games on
+    one randomizer scales it once; it enforces the encoder cap itself."""
+    d_w, w_ints = w_image
+    d_l, l_ints = scaled_ints(c for row in payoff for c in row)
+    total, f_img, g_img = _best_pair(_score_tables(w_ints, l_ints, y_size, v_size))
+    u_size = len(payoff)
+    return Rat(total, d_w * d_l * u_size), (
+        DeterministicMap(u_size, x_size, tuple(x + 1 for x in f_img)),
+        DeterministicMap(y_size, v_size, tuple(v + 1 for v in g_img)),
     )
 
 
@@ -270,13 +281,19 @@ def region_subset(
 ) -> RegionInclusion:
     """Exact test that conv(a) ⊆ conv(b).
 
-    Convexity makes checking a's generators sufficient; each check is a
-    rational feasibility program over b's (deduplicated) generators, which
+    Convexity makes checking a's generators sufficient; each check is the
+    hull program of one point over b's (deduplicated) generators, which
     are scaled to ints once for all of them. Points are compared on int
     images: a's and b's generators are each scaled once, and keyed at the
-    lcm of the two scales, to drop repeats of b and to skip a's points
-    already known inside. The first generator found outside is returned,
-    as the rational point, as the violator.
+    lcm of the two scales, to drop repeats of b and of a, so each distinct
+    point of a not among b's is checked once, in order of first
+    appearance. Those keys are a's points as ints at that lcm, and
+    lp_solver.hull_outcomes answers them from one warm tableau; only the
+    right-hand side changes from point to point. When b's program has a
+    redundant row (b's points lie in a proper affine subspace), the warm
+    routine stops after the first point and the rest are solved cold, one
+    program each. The first generator found outside is returned, as the
+    rational point, as the violator.
     """
     if a.u_size != b.u_size:
         raise DimensionMismatchError("regions live in different payoff spaces")
@@ -290,14 +307,18 @@ def region_subset(
         b_unique.setdefault(_key(ints, common // b_scale), ints)
     flat = [v for ints in b_unique.values() for v in ints]
     b_group = _ScaledGroup(b_scale, flat, len(b_unique), dim)
-    inside = set()  # a's points found inside so far
-    for k, point in enumerate(a.points):
+    pending = {}  # key -> index of a's first point with it, if not b's
+    for k in range(len(a.points)):
         key = _key(a_ints[k * dim : (k + 1) * dim], common // a_scale)
-        if key in b_unique or key in inside:
-            continue
-        if solve_feasibility(hull_lp(point, b_group)).tag != FEASIBLE:
-            return RegionInclusion(inside_all=False, violator=point)
-        inside.add(key)
+        if key not in b_unique:
+            pending.setdefault(key, k)
+    warm = hull_outcomes(pending, b_group, common)
+    for k in pending.values():
+        outcome = next(warm, None)
+        if outcome is None:  # b's program has a redundant row
+            outcome = solve_feasibility(hull_lp(a.points[k], b_group))
+        if outcome.tag != FEASIBLE:
+            return RegionInclusion(inside_all=False, violator=a.points[k])
     return RegionInclusion(inside_all=True)
 
 

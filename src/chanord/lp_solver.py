@@ -39,13 +39,31 @@ for the final answer. Every restricted answer is verified as above, on
 the master's image: a Farkas dual over every column entered so far, a
 point over its support.
 
+hull_outcomes answers hull programs that share their generators and
+differ only in the point, one after another, from one live tableau. The
+first point is solved cold; each later point enters as a new right-hand
+side, (D·B⁻¹)·(s·L·b), computed as append_column computes a column, and
+the image's b becomes the new L·b, which the exit checks read. With a
+zero objective every basis is dual feasible, so dual simplex repairs the
+basis under the least-index rule (Lemke 1954, Bland 1977): the row of
+negative rhs whose basic index is smallest leaves, the smallest original
+column with a negative entry in that row enters, and artificials never
+enter. All rhs nonnegative is a FEASIBLE point; a negative row with no
+negative entry is INFEASIBLE, with Farkas dual −(s ⊙ that row's
+artificial block). A warm start needs a basis of original columns, so
+the program must have full row rank: when the first phase one drops a
+redundant row, hull_outcomes answers no further point.
+
 The pivot budget is a number of pivots per LP solve: one call of
 solve_feasibility or maximize may pivot DEFAULT_MAX_PIVOTS (100,000)
 times over both phases, expulsions of artificials included. A master of
 priced_hull is one solve: the budget counts every pivot of all its
-restricted solves and of the final expulsion together. Every oracle of
-the library solves under that default; exceeding it raises
-ResourceLimitError instead of ever returning an unverified answer.
+restricted solves and of the final expulsion together. Each point of
+hull_outcomes is one solve: its repair pivots, and for the point after
+an infeasible first one the expulsion of the artificials, count against
+a budget of its own. Every oracle of the library solves under that
+default; exceeding it raises ResourceLimitError instead of ever
+returning an unverified answer.
 """
 
 from __future__ import annotations
@@ -303,8 +321,8 @@ class _Tableau:
         if z is not None:
             z[:] = _eliminate(z, row, p, d, pc)
         if p < 0:
-            # Only an expulsion pivots on a negative entry, and it keeps
-            # no reduced-cost row.
+            # Only an expulsion or a dual repair pivots on a negative
+            # entry, and neither keeps a reduced-cost row.
             self.rows = [[-v for v in r] for r in self.rows]
             p = -p
         self.denom = p
@@ -375,6 +393,14 @@ class _Tableau:
         the Farkas dual is these ints over D."""
         d = self.denom
         return [sign * (d + z[self.ncols + k]) for k, sign in enumerate(self.row_signs)]
+
+    def row_farkas(self, i):
+        """The Farkas dual of row i, ints over D, when its rhs is negative
+        and its original entries nonnegative: the row is its artificial
+        block times the initial rows [s·L·A | I | s·L·b], so y =
+        −(s ⊙ that block) has yᵀ(L·A) ≤ 0 and yᵀ(L·b) > 0."""
+        block = self.rows[i][self.ncols : self.ncols + self.num_orig_rows]
+        return [-sign * v for sign, v in zip(self.row_signs, block)]
 
     def optimal_duals(self, z):
         """(prices, value) of phase two under costs Lc·c, as ints.
@@ -552,3 +578,94 @@ def priced_hull(
         for arow, v in zip(tab.image[0], ints):
             arow.append(v)
         tab.append_column(ints)
+
+
+def hull_outcomes(
+    points_ints, group: _ScaledGroup, scale: int, max_pivots: int = DEFAULT_MAX_PIVOTS
+):
+    """The verified answers to hull_lp(point, group), point after point,
+    from one live tableau.
+
+    points_ints yields each point as L·point, ints at the caller's scale
+    L; every program is hull_lp's, on its image at the lcm of L and the
+    group's scale, and only its right-hand side changes from point to
+    point. The first point is solved cold, as solve_feasibility solves it;
+    each later one enters as a new right-hand side and is repaired by dual
+    simplex pivots (see _warm_outcome). Yields one LpOutcome per point, as
+    exact rationals, verified on that point's image; max_pivots bounds the
+    pivots of each point.
+
+    A warm start needs a basis of original columns, which exists only if
+    the program has full row rank. When the first point's phase one, or
+    expelling the artificials an infeasible first point left basic, drops
+    a redundant row, nothing more is yielded: the caller answers the
+    remaining points cold.
+    """
+    common = lcm(scale, group.scale)
+    factor, point_factor = common // group.scale, common // scale
+    points = iter(points_ints)
+    first = next(points, None)
+    if first is None:
+        return
+    dim = len(first)
+    if group.size and group.length != dim:
+        raise DimensionMismatchError("generator length does not match the point")
+    rows = [()] * dim
+    if group.size:
+        rows = [tuple(v * factor for v in row) for row in group.int_rows]
+    rows.append((common,) * group.size)
+
+    def image(point):
+        if len(point) != dim:
+            raise DimensionMismatchError("hull points differ in length")
+        return rows, (*(v * point_factor for v in point), common)
+
+    tab = _Tableau(image(first), group.size, max_pivots)
+    farkas = _phase_one(tab)
+    yield _feasibility_outcome(tab, farkas)
+    for point in points:
+        tab.pivots_used = 0
+        if farkas is not None:
+            tab.drop_redundant_and_expel_artificials()
+            farkas = None
+        if len(tab.rows) < len(rows):
+            return
+        yield _warm_outcome(tab, image(point))
+
+
+def _warm_outcome(tab: _Tableau, image) -> LpOutcome:
+    """The verified answer for a new image (same L·A, new L·b) from the
+    tableau's basis of original columns.
+
+    The new rhs is (D·B⁻¹)·(s·L·b), as append_column computes a column.
+    With a zero objective every basis is dual feasible, so dual simplex
+    repairs it under the least-index rule (Bland 1977): the row of
+    negative rhs whose basic index is smallest leaves, and the smallest
+    original column with a negative entry in that row enters; artificial
+    columns never enter. Every rhs nonnegative is a FEASIBLE basic point;
+    a negative row with no negative entry proves the program INFEASIBLE
+    (row_farkas).
+    """
+    tab.image = image
+    start, r = tab.ncols, tab.num_orig_rows
+    signed = [sign * v for sign, v in zip(tab.row_signs, image[1])]
+    for row in tab.rows:
+        row[-1] = sum(map(mul, row[start : start + r], signed))
+    while True:
+        pr = -1
+        for i, row in enumerate(tab.rows):
+            if row[-1] < 0 and (pr < 0 or tab.basis[i] < tab.basis[pr]):
+                pr = i
+        if pr < 0:
+            return _feasibility_outcome(tab, None)
+        row = tab.rows[pr]
+        pc = -1
+        for j in range(start):
+            if row[j] < 0:
+                pc = j
+                break
+        if pc < 0:
+            farkas = tab.row_farkas(pr)
+            _check_farkas(image, farkas, start)
+            return _feasibility_outcome(tab, farkas)
+        tab._pivot(None, pr, pc)

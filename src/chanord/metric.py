@@ -24,13 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .brm import BrmGame, optimal_average_payoff
+from .brm import BrmGame, _scaled_optimum, optimal_average_payoff
 from .channel_core import Channel, tv_distance
 from .cpc import DEFAULT_MAX_PAIRS, pair_column
-from .errors import DimensionMismatchError, InternalCheckError
+from .errors import DimensionMismatchError, InternalCheckError, enforce_cap
 from .lp_solver import maximize, standard_lp
 from .prng import counter_int
-from .rational import ONE, ZERO, Rat, rat_str
+from .rational import ONE, ZERO, Rat, rat_str, scaled_ints
 
 DEFAULT_DIM_CAP = 3
 DEFAULT_BUDGET = 24
@@ -59,9 +59,16 @@ def metric_estimate_to_json(est: MetricEstimate) -> dict:
     }
 
 
-def _opt(w: Channel, n: int, m: int, payoff, max_encoders):
-    game = BrmGame(n, w.input_size, w.output_size, m, payoff, w)
-    return optimal_average_payoff(game, max_encoders)
+def _image(w: Channel):
+    """(d_W, W's entries as ints over d_W, row after row)."""
+    return scaled_ints(p for row in w.rows for p in row)
+
+
+def _opt(w: Channel, w_image, n: int, m: int, payoff, max_encoders):
+    """optimal_average_payoff of the n×m game of payoff around w, from w's
+    int image: the same value and optimal pair, without rescaling w."""
+    enforce_cap(w.input_size**n, max_encoders, "encoder enumeration", "elements")
+    return _scaled_optimum(w_image, w.input_size, w.output_size, payoff, m)
 
 
 def _restricted_ascent(active, pieces, n, m):
@@ -93,16 +100,18 @@ def _restricted_ascent(active, pieces, n, m):
     return tuple(tuple(candidate[u * m + v] for v in range(m)) for u in range(n))
 
 
-def _ascent_step(active, other, other_pair, n, m, max_encoders):
+def _ascent_step(active, other, other_pair, n, m, max_encoders, other_image=None):
     """_restricted_ascent over every deterministic pair of `other`, by
     column generation from other's active pair: each optimum l is priced
     with other's optimal pair. Fewer pieces can only raise the objective,
     so once the priced piece is already present, l is optimal for all.
+    other_image is other's int image (_image), scaled here if not given.
     """
+    other_image = other_image or _image(other)
     pieces = [pair_column(other, *other_pair)]
     while True:
         candidate = _restricted_ascent(active, pieces, n, m)
-        _value, pair = _opt(other, n, m, candidate, max_encoders)
+        _value, pair = _opt(other, other_image, n, m, candidate, max_encoders)
         piece = pair_column(other, *pair)
         if piece in pieces:
             return candidate
@@ -147,9 +156,13 @@ def brm_distance_lower_bound(
         if size % n == 0
     )
     dims = list(islice(shapes, budget))
+    # Each channel is scaled to ints once; every game optimum of the
+    # search is a _best_pair scan over its tables.
+    image1, image2 = _image(w1), _image(w2)
+
     def diff(n, m, payoff):
-        v1, pair1 = _opt(w1, n, m, payoff, max_encoders)
-        v2, pair2 = _opt(w2, n, m, payoff, max_encoders)
+        v1, pair1 = _opt(w1, image1, n, m, payoff, max_encoders)
+        v2, pair2 = _opt(w2, image2, n, m, payoff, max_encoders)
         return v1 - v2, pair1, pair2
 
     best = None  # (abs difference, payoff, dims)
@@ -160,12 +173,14 @@ def brm_distance_lower_bound(
         score = abs(signed)
         for _step in range(_MAX_REFINE_STEPS):
             candidates = []
-            for own, pair, other, other_pair in (
-                (w1, pair1, w2, pair2),
-                (w2, pair2, w1, pair1),
+            for own, pair, other, other_pair, other_image in (
+                (w1, pair1, w2, pair2, image2),
+                (w2, pair2, w1, pair1, image1),
             ):
                 active = pair_column(own, *pair)
-                candidate = _ascent_step(active, other, other_pair, n, m, max_encoders)
+                candidate = _ascent_step(
+                    active, other, other_pair, n, m, max_encoders, other_image
+                )
                 cand_signed, cand_pair1, cand_pair2 = diff(n, m, candidate)
                 candidates.append(
                     (abs(cand_signed), candidate, cand_pair1, cand_pair2)
@@ -177,8 +192,11 @@ def brm_distance_lower_bound(
         if best is None or score > best[0]:
             best = (score, payoff, (n, m))
     lower, witness, game_dims = best
-    check, _p1 = _opt(w1, game_dims[0], game_dims[1], witness, max_encoders)
-    check2, _p2 = _opt(w2, game_dims[0], game_dims[1], witness, max_encoders)
+    # The witness is re-scored on the rational games, each channel scaled
+    # afresh, independently of the images the search used.
+    n, m = game_dims
+    games = [BrmGame(n, w.input_size, w.output_size, m, witness, w) for w in (w1, w2)]
+    check, check2 = (optimal_average_payoff(g, max_encoders)[0] for g in games)
     if abs(check - check2) != lower:
         raise InternalCheckError("metric witness failed exact recomputation")
     return MetricEstimate(

@@ -22,6 +22,7 @@ from chanord.lp_solver import (
     INFEASIBLE,
     LpOutcome,
     hull_lp,
+    hull_outcomes,
     priced_hull,
     solve_feasibility,
 )
@@ -457,6 +458,22 @@ def round_by_round(on_round):
         if out.tag == FEASIBLE:
             on_round(point, tuple(columns), out)
         return out
+
+    return wrapper
+
+
+def point_by_point(on_point):
+    """A stand-in for lp_solver.hull_outcomes that reports every answer of
+    its warm tableau as on_point(point, group, outcome), with point as
+    rationals and group the _ScaledGroup it is tested against.
+    """
+
+    def wrapper(points_ints, group, scale, *args, **kwargs):
+        points = list(points_ints)
+        outcomes = hull_outcomes(points, group, scale, *args, **kwargs)
+        for point_ints, out in zip(points, outcomes):
+            on_point(tuple(Rat(v, scale) for v in point_ints), group, out)
+            yield out
 
     return wrapper
 

@@ -494,3 +494,47 @@ def test_region_subset_on_repeated_points_matches_the_plain_programs():
             assert inclusion.violator == expected
             answers.append(inclusion.inside_all)
     assert True in answers and False in answers
+
+
+def test_region_subset_solves_a_degenerate_region_cold(monkeypatch):
+    # When b's points lie in a proper affine subspace (here: one coordinate
+    # is the same in all of them, as when a payoff row has equal entries),
+    # the warm tableau answers one point and the rest are solved cold.
+    # Regions that span the space are answered warm throughout.
+    from chanord import brm
+
+    cold = []
+    monkeypatch.setattr(
+        brm, "solve_feasibility", lambda lp: cold.append(lp) or solve_feasibility(lp)
+    )
+
+    def rat(seed, *words):
+        return Rat(counter_int(seed, *words, bound=12), 1 + counter_int(seed, *words, 1, bound=5))
+
+    answers = {True: [], False: []}
+    for seed in range(24):
+        dim, degenerate = 2 + seed % 2, seed % 4 < 2
+        b_points = [tuple(rat(seed, 0, k, i) for i in range(dim)) for k in range(6)]
+        if degenerate:
+            b_points = [(Rat(1, 3), *point[1:]) for point in b_points]
+        a_points = []
+        for k in range(5):
+            weights = [counter_int(seed, 1, k, j, bound=3) + 1 for j in range(6)]
+            a_points.append(tuple(
+                sum((Rat(w, sum(weights)) * point[i] for w, point in zip(weights, b_points)),
+                    start=ZERO)
+                for i in range(dim)
+            ))
+        if seed % 8 >= 4:  # a random point, most likely outside
+            a_points.insert(3, tuple(rat(seed, 2, i) for i in range(dim)))
+        a = PayoffRegionGenerators(dim, tuple(a_points))
+        b = PayoffRegionGenerators(dim, tuple(b_points))
+        cold.clear()
+        expected = first_point_outside(a, b)
+        inclusion = region_subset(a, b)
+        assert inclusion.inside_all == (expected is None)
+        assert inclusion.violator == expected
+        answers[degenerate].append((inclusion.inside_all, len(cold)))
+    for degenerate, runs in answers.items():
+        assert {inside for inside, _cold in runs} == {True, False}, runs
+        assert all(cold == (4 if degenerate else 0) for inside, cold in runs if inside), runs

@@ -9,6 +9,7 @@ from oracles import (
     check_optimal,
     check_primal,
     matrix_rank,
+    point_by_point,
     rational_hull_program,
     reference_simplex,
     round_by_round,
@@ -33,6 +34,7 @@ from chanord.lp_solver import (
     _Tableau,
     _eliminate,
     hull_lp,
+    hull_outcomes,
     maximize,
     priced_hull,
     solve_feasibility,
@@ -521,6 +523,15 @@ def test_library_lp_outcomes_pass_the_rational_oracles(monkeypatch):
         master_tags.append(out.tag)
 
     monkeypatch.setattr(ordering, "priced_hull", round_by_round(recording_master))
+    # Every answer of region_subset's warm tableau, as the cold program of
+    # its point.
+    warm_tags = []
+
+    def recording_point(point, group, out):
+        seen.append((hull_lp(point, group), out))
+        warm_tags.append(out.tag)
+
+    monkeypatch.setattr(brm, "hull_outcomes", point_by_point(recording_point))
 
     chain_rows = []
     for seed in range(4):
@@ -569,6 +580,7 @@ def test_library_lp_outcomes_pass_the_rational_oracles(monkeypatch):
             check_optimal(lp, out.primal, out.dual_certificate, out.value)
     assert min(tags.values()) >= 5, tags
     assert min(master_tags.count(tag) for tag in (FEASIBLE, INFEASIBLE)) >= 5, master_tags
+    assert warm_tags.count(FEASIBLE) >= 5 and warm_tags.count(INFEASIBLE) >= 2, warm_tags
     # At least one chain leaves coordinates out, so the count guard bites.
     assert any(kept < full for kept, full in chain_rows), chain_rows
 
@@ -762,3 +774,173 @@ def test_master_rejects_a_column_entered_twice_or_of_another_length():
         priced_hull((1,), lambda dual: next(columns, None), 1)
     with pytest.raises(DimensionMismatchError):
         priced_hull((1,), lambda dual: (1, 0), 1)
+
+
+WARM_KINDS = ("random", "one", "empty", "repeated", "affine")
+
+
+def warm_sequence(kind, seed):
+    """(points, generators) of one seeded sequence for hull_outcomes.
+
+    The generators live in 1–3 dimensions and are random, one, none,
+    random with repeats, or on the hyperplane where the coordinates sum to
+    1 (a proper affine subspace, so the hull program has a redundant row).
+    The 12 points mix generators, midpoints of two generators (on an edge
+    or a facet), inner mixtures and random points, in seeded order.
+    """
+    key = WARM_KINDS.index(kind)
+
+    def draw(*words, bound):
+        return counter_int(seed, key, *words, bound=bound)
+
+    def rat(*words):
+        return Rat(draw(*words, bound=12) - 6, 1 + draw(*words, 1, bound=3))
+
+    dim = 1 + draw(0, bound=2)
+    count = {"one": 1, "empty": 0}.get(kind, 2 + draw(1, bound=4))
+    generators = [tuple(rat(2, g, i) for i in range(dim)) for g in range(count)]
+    if kind == "repeated":
+        generators += generators[::2]
+    if kind == "affine":
+        generators = [(*gen[:-1], 1 - sum(gen[:-1], start=ZERO)) for gen in generators]
+    points = []
+    for k in range(12):
+        form = draw(3, k, bound=3) if generators else 3
+        if form < 2:
+            first, second = (
+                generators[draw(4, k, j, bound=len(generators) - 1)] for j in (0, 1)
+            )
+        if form == 0:
+            points.append(first)
+        elif form == 1:
+            points.append(tuple((a + b) / 2 for a, b in zip(first, second)))
+        elif form == 2:
+            weights = [1 + draw(5, k, g, bound=3) for g in range(len(generators))]
+            total = sum(weights)
+            points.append(tuple(
+                sum((Rat(wgt, total) * gen[i] for wgt, gen in zip(weights, generators)), start=ZERO)
+                for i in range(dim)
+            ))
+        else:
+            points.append(tuple(rat(6, k, i) for i in range(dim)))
+    return points, generators
+
+
+def scaled_points(points):
+    """(L, each point as ints over L), from one scaled_ints."""
+    scale, flat = scaled_ints(v for point in points for v in point)
+    dim = len(points[0])
+    return scale, [tuple(flat[k : k + dim]) for k in range(0, len(flat), dim)]
+
+
+@pytest.mark.parametrize("kind", WARM_KINDS)
+def test_warm_outcomes_match_the_cold_programs(kind):
+    warm_tags, infeasible_starts = [], 0
+    for seed in range(30):
+        points, generators = warm_sequence(kind, seed)
+        group = _ScaledGroup.of(generators)
+        scale, ints = scaled_points(points)
+        outcomes = list(hull_outcomes(ints, group, scale))
+        # Every point is answered exactly when the program has full row
+        # rank; otherwise only the first, solved cold.
+        first = hull_lp(points[0], group)
+        full_rank = matrix_rank(first.constraint_matrix) == first.num_rows
+        assert len(outcomes) == (len(points) if full_rank else 1)
+        for point, out in zip(points, outcomes):
+            lp = hull_lp(point, group)
+            assert out.tag == solve_feasibility(lp).tag
+            if out.tag == FEASIBLE:
+                check_primal(lp, out.primal)
+            else:
+                check_farkas(lp, out.dual_certificate)
+        warm_tags += [out.tag for out in outcomes[1:]]
+        infeasible_starts += len(outcomes) > 1 and outcomes[0].tag == INFEASIBLE
+    if kind in ("random", "repeated"):
+        assert min(warm_tags.count(tag) for tag in (FEASIBLE, INFEASIBLE)) >= 20, warm_tags
+        assert infeasible_starts >= 3
+    else:
+        assert warm_tags == []
+
+
+def test_warm_outcomes_of_no_points_and_of_points_of_other_lengths():
+    group = _ScaledGroup.of([(ONE, ZERO), (ZERO, ONE), (ZERO, ZERO)])
+    assert list(hull_outcomes([], group, 1)) == []
+    with pytest.raises(DimensionMismatchError):
+        list(hull_outcomes([(1,)], group, 1))
+    with pytest.raises(DimensionMismatchError):
+        list(hull_outcomes([(0, 0), (1,)], group, 1))
+
+
+def per_point_pivots(monkeypatch, points_ints, group, scale, **budget):
+    """(outcomes, pivots of each point) of hull_outcomes, as far as it
+    gets, and the error it stopped with, if any."""
+    pivots = []
+    original = _Tableau._pivot
+    monkeypatch.setattr(
+        _Tableau, "_pivot", lambda tab, *args: pivots.append(1) or original(tab, *args)
+    )
+    outcomes, counts = [], []
+    try:
+        for out in hull_outcomes(points_ints, group, scale, **budget):
+            counts.append(len(pivots) - sum(counts))
+            outcomes.append(out)
+    except ResourceLimitError as error:
+        return outcomes, counts, error
+    finally:
+        monkeypatch.undo()
+    return outcomes, counts, None
+
+
+def test_warm_pivot_budget_is_per_point(monkeypatch):
+    # A sequence whose warm points need different numbers of pivots, one
+    # of them at least two.
+    for seed in range(100):
+        points, generators = warm_sequence("random", seed)
+        group = _ScaledGroup.of(generators)
+        scale, ints = scaled_points(points)
+        outcomes, counts, error = per_point_pivots(monkeypatch, ints, group, scale)
+        if error is None and len(counts) > 1 and max(counts[1:]) >= 2:
+            break
+    else:
+        raise AssertionError("no sequence needs two repair pivots at a warm point")
+    top = max(counts)
+    assert per_point_pivots(monkeypatch, ints, group, scale, max_pivots=top)[:2] == (
+        outcomes, counts
+    )
+    for budget in sorted({1, top - 1}):
+        # The points before the first that needs more are answered as
+        # before; that point raises and is never answered.
+        kept = next(k for k, c in enumerate(counts) if c > budget)
+        got, got_counts, error = per_point_pivots(
+            monkeypatch, ints, group, scale, max_pivots=budget
+        )
+        assert got == outcomes[:kept] and got_counts == counts[:kept]
+        assert isinstance(error, ResourceLimitError) and "pivot budget" in str(error)
+
+
+# Generators 0 and 2 on the line: the first point, 1, is solved cold; 2 is
+# inside and 3 outside, both answered warm.
+WARM_TAMPERS = [
+    ("support", _corrupt_first(lambda r: -r), "primal point has a negative coordinate"),
+    ("support", _corrupt_first(lambda r: r + 1), "primal point violates a constraint"),
+    ("row_farkas", lambda y: [-v for v in y], "Farkas dual fails yᵀA <= 0"),
+    ("row_farkas", lambda y: [0 for _ in y], "Farkas dual fails yᵀb > 0"),
+]
+
+
+@pytest.mark.parametrize("method, change, message", WARM_TAMPERS)
+def test_every_warm_exit_check_rejects_a_tampered_certificate(
+    monkeypatch, method, change, message
+):
+    group = _ScaledGroup.of([(ZERO,), (Rat(2),)])
+    points = [(1,), (2,), (3,)]
+    assert [out.tag for out in hull_outcomes(points, group, 1)] == [
+        FEASIBLE, FEASIBLE, INFEASIBLE
+    ]
+    answers = hull_outcomes(points, group, 1)
+    next(answers)  # the cold first point, untouched
+    original = getattr(_Tableau, method)
+    monkeypatch.setattr(_Tableau, method, lambda tab, *args: change(original(tab, *args)))
+    with pytest.raises(InternalCheckError) as caught:
+        list(answers)
+    assert str(caught.value) == message

@@ -11,7 +11,7 @@ from chanord.channel_core import (
     random_channel,
 )
 from chanord.cpc import DEFAULT_MAX_PAIRS, pair_column
-from chanord.errors import DimensionMismatchError, InternalCheckError
+from chanord.errors import DimensionMismatchError, InternalCheckError, ResourceLimitError
 from chanord.metric import (
     _ascent_step,
     _restricted_ascent,
@@ -211,3 +211,22 @@ def test_huge_shape_caps_build_only_the_shapes_tried():
     w1, w2 = bsc(0), bsc("1/2")
     huge = brm_distance_lower_bound(w1, w2, n_max=10**6, m_max=10**6, budget=2, seed=1)
     assert huge == brm_distance_lower_bound(w1, w2, n_max=1, m_max=2, budget=2, seed=1)
+
+
+def test_search_optima_equal_those_of_the_rational_games():
+    # The search scores every game on each channel's int image, scaled
+    # once: the same value and optimal pair, and the same cap failure.
+    for seed in range(8):
+        w = random_channel(1 + seed % 3, 2 + seed % 2, 9400 + seed, 8)
+        image = metric._image(w)
+        for n, m in ((1, 1), (1, 2), (2, 2), (2, 3), (3, 2)):
+            for payoff in (_sample_payoff(seed, 2, n, m), _sample_payoff(seed, 3, n, m)):
+                game = BrmGame(n, w.input_size, w.output_size, m, payoff, w)
+                got = metric._opt(w, image, n, m, payoff, DEFAULT_MAX_PAIRS)
+                assert got == optimal_average_payoff(game)
+    cap = w.input_size**n - 1
+    with pytest.raises(ResourceLimitError) as caught:
+        metric._opt(w, image, n, m, payoff, cap)
+    with pytest.raises(ResourceLimitError) as expected:
+        optimal_average_payoff(game, cap)
+    assert str(caught.value) == str(expected.value)
