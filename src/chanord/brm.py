@@ -17,10 +17,11 @@ the payoff of u is that channel's row u against l(u, ·).
 The game optimum is one int core, _best_pair: it walks every encoder
 f: U -> X over the tables, and encoders sharing a prefix of images share
 its partial score sums. optimal_average_payoff wraps it for rational
-games, through _scaled_optimum, which the metric search calls with each
-channel scaled once; containment prices its columns on it directly, with
-the master's int dual as l. Every scaling is positive, so the value and
-the reported optimal pair (first encoder, smallest decoders) are exactly
+games. Containment prices its columns on it directly, with the master's
+int dual as l, and the metric search scores every payoff of its ascent
+on it, each channel scaled once; both build a pair's simulated column on
+ints with _pair_ints. Every scaling is positive, so the value and the
+reported optimal pair (first encoder, smallest decoders) are exactly
 those of scoring every pair in rational arithmetic.
 """
 
@@ -204,6 +205,19 @@ def _best_pair(tables):
     return best_total, best_images, g_img
 
 
+def _pair_ints(w_ints, y_size: int, f_img, g_img, v_size: int, factor: int):
+    """cpc.pair_column on ints: the column D_g ∘ W ∘ D_f, flattened
+    row-major, as ints over d_W·factor, for W given as its entries over
+    d_W, row after row, and the pair as the 0-based images _best_pair
+    returns. With factor L/d_W it is L·column, ready for a program's
+    integer image at L."""
+    column = [0] * (len(f_img) * v_size)
+    for u, x in enumerate(f_img):
+        for v, p in zip(g_img, w_ints[x * y_size : (x + 1) * y_size]):
+            column[u * v_size + v] += p * factor
+    return column
+
+
 def optimal_average_payoff(
     g: BrmGame, max_encoders: int = DEFAULT_MAX_PAIRS
 ):
@@ -222,22 +236,12 @@ def optimal_average_payoff(
     total / (d_W·d_l·|U|).
     """
     enforce_cap(g.x_size**g.u_size, max_encoders, "encoder enumeration", "elements")
-    w_image = scaled_ints(p for row in g.randomizer.rows for p in row)
-    return _scaled_optimum(w_image, g.x_size, g.y_size, g.payoff_matrix, g.v_size)
-
-
-def _scaled_optimum(w_image, x_size: int, y_size: int, payoff, v_size: int):
-    """optimal_average_payoff's (value, (encoder, decoder)) for a randomizer
-    given as its int image w_image = (d_W, its entries over d_W, row after
-    row) and payoff rows as rationals. A caller that solves many games on
-    one randomizer scales it once; it enforces the encoder cap itself."""
-    d_w, w_ints = w_image
-    d_l, l_ints = scaled_ints(c for row in payoff for c in row)
-    total, f_img, g_img = _best_pair(_score_tables(w_ints, l_ints, y_size, v_size))
-    u_size = len(payoff)
-    return Rat(total, d_w * d_l * u_size), (
-        DeterministicMap(u_size, x_size, tuple(x + 1 for x in f_img)),
-        DeterministicMap(y_size, v_size, tuple(v + 1 for v in g_img)),
+    d_w, w_ints = scaled_ints(p for row in g.randomizer.rows for p in row)
+    d_l, l_ints = scaled_ints(c for row in g.payoff_matrix for c in row)
+    total, f_img, g_img = _best_pair(_score_tables(w_ints, l_ints, g.y_size, g.v_size))
+    return Rat(total, d_w * d_l * g.u_size), (
+        DeterministicMap(g.u_size, g.x_size, tuple(x + 1 for x in f_img)),
+        DeterministicMap(g.y_size, g.v_size, tuple(v + 1 for v in g_img)),
     )
 
 

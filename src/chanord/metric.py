@@ -13,22 +13,33 @@ difference-of-convex ascent. Both optimal payoffs are pointwise maxima of
 linear functions of l, one piece per deterministic pair, so fixing the
 active pair of the first channel gives a concave subproblem over the
 payoff simplex. Its exact optimum is read off the dual prices of a small
-rational program over the second channel's pieces, which are generated
-as needed: each optimum is priced with the second channel's optimal pair,
-until that pair is one the program already has. Each accepted step
-strictly increases the true difference.
+program over the second channel's pieces, which are generated as needed:
+each optimum is priced with the second channel's optimal pair, until
+that pair is one the program already has. Each accepted step strictly
+increases the true difference.
+
+The search runs on ints over known positive denominators. Each channel
+is scaled once; a payoff is (den, ints), a game optimum is brm._best_pair
+over the int score tables, and a piece is a pair column on ints
+(brm._pair_ints). The subproblem is built directly as its integer image
+at L, the lcm of the two channels' scales, and solved by
+lp_solver.maximize; its dual prices are the next payoff, checked on ints.
+One global L keeps the pivot path and duals of the rational program.
+Rationals are built only for the returned estimate, whose witness is
+re-scored by optimal_average_payoff on the rational games.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from math import lcm
 
-from .brm import BrmGame, _scaled_optimum, optimal_average_payoff
+from .brm import BrmGame, _best_pair, _pair_ints, _score_tables, optimal_average_payoff
 from .channel_core import Channel, tv_distance
-from .cpc import DEFAULT_MAX_PAIRS, pair_column
+from .cpc import DEFAULT_MAX_PAIRS
 from .errors import DimensionMismatchError, InternalCheckError, enforce_cap
-from .lp_solver import maximize, standard_lp
+from .lp_solver import StandardLp, maximize
 from .prng import counter_int
 from .rational import ONE, ZERO, Rat, rat_str, scaled_ints
 
@@ -65,69 +76,90 @@ def _image(w: Channel):
 
 
 def _opt(w: Channel, w_image, n: int, m: int, payoff, max_encoders):
-    """optimal_average_payoff of the n×m game of payoff around w, from w's
-    int image: the same value and optimal pair, without rescaling w."""
+    """The optimum of the n×m game of payoff around w, from w's int image
+    and the payoff as (den, its entries as ints over den, row after row):
+    _best_pair's (total, encoder images, decoder images), 0-based. The
+    optimal average payoff is total/(d_W·den·n), the value and pair of
+    optimal_average_payoff on the rational game."""
     enforce_cap(w.input_size**n, max_encoders, "encoder enumeration", "elements")
-    return _scaled_optimum(w_image, w.input_size, w.output_size, payoff, m)
+    return _best_pair(_score_tables(w_image[1], payoff[1], w.output_size, m))
 
 
-def _restricted_ascent(active, pieces, n, m):
-    """Exact maximizer of ⟨active, l⟩ − max_j ⟨piece_j, l⟩ over the simplex.
+def _restricted_ascent(active, pieces, scale, n, m):
+    """Exact maximizer of ⟨active, l⟩ − max_j ⟨piece_j, l⟩ over the simplex,
+    as (den, l's entries as ints over den, row after row).
 
-    active and each piece are flattened pair_columns: a pair's average
-    payoff is its column's inner product with l, divided by n. The common
-    factor n only scales the piece-mixture entries of the payoff rows,
-    which leaves the optimal payoff unchanged, so no piece is rescaled.
-    Solved in the orientation whose row count is the payoff dimension;
-    the optimal payoff is the vector of dual prices on those rows.
+    active and each piece are pair columns as ints over one scale L: a
+    pair's average payoff is its column's inner product with l, divided
+    by n. The common factor n only scales the piece-mixture entries of the
+    payoff rows, which leaves the optimal payoff unchanged, so no piece is
+    rescaled. Solved in the orientation whose row count is the payoff
+    dimension, as its integer image at L; the optimal payoff is the vector
+    of dual prices on those rows, whatever the scale.
     """
     dim = n * m
     # Columns: piece mixture, slacks, z+ and z-.
     rows = [
-        [a - piece[coord] for piece in pieces]
-        + [ZERO] * coord + [ONE] + [ZERO] * (dim - coord - 1)
-        + [-ONE, ONE]
+        tuple(a - piece[coord] for piece in pieces)
+        + (0,) * coord + (scale,) + (0,) * (dim - coord - 1)
+        + (-scale, scale)
         for coord, a in enumerate(active)
     ]
-    rows.append([ONE] * len(pieces) + [ZERO] * (dim + 2))
-    objective = [ZERO] * (len(pieces) + dim) + [-ONE, ONE]
-    outcome = maximize(standard_lp(rows, [ZERO] * dim + [ONE], objective))
-    duals = outcome.dual_certificate
-    candidate = duals[:dim]
-    total = sum(candidate, start=ZERO)
-    if any(v < 0 for v in candidate) or total != ONE:
+    rows.append((scale,) * len(pieces) + (0,) * (dim + 2))
+    objective = (ZERO,) * (len(pieces) + dim) + (-ONE, ONE)
+    lp = StandardLp(scale, tuple(rows), (0,) * dim + (scale,), objective)
+    den, ints = scaled_ints(maximize(lp).dual_certificate[:dim])
+    if any(v < 0 for v in ints) or sum(ints) != den:
         raise InternalCheckError("ascent subproblem produced an invalid payoff")
-    return tuple(tuple(candidate[u * m + v] for v in range(m)) for u in range(n))
+    return den, ints
 
 
-def _ascent_step(active, other, other_pair, n, m, max_encoders, other_image=None):
+def _ascent_step(active, other, other_image, other_opt, scale, n, m, max_encoders):
     """_restricted_ascent over every deterministic pair of `other`, by
-    column generation from other's active pair: each optimum l is priced
-    with other's optimal pair. Fewer pieces can only raise the objective,
-    so once the priced piece is already present, l is optimal for all.
-    other_image is other's int image (_image), scaled here if not given.
+    column generation from other's optimum other_opt (_opt's triple): each
+    optimum l is priced with other's optimal pair. Fewer pieces can only
+    raise the objective, so once the priced piece is already present, l is
+    optimal for all. Returns l and other's optimum at l. active and the
+    pieces are ints over scale, a multiple of other's d_W.
     """
-    other_image = other_image or _image(other)
-    pieces = [pair_column(other, *other_pair)]
+    d_w, w_ints = other_image
+    factor, y_size = scale // d_w, other.output_size
+    pieces = [_pair_ints(w_ints, y_size, other_opt[1], other_opt[2], m, factor)]
     while True:
-        candidate = _restricted_ascent(active, pieces, n, m)
-        _value, pair = _opt(other, other_image, n, m, candidate, max_encoders)
-        piece = pair_column(other, *pair)
+        candidate = _restricted_ascent(active, pieces, scale, n, m)
+        opt = _opt(other, other_image, n, m, candidate, max_encoders)
+        piece = _pair_ints(w_ints, y_size, opt[1], opt[2], m, factor)
         if piece in pieces:
-            return candidate
+            return candidate, opt
         pieces.append(piece)
 
 
 def _sample_payoff(seed: int, trial: int, n: int, m: int) -> tuple:
+    """A seeded positive payoff: (total, the draws row after row), the
+    draws over their total."""
     draws = [
-        [
-            counter_int(seed, trial, u, v, bound=_SAMPLE_BOUND) + 1
-            for v in range(m)
-        ]
+        counter_int(seed, trial, u, v, bound=_SAMPLE_BOUND) + 1
         for u in range(n)
+        for v in range(m)
     ]
-    total = sum(sum(row) for row in draws)
-    return tuple(tuple(Rat(k, total) for k in row) for row in draws)
+    return sum(draws), draws
+
+
+def _gap(d1, d2, opts, payoff, n):
+    """|v1 − v2| for the two channels' optima opts at payoff, as
+    (numerator, denominator) ints: v_i = total_i/(d_i·den·n)."""
+    (total1, *_), (total2, *_) = opts
+    return abs(total1 * d2 - total2 * d1), d1 * d2 * payoff[0] * n
+
+
+def _exceeds(a, b):
+    """a > b for rationals given as (numerator, positive denominator)."""
+    return a[0] * b[1] > b[0] * a[1]
+
+
+def _payoff_precedes(a, b):
+    """a < b lexicographically, for payoffs as (den, ints over den)."""
+    return [v * b[0] for v in a[1]] < [v * a[0] for v in b[1]]
 
 
 def brm_distance_lower_bound(
@@ -157,44 +189,56 @@ def brm_distance_lower_bound(
     )
     dims = list(islice(shapes, budget))
     # Each channel is scaled to ints once; every game optimum of the
-    # search is a _best_pair scan over its tables.
+    # search is a _best_pair scan over its tables, and every ascent
+    # program is an integer image at the lcm of the two scales.
     image1, image2 = _image(w1), _image(w2)
+    sides = ((w1, image1), (w2, image2))
+    d1, d2 = image1[0], image2[0]
+    scale = lcm(d1, d2)
 
-    def diff(n, m, payoff):
-        v1, pair1 = _opt(w1, image1, n, m, payoff, max_encoders)
-        v2, pair2 = _opt(w2, image2, n, m, payoff, max_encoders)
-        return v1 - v2, pair1, pair2
-
-    best = None  # (abs difference, payoff, dims)
+    best = None  # (score, payoff, dims); score as _gap returns it
     for trial in range(budget):
         n, m = dims[trial % len(dims)]
         payoff = _sample_payoff(seed, trial, n, m)
-        signed, pair1, pair2 = diff(n, m, payoff)
-        score = abs(signed)
+        opts = [_opt(w, image, n, m, payoff, max_encoders) for w, image in sides]
+        score = _gap(d1, d2, opts, payoff, n)
         for _step in range(_MAX_REFINE_STEPS):
-            candidates = []
-            for own, pair, other, other_pair, other_image in (
-                (w1, pair1, w2, pair2, image2),
-                (w2, pair2, w1, pair1, image1),
-            ):
-                active = pair_column(own, *pair)
-                candidate = _ascent_step(
-                    active, other, other_pair, n, m, max_encoders, other_image
+            chosen = None  # (score, payoff, opts) of the better candidate
+            for k in (0, 1):
+                (own, own_image), (other, other_image) = sides[k], sides[1 - k]
+                active = _pair_ints(
+                    own_image[1], own.output_size, opts[k][1], opts[k][2], m,
+                    scale // own_image[0],
                 )
-                cand_signed, cand_pair1, cand_pair2 = diff(n, m, candidate)
-                candidates.append(
-                    (abs(cand_signed), candidate, cand_pair1, cand_pair2)
+                candidate, other_opt = _ascent_step(
+                    active, other, other_image, opts[1 - k], scale, n, m,
+                    max_encoders,
                 )
-            candidates.sort(key=lambda c: (-c[0], c[1]))
-            if candidates[0][0] <= score:
+                # The last pricing scored other at candidate; only own is new.
+                own_opt = _opt(own, own_image, n, m, candidate, max_encoders)
+                cand_opts = (own_opt, other_opt) if k == 0 else (other_opt, own_opt)
+                cand_score = _gap(d1, d2, cand_opts, candidate, n)
+                # Ties go to the lexicographically smaller payoff, then to
+                # the first channel's candidate.
+                if chosen is None or _exceeds(cand_score, chosen[0]) or (
+                    not _exceeds(chosen[0], cand_score)
+                    and _payoff_precedes(candidate, chosen[1])
+                ):
+                    chosen = (cand_score, candidate, cand_opts)
+            if not _exceeds(chosen[0], score):
                 break
-            score, payoff, pair1, pair2 = candidates[0]
-        if best is None or score > best[0]:
+            score, payoff, opts = chosen
+        if best is None or _exceeds(score, best[0]):
             best = (score, payoff, (n, m))
-    lower, witness, game_dims = best
+    (num, den), (payoff_den, payoff_ints), game_dims = best
+    lower = Rat(num, den)
+    n, m = game_dims
+    witness = tuple(
+        tuple(Rat(v, payoff_den) for v in payoff_ints[u * m : (u + 1) * m])
+        for u in range(n)
+    )
     # The witness is re-scored on the rational games, each channel scaled
     # afresh, independently of the images the search used.
-    n, m = game_dims
     games = [BrmGame(n, w.input_size, w.output_size, m, witness, w) for w in (w1, w2)]
     check, check2 = (optimal_average_payoff(g, max_encoders)[0] for g in games)
     if abs(check - check2) != lower:

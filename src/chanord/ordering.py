@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .brm import BrmGame, _best_pair, _score_tables, optimal_average_payoff
+from .brm import BrmGame, _best_pair, _pair_ints, _score_tables, optimal_average_payoff
 from .channel_core import (
     Channel,
     DeterministicMap,
@@ -213,11 +213,7 @@ def contains(
         if total + d_w * dual[-1] <= 0:
             return None
         pairs.append((f_img, g_img))
-        column = [0] * (n * m)
-        for x, xp in enumerate(f_img):
-            for v, p in zip(g_img, wp_ints[xp * m_p : (xp + 1) * m_p]):
-                column[x * m + v] += p * factor
-        return column
+        return _pair_ints(wp_ints, m_p, f_img, g_img, m, factor)
 
     outcome = priced_hull([v * (scale // d_t) for v in target], price, scale)
     if outcome.tag != FEASIBLE:

@@ -4,15 +4,15 @@ Everything here recomputes results by brute force or direct formula
 evaluation, deliberately avoiding the library's own algorithmic paths;
 the exceptions, rational_hull_program, cold_start_contains,
 rational_contains, fraction_caratheodory_reduce,
-fraction_skew_compose_cpc and rational_group_degraded_from, are earlier
-forms of an algorithm, kept as the reference of the form that replaced
-them.
+fraction_skew_compose_cpc, rational_group_degraded_from and
+rational_brm_distance_lower_bound, are earlier forms of an algorithm,
+kept as the reference of the form that replaced them.
 """
 
 import math
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
-from chanord import ordering
+from chanord import metric, ordering
 from chanord.brm import BrmGame, optimal_average_payoff
 from chanord.channel_core import Channel, DeterministicMap, compose
 from chanord.cpc import DEFAULT_MAX_PAIRS, CpcChannel, CpcTerm, as_channel, pair_column
@@ -23,9 +23,12 @@ from chanord.lp_solver import (
     LpOutcome,
     hull_lp,
     hull_outcomes,
+    maximize,
     priced_hull,
     solve_feasibility,
+    standard_lp,
 )
+from chanord.prng import counter_int
 from chanord.rational import ONE, ZERO, Rat, scaled_ints
 
 
@@ -621,4 +624,116 @@ def rational_group_degraded_from(w, wp):
     return Channel(
         m_from, m_to,
         tuple(outcome.primal[y2 * m_to : (y2 + 1) * m_to] for y2 in range(m_from)),
+    )
+
+
+def rational_restricted_ascent(active, pieces, n, m):
+    """metric._restricted_ascent as it ran on rationals: the exact maximizer
+    of ⟨active, l⟩ − max_j ⟨piece_j, l⟩ over the simplex, read off the dual
+    prices of the program built through standard_lp from rational pair
+    columns, returned as n rows of m rationals.
+    """
+    dim = n * m
+    # Columns: piece mixture, slacks, z+ and z-.
+    rows = [
+        [a - piece[coord] for piece in pieces]
+        + [ZERO] * coord + [ONE] + [ZERO] * (dim - coord - 1)
+        + [-ONE, ONE]
+        for coord, a in enumerate(active)
+    ]
+    rows.append([ONE] * len(pieces) + [ZERO] * (dim + 2))
+    objective = [ZERO] * (len(pieces) + dim) + [-ONE, ONE]
+    outcome = maximize(standard_lp(rows, [ZERO] * dim + [ONE], objective))
+    candidate = outcome.dual_certificate[:dim]
+    if any(v < 0 for v in candidate) or sum(candidate, start=ZERO) != ONE:
+        raise InternalCheckError("ascent subproblem produced an invalid payoff")
+    return tuple(tuple(candidate[u * m + v] for v in range(m)) for u in range(n))
+
+
+def _rational_opt(w, n, m, payoff, max_encoders):
+    game = BrmGame(n, w.input_size, w.output_size, m, payoff, w)
+    return optimal_average_payoff(game, max_encoders)
+
+
+def rational_ascent_step(
+    active, other, other_pair, n, m, max_encoders=DEFAULT_MAX_PAIRS
+):
+    """metric._ascent_step as it ran on rationals: pieces are pair_columns
+    of other, generated from other_pair by pricing each optimum with
+    other's optimal pair until the priced piece is already present.
+    """
+    pieces = [pair_column(other, *other_pair)]
+    while True:
+        candidate = rational_restricted_ascent(active, pieces, n, m)
+        _value, pair = _rational_opt(other, n, m, candidate, max_encoders)
+        piece = pair_column(other, *pair)
+        if piece in pieces:
+            return candidate
+        pieces.append(piece)
+
+
+def rational_sample_payoff(seed, trial, n, m):
+    """metric._sample_payoff as rational rows: the draws over their total."""
+    bound = metric._SAMPLE_BOUND
+    draws = [
+        [counter_int(seed, trial, u, v, bound=bound) + 1 for v in range(m)]
+        for u in range(n)
+    ]
+    total = sum(sum(row) for row in draws)
+    return tuple(tuple(Rat(k, total) for k in row) for row in draws)
+
+
+def rational_brm_distance_lower_bound(
+    w1, w2, n_max, m_max, budget, seed=0, max_encoders=DEFAULT_MAX_PAIRS
+):
+    """metric.brm_distance_lower_bound as it ran on rationals: every payoff
+    a tuple of rational rows, every game optimum optimal_average_payoff on
+    a rational game, every piece a pair_column, and both channels scored
+    afresh at every candidate. It is the reference the integer-image
+    search must agree with field for field.
+    """
+    shapes = (
+        (n, size // n)
+        for size in range(1, n_max * m_max + 1)
+        for n in range(max(1, -(-size // m_max)), min(n_max, size) + 1)
+        if size % n == 0
+    )
+    dims = list(islice(shapes, budget))
+
+    def diff(n, m, payoff):
+        v1, pair1 = _rational_opt(w1, n, m, payoff, max_encoders)
+        v2, pair2 = _rational_opt(w2, n, m, payoff, max_encoders)
+        return v1 - v2, pair1, pair2
+
+    best = None  # (abs difference, payoff, dims)
+    for trial in range(budget):
+        n, m = dims[trial % len(dims)]
+        payoff = rational_sample_payoff(seed, trial, n, m)
+        signed, pair1, pair2 = diff(n, m, payoff)
+        score = abs(signed)
+        for _step in range(metric._MAX_REFINE_STEPS):
+            candidates = []
+            for own, pair, other, other_pair in (
+                (w1, pair1, w2, pair2),
+                (w2, pair2, w1, pair1),
+            ):
+                active = pair_column(own, *pair)
+                candidate = rational_ascent_step(
+                    active, other, other_pair, n, m, max_encoders
+                )
+                cand_signed, cand_pair1, cand_pair2 = diff(n, m, candidate)
+                candidates.append((abs(cand_signed), candidate, cand_pair1, cand_pair2))
+            candidates.sort(key=lambda c: (-c[0], c[1]))
+            if candidates[0][0] <= score:
+                break
+            score, payoff, pair1, pair2 = candidates[0]
+        if best is None or score > best[0]:
+            best = (score, payoff, (n, m))
+    lower, witness, game_dims = best
+    return metric.MetricEstimate(
+        lower_bound=lower,
+        witness_payoff=witness,
+        game_dims=game_dims,
+        search_budget=budget,
+        seed=seed,
     )

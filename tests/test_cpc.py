@@ -13,6 +13,7 @@ from oracles import (
 )
 
 from chanord import cpc
+from chanord.brm import _pair_ints
 from chanord.channel_core import (
     Channel,
     DeterministicMap,
@@ -36,7 +37,7 @@ from chanord.cpc import (
 from chanord.errors import DimensionMismatchError, InternalCheckError
 from chanord.lp_solver import solve_feasibility
 from chanord.ordering import contains, witness_to_cpc
-from chanord.rational import ONE, ZERO, Rat
+from chanord.rational import ONE, ZERO, Rat, scaled_ints
 
 
 def random_cpc(x, xp, yp, y, seed, n_terms=2, den=8):
@@ -210,11 +211,18 @@ def test_pair_column_matches_composition_and_brute_force():
         for g_img in product(range(1, 4), repeat=4)
     ]
     assert len(pairs) == len(columns) == 3**2 * 3**4
+    d_w, wp_ints = scaled_ints(p for row in wp.rows for p in row)
     for (f, g), column in zip(pairs, columns):
         built = pair_column(wp, f, g)
         assert built == column
         simulated = compose(deterministic(g), compose(wp, deterministic(f)))
         assert built == tuple(p for row in simulated.rows for p in row)
+        # The int form of the game search and the containment master, on
+        # 0-based images: ints over d_W·factor.
+        f_img, g_img = [x - 1 for x in f.image], [v - 1 for v in g.image]
+        for factor in (1, 3):
+            ints = _pair_ints(wp_ints, 4, f_img, g_img, 3, factor)
+            assert [Rat(v, d_w * factor) for v in ints] == list(built)
 
 
 def test_caratheodory_reduce_trivial_cases():

@@ -1,5 +1,8 @@
+from dataclasses import replace
+from math import lcm
+
 import pytest
-from oracles import all_simulation_columns
+from oracles import all_simulation_columns, rational_brm_distance_lower_bound
 
 from chanord import metric
 from chanord.brm import BrmGame, optimal_average_payoff
@@ -12,6 +15,7 @@ from chanord.channel_core import (
 )
 from chanord.cpc import DEFAULT_MAX_PAIRS, pair_column
 from chanord.errors import DimensionMismatchError, InternalCheckError, ResourceLimitError
+from chanord.lp_solver import maximize
 from chanord.metric import (
     _ascent_step,
     _restricted_ascent,
@@ -110,6 +114,21 @@ def test_estimate_serializes():
     assert isinstance(blob["lower_bound"], str)
 
 
+def rows_of(payoff, m):
+    """A payoff held as (den, ints over den, row after row), as rational rows."""
+    den, ints = payoff
+    return tuple(
+        tuple(Rat(v, den) for v in ints[k : k + m]) for k in range(0, len(ints), m)
+    )
+
+
+def ints_at(scale, column):
+    """A rational pair column as ints over scale."""
+    scaled = [v * scale for v in column]
+    assert all(v.denominator == 1 for v in scaled)
+    return [int(v) for v in scaled]
+
+
 def test_generated_ascent_step_matches_the_full_program():
     def objective(active, pieces, payoff):
         flat = [v for row in payoff for v in row]
@@ -122,20 +141,30 @@ def test_generated_ascent_step_matches_the_full_program():
     for seed in range(8):
         w1 = random_channel(2, 2, 9000 + seed, 8)
         w2 = random_channel(2, 2, 9100 + seed, 8)
+        image1, image2 = metric._image(w1), metric._image(w2)
+        scale = lcm(image1[0], image2[0])
         for n, m in ((1, 2), (2, 1), (2, 2)):
-            payoff = _sample_payoff(seed, 0, n, m)
+            sample = _sample_payoff(seed, 0, n, m)
+            payoff = rows_of(sample, m)
             _v1, pair1 = optimal_average_payoff(
                 BrmGame(n, 2, 2, m, payoff, w1)
             )
-            _v2, pair2 = optimal_average_payoff(
-                BrmGame(n, 2, 2, m, payoff, w2)
-            )
+            opt2 = metric._opt(w2, image2, n, m, sample, DEFAULT_MAX_PAIRS)
             active = pair_column(w1, *pair1)
             pieces = all_simulation_columns(w2, n, m)
-            full = _restricted_ascent(active, pieces, n, m)
-            generated = _ascent_step(active, w2, pair2, n, m, DEFAULT_MAX_PAIRS)
-            assert objective(active, pieces, generated) == objective(
-                active, pieces, full
+            full = _restricted_ascent(
+                ints_at(scale, active), [ints_at(scale, p) for p in pieces],
+                scale, n, m,
+            )
+            generated, opt_at = _ascent_step(
+                ints_at(scale, active), w2, image2, opt2, scale, n, m,
+                DEFAULT_MAX_PAIRS,
+            )
+            assert opt_at == metric._opt(
+                w2, image2, n, m, generated, DEFAULT_MAX_PAIRS
+            )
+            assert objective(active, pieces, rows_of(generated, m)) == objective(
+                active, pieces, rows_of(full, m)
             )
 
 
@@ -145,18 +174,26 @@ def test_restricted_ascent_ignores_a_positive_scaling():
     for seed in range(10):
         w1 = random_channel(2, 3, 9200 + seed, 8)
         w2 = random_channel(3, 2, 9300 + seed, 8)
+        scale = lcm(metric._image(w1)[0], metric._image(w2)[0])
         for n, m in ((1, 2), (2, 2), (2, 3), (3, 2)):
-            payoff = _sample_payoff(seed, 1, n, m)
+            payoff = rows_of(_sample_payoff(seed, 1, n, m), m)
             _v1, pair1 = optimal_average_payoff(BrmGame(n, 2, 3, m, payoff, w1))
             _v2, pair2 = optimal_average_payoff(BrmGame(n, 3, 2, m, payoff, w2))
-            active = pair_column(w1, *pair1)
+            active = ints_at(scale, pair_column(w1, *pair1))
             columns = all_simulation_columns(w2, n, m)
             step = 1 + seed % (len(columns) - 1)
-            pieces = [pair_column(w2, *pair2)] + columns[::step]
-            base = _restricted_ascent(active, pieces, n, m)
+            pieces = [
+                ints_at(scale, column)
+                for column in [pair_column(w2, *pair2)] + columns[::step]
+            ]
+            base = _restricted_ascent(active, pieces, scale, n, m)
             for factor in (Rat(1, n), Rat(1, 7), Rat(5)):
-                scaled = [tuple(factor * v for v in vec) for vec in [active] + pieces]
-                assert _restricted_ascent(scaled[0], scaled[1:], n, m) == base
+                # The columns times p/q are the same ints times p over
+                # scale·q.
+                p, q = int(factor.numerator), int(factor.denominator)
+                scaled = [[p * v for v in vec] for vec in [active] + pieces]
+                again = _restricted_ascent(scaled[0], scaled[1:], scale * q, n, m)
+                assert again == base
 
 
 def test_failed_ascent_check_is_not_swallowed(monkeypatch):
@@ -166,6 +203,39 @@ def test_failed_ascent_check_is_not_swallowed(monkeypatch):
     monkeypatch.setattr(metric, "_restricted_ascent", broken)
     with pytest.raises(InternalCheckError):
         brm_distance_lower_bound(bsc(0), bsc("1/2"), n_max=2, m_max=2, budget=2)
+
+
+def tampered_maximize(tamper):
+    """metric.maximize with tamper(prices) applied to the payoff prices of
+    every ascent program whose payoff has at least two coordinates."""
+
+    def fake(lp, *args, **kwargs):
+        outcome = maximize(lp, *args, **kwargs)
+        dim = lp.num_rows - 1
+        if dim < 2:
+            return outcome
+        prices = list(outcome.dual_certificate)
+        prices[:dim] = tamper(prices[:dim])
+        return replace(outcome, dual_certificate=tuple(prices))
+
+    return fake
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        # One price negative, the prices still summing to one.
+        lambda y: [y[0] - 2, y[1] + 2, *y[2:]],
+        # Every price nonnegative, the prices summing to two.
+        lambda y: [y[0] + 1, *y[1:]],
+    ],
+    ids=["negative-price", "sum-not-one"],
+)
+def test_ascent_payoff_check_rejects_tampered_prices(monkeypatch, tamper):
+    monkeypatch.setattr(metric, "maximize", tampered_maximize(tamper))
+    with pytest.raises(InternalCheckError) as caught:
+        brm_distance_lower_bound(bsc(0), bsc("1/2"), n_max=2, m_max=2, budget=4)
+    assert str(caught.value) == "ascent subproblem produced an invalid payoff"
 
 
 def old_shape_order(n_max, m_max):
@@ -220,13 +290,63 @@ def test_search_optima_equal_those_of_the_rational_games():
         w = random_channel(1 + seed % 3, 2 + seed % 2, 9400 + seed, 8)
         image = metric._image(w)
         for n, m in ((1, 1), (1, 2), (2, 2), (2, 3), (3, 2)):
-            for payoff in (_sample_payoff(seed, 2, n, m), _sample_payoff(seed, 3, n, m)):
+            for trial in (2, 3):
+                sample = _sample_payoff(seed, trial, n, m)
+                payoff = rows_of(sample, m)
                 game = BrmGame(n, w.input_size, w.output_size, m, payoff, w)
-                got = metric._opt(w, image, n, m, payoff, DEFAULT_MAX_PAIRS)
+                total, f_img, g_img = metric._opt(
+                    w, image, n, m, sample, DEFAULT_MAX_PAIRS
+                )
+                got = Rat(total, image[0] * sample[0] * n), (
+                    DeterministicMap(n, w.input_size, tuple(x + 1 for x in f_img)),
+                    DeterministicMap(w.output_size, m, tuple(v + 1 for v in g_img)),
+                )
                 assert got == optimal_average_payoff(game)
     cap = w.input_size**n - 1
     with pytest.raises(ResourceLimitError) as caught:
-        metric._opt(w, image, n, m, payoff, cap)
+        metric._opt(w, image, n, m, sample, cap)
     with pytest.raises(ResourceLimitError) as expected:
         optimal_average_payoff(game, cap)
+    assert str(caught.value) == str(expected.value)
+
+
+PARITY_SHAPES = ((1, 2), (2, 2), (2, 3), (3, 2), (3, 3))
+PARITY_SEARCHES = ((1, 1, 2), (1, 2, 3), (2, 1, 4), (2, 2, 4), (2, 3, 7), (3, 3, 24))
+
+
+@pytest.mark.parametrize("n_max, m_max, budget", PARITY_SEARCHES)
+def test_search_equals_the_rational_search(n_max, m_max, budget):
+    # Field for field on seeded pairs of channels of different shapes,
+    # against the search as it ran on rationals.
+    for seed in range(len(PARITY_SHAPES)):
+        x1, y1 = PARITY_SHAPES[seed]
+        x2, y2 = PARITY_SHAPES[(seed + 2) % len(PARITY_SHAPES)]
+        w1 = random_channel(x1, y1, 9500 + seed, 6)
+        w2 = random_channel(x2, y2, 9600 + seed, 6)
+        for search_seed in (seed, seed + 11):
+            est = brm_distance_lower_bound(
+                w1, w2, n_max=n_max, m_max=m_max, budget=budget, seed=search_seed
+            )
+            assert est == rational_brm_distance_lower_bound(
+                w1, w2, n_max, m_max, budget, seed=search_seed
+            )
+
+
+def test_search_cap_failure_equals_the_rational_search():
+    w1, w2 = random_channel(2, 3, 9700, 6), random_channel(3, 2, 9701, 6)
+    # Four trials play every shape up to 2×2; the widest need is 3**2.
+    need = 3**2
+
+    def search(cap):
+        return brm_distance_lower_bound(
+            w1, w2, n_max=2, m_max=2, budget=4, max_encoders=cap
+        )
+
+    assert search(need) == rational_brm_distance_lower_bound(
+        w1, w2, 2, 2, 4, max_encoders=need
+    )
+    with pytest.raises(ResourceLimitError) as caught:
+        search(need - 1)
+    with pytest.raises(ResourceLimitError) as expected:
+        rational_brm_distance_lower_bound(w1, w2, 2, 2, 4, max_encoders=need - 1)
     assert str(caught.value) == str(expected.value)
