@@ -28,6 +28,7 @@ those of scoring every pair in rational arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from math import lcm
 from operator import add
@@ -262,12 +263,16 @@ def region_generators(
     Encoder and decoder images are each walked in lexicographic order.
     Raises ResourceLimitError when the |X|^|U| · |V|^|Y| pairs exceed
     max_pairs; that failure is a budget statement, never a verdict.
+
+    Coordinates are summed on ints over d_W·d_l, and one rational is
+    built per distinct total, shared by every coordinate that has it.
     """
     count = g.x_size**g.u_size * g.v_size**g.y_size
     enforce_cap(count, max_pairs, "deterministic-pair basis", "elements")
     d_w, w_ints = scaled_ints(p for row in g.randomizer.rows for p in row)
     d_l, l_ints = scaled_ints(c for row in g.payoff_matrix for c in row)
     scale, tables = d_w * d_l, _score_tables(w_ints, l_ints, g.y_size, g.v_size)
+    rat = cache(lambda total: Rat(total, scale))
     points = []
     for f_img in product(range(g.x_size), repeat=g.u_size):
         # choices[y][v] holds every secret's score when g sends y to v.
@@ -276,7 +281,7 @@ def region_generators(
             for y in range(g.y_size)
         ]
         for picks in product(*choices):
-            points.append(tuple(Rat(total, scale) for total in map(sum, zip(*picks))))
+            points.append(tuple(map(rat, map(sum, zip(*picks)))))
     return PayoffRegionGenerators(g.u_size, tuple(points))
 
 

@@ -18,6 +18,12 @@ each optimum is priced with the second channel's optimal pair, until
 that pair is one the program already has. Each accepted step strictly
 increases the true difference.
 
+On a one-secret or one-action shape every channel has the same optimum,
+max_v l(1, v) with one secret and l's mean with one action, so the gap
+is 0 at every payoff. Those trials keep only the encoder-cap check of
+each channel and score no game; trial 0, always 1×1, keeps its sample
+as the witness of the bound 0 that any later trial can only beat.
+
 The search runs on ints over known positive denominators. Each channel
 is scaled once; a payoff is (den, ints), a game optimum is brm._best_pair
 over the int score tables, and a piece is a pair column on ints
@@ -75,13 +81,19 @@ def _image(w: Channel):
     return scaled_ints(p for row in w.rows for p in row)
 
 
+def _cap(w: Channel, n: int, max_encoders):
+    """optimal_average_payoff's cap on the encoders of an n-secret game
+    around w."""
+    enforce_cap(w.input_size**n, max_encoders, "encoder enumeration", "elements")
+
+
 def _opt(w: Channel, w_image, n: int, m: int, payoff, max_encoders):
     """The optimum of the n×m game of payoff around w, from w's int image
     and the payoff as (den, its entries as ints over den, row after row):
     _best_pair's (total, encoder images, decoder images), 0-based. The
     optimal average payoff is total/(d_W·den·n), the value and pair of
     optimal_average_payoff on the rational game."""
-    enforce_cap(w.input_size**n, max_encoders, "encoder enumeration", "elements")
+    _cap(w, n, max_encoders)
     return _best_pair(_score_tables(w_image[1], payoff[1], w.output_size, m))
 
 
@@ -200,6 +212,15 @@ def brm_distance_lower_bound(
     for trial in range(budget):
         n, m = dims[trial % len(dims)]
         payoff = _sample_payoff(seed, trial, n, m)
+        if n == 1 or m == 1:
+            # The gap is 0 at every payoff of this shape, so only the caps
+            # are checked. Trial 0 plays 1×1 and its sample stays best: a
+            # gap of 0 never replaces it.
+            for w in (w1, w2):
+                _cap(w, n, max_encoders)
+            if best is None:
+                best = ((0, 1), payoff, (n, m))
+            continue
         opts = [_opt(w, image, n, m, payoff, max_encoders) for w, image in sides]
         score = _gap(d1, d2, opts, payoff, n)
         for _step in range(_MAX_REFINE_STEPS):
@@ -228,7 +249,7 @@ def brm_distance_lower_bound(
             if not _exceeds(chosen[0], score):
                 break
             score, payoff, opts = chosen
-        if best is None or _exceeds(score, best[0]):
+        if _exceeds(score, best[0]):
             best = (score, payoff, (n, m))
     (num, den), (payoff_den, payoff_ints), game_dims = best
     lower = Rat(num, den)

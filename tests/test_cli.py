@@ -232,7 +232,7 @@ def test_failed_ascent_check_exits_3(capsys, write_channel, monkeypatch):
     a = write_channel("a.json", bsc(0))
     b = write_channel("b.json", bsc("1/2"))
     code, report, err = run_cli(
-        capsys, "dist-brm", a, b, "--nmax", "2", "--mmax", "2", "--budget", "2"
+        capsys, "dist-brm", a, b, "--nmax", "2", "--mmax", "2", "--budget", "4"
     )
     assert code == 3 and report is None and "internal check failed" in err
 
@@ -364,3 +364,20 @@ def test_cap_messages_print_the_count_or_a_power_of_two_below_it():
         with pytest.raises(ResourceLimitError) as caught:
             enforce_cap(count, 5, "enumeration", "elements")
         assert str(caught.value) == f"enumeration has {text} elements (cap 5)"
+
+
+def test_one_secret_or_one_action_dist_brm_reports_zero(capsys, write_channel):
+    a = write_channel("a.json", random_channel(2, 3, 31, 6))
+    b = write_channel("b.json", random_channel(3, 2, 32, 6))
+    for flag in ("--nmax", "--mmax"):
+        code, report, _err = run_cli(
+            capsys, "dist-brm", a, b, flag, "1", "--budget", "5", "--seed", "2"
+        )
+        assert code == 0
+        assert report["estimate"]["lower_bound"] == "0"
+        assert report["estimate"]["game_dims"] == [1, 1]
+        # b has three inputs, so a cap of two encoders is exceeded.
+        code, report, err = run_cli(
+            capsys, "dist-brm", a, b, flag, "1", "--max-pairs", "2"
+        )
+        assert code == 2 and report is None and "resource" in err.lower()

@@ -566,7 +566,7 @@ def test_library_lp_outcomes_pass_the_rational_oracles(monkeypatch):
         support = sum(1 for row in cpc.as_channel(chained).rows for p in row if p)
         assert seen[-1][0].num_rows == support + 1
         chain_rows.append((seen[-1][0].num_rows, len(_flat(cpc.as_channel(chained))) + 1))
-        metric.brm_vs_tv(w, random_channel(2, 3, seed + 80, 5), n_max=2, m_max=2, budget=2,
+        metric.brm_vs_tv(w, random_channel(2, 3, seed + 80, 5), n_max=2, m_max=2, budget=4,
                          seed=seed)
 
     tags = {FEASIBLE: 0, INFEASIBLE: 0, OPTIMAL: 0}

@@ -202,7 +202,7 @@ def test_failed_ascent_check_is_not_swallowed(monkeypatch):
 
     monkeypatch.setattr(metric, "_restricted_ascent", broken)
     with pytest.raises(InternalCheckError):
-        brm_distance_lower_bound(bsc(0), bsc("1/2"), n_max=2, m_max=2, budget=2)
+        brm_distance_lower_bound(bsc(0), bsc("1/2"), n_max=2, m_max=2, budget=4)
 
 
 def tampered_maximize(tamper):
@@ -350,3 +350,75 @@ def test_search_cap_failure_equals_the_rational_search():
     with pytest.raises(ResourceLimitError) as expected:
         rational_brm_distance_lower_bound(w1, w2, 2, 2, 4, max_encoders=need - 1)
     assert str(caught.value) == str(expected.value)
+
+
+# Channel pairs (|X1|, |Y1|, |X2|, |Y2|) with different input sizes.
+SKIP_PAIRS = ((2, 3, 3, 2), (1, 2, 3, 3), (3, 3, 2, 2), (4, 2, 2, 3))
+
+
+@pytest.mark.parametrize("n_max, m_max", ((1, 1), (1, 3), (3, 1), (1, 5), (4, 1)))
+def test_one_secret_or_one_action_searches_skip_every_game(monkeypatch, n_max, m_max):
+    # Every channel has the same optimum on a 1×m or n×1 game, so the
+    # search scores no game and runs no ascent there, and still equals the
+    # rational search, which does both.
+    calls = []
+
+    def counted(name):
+        real = getattr(metric, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("_restricted_ascent", "_best_pair"):
+        monkeypatch.setattr(metric, name, counted(name))
+    for k, (x1, y1, x2, y2) in enumerate(SKIP_PAIRS):
+        w1 = random_channel(x1, y1, 9800 + k, 6)
+        w2 = random_channel(x2, y2, 9810 + k, 6)
+        for budget in range(1, 10):
+            est = brm_distance_lower_bound(
+                w1, w2, n_max=n_max, m_max=m_max, budget=budget, seed=budget + k
+            )
+            assert est == rational_brm_distance_lower_bound(
+                w1, w2, n_max, m_max, budget, seed=budget + k
+            )
+            assert est.lower_bound == 0 and est.game_dims == (1, 1)
+    assert calls == []
+
+
+def search_outcome(search, *args, **kwargs):
+    """The search's estimate, or the message of its cap failure."""
+    try:
+        return search(*args, **kwargs)
+    except ResourceLimitError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("budget", (1, 3))
+def test_skipped_shapes_fail_the_cap_as_the_rational_search(budget):
+    # Budget 1 plays 1×1 and budget 3 also 1×2 and 2×1, all skipped: the
+    # search still checks w1's encoder cap, then w2's, on each of them.
+    for k, (x1, x2) in enumerate(((2, 3), (3, 2), (3, 4), (4, 3))):
+        w1 = random_channel(x1, 2, 9820 + k, 6)
+        w2 = random_channel(x2, 3, 9830 + k, 6)
+        outcomes = {}
+        for cap in range(1, max(x1, x2) ** 2 + 1):
+            outcomes[cap] = search_outcome(
+                brm_distance_lower_bound,
+                w1, w2, n_max=2, m_max=2, budget=budget, max_encoders=cap,
+            )
+            assert outcomes[cap] == search_outcome(
+                rational_brm_distance_lower_bound,
+                w1, w2, 2, 2, budget, max_encoders=cap,
+            )
+        # Just below the larger |X| only that channel fails; below both,
+        # w1 is checked first.
+        top, low = max(x1, x2), min(x1, x2)
+        assert outcomes[top - 1] == (
+            f"encoder enumeration has {top} elements (cap {top - 1})"
+        )
+        assert outcomes[low - 1] == (
+            f"encoder enumeration has {x1} elements (cap {low - 1})"
+        )
