@@ -6,15 +6,15 @@ Bland's pivoting rule, so it terminates on every input; nothing is ever
 rounded. A program is its integer image, L·[A | b] as Python ints (L > 0
 a common denominator), and its rational objective c; A and b are read
 back from the image. standard_lp scales the caller's rationals once
-(rational.scaled_ints), and hull_lp builds the image group by group,
-from ints a caller may already hold. The tableau starts from that image,
-keeps every row as Python ints over one shared positive denominator D,
-and pivots integer-preserving (Edmonds–Bareiss), so the inner loops
-never build a rational, whichever backend rational.py picks. One global
-L, rather than a scale per row, keeps every sign test and tie of the
-rational simplex, hence its pivot path, vertex and duals. A row whose
-pivot-column entry is 0 only rescales at a pivot, p·t // D, and skips
-the pivot row; in a tall hull program most rows do.
+(rational.scaled_ints), and hull_lp builds the image of one hull
+question from ints a caller may already hold. The tableau starts from
+that image, keeps every row as Python ints over one shared positive
+denominator D, and pivots integer-preserving (Edmonds–Bareiss), so the
+inner loops never build a rational, whichever backend rational.py
+picks. One global L, rather than a scale per row, keeps every sign
+test and tie of the rational simplex, hence its pivot path, vertex and
+duals. A row whose pivot-column entry is 0 only rescales at a pivot,
+p·t // D, and skips the pivot row; in a tall hull program most rows do.
 
 Every answer carries a certificate that is re-verified exactly against
 the image, never against tableau rows, on ints; the exact rationals
@@ -183,47 +183,48 @@ class _ScaledGroup:
         return cls(scale, ints, len(generators), lengths.pop() if lengths else 0)
 
 
-def hull_lp(point, *groups) -> StandardLp:
-    """Feasibility program: is point in conv(G₁) + … + conv(G_k)?
+def hull_lp(point, generators) -> StandardLp:
+    """Feasibility program: is point in the convex hull of generators?
 
-    Each group G_i is a sequence of generators. The variables are the
-    weights λ of every generator, group after group. One row per
-    coordinate (Σ λ_g · g = point), then one convexity row per group
-    (Σ_{g∈G_i} λ_g = 1), with a zero objective; entries must already be
-    exact rationals. With one group this asks whether point is a convex
-    combination of its generators. A FEASIBLE primal is λ, group after
-    group. An INFEASIBLE Farkas dual is (l, c₁, …, c_k), l over the
-    coordinates and c_i on group i's convexity row, with l·g + c_i ≤ 0 for
-    every g in G_i and l·point + Σ c_i > 0: the hyperplane l strictly
-    separates the point from the sum of hulls. An empty group has an
-    empty hull, so the sum is empty and the program infeasible. A
-    generator whose length is not the point's raises
-    DimensionMismatchError.
+    The variables are the weights λ of the generators. One row per
+    coordinate (Σ λ_g · g = point), then the convexity row (Σ λ_g = 1),
+    with a zero objective; entries must already be exact rationals. A
+    FEASIBLE primal is λ. An INFEASIBLE Farkas dual is (l, c), l over the
+    coordinates and c on the convexity row, with l·g + c ≤ 0 for every
+    generator g and l·point + c > 0: the hyperplane l strictly separates
+    the point from the hull. No generators make an empty hull, so the
+    program is infeasible. A generator whose length is not the point's
+    raises DimensionMismatchError.
 
-    Only the integer image is built: the point and each group as ints at
-    their least scale (a _ScaledGroup; the point may come as one of a
-    single generator), brought to L, the lcm of those scales. That is
+    Only the integer image is built: the point and the generators as ints
+    at their least scale (a _ScaledGroup; the point may come as one of a
+    single generator), brought to L, the lcm of the two scales. That is
     the L and the ints of one scaled_ints over the whole program.
     """
     if isinstance(point, _ScaledGroup):
         point_scale, point_ints = point.scale, [v for (v,) in point.int_rows]
     else:
         point_scale, point_ints = scaled_ints(point)
-    dim = len(point_ints)
-    groups = [g if isinstance(g, _ScaledGroup) else _ScaledGroup.of(g) for g in groups]
-    if any(g.size and g.length != dim for g in groups):
-        raise DimensionMismatchError("generator length does not match the point")
-    scale = lcm(point_scale, *(g.scale for g in groups))
-    factors = [(g, scale // g.scale) for g in groups if g.size]
-    rows = [tuple(v * f for g, f in factors for v in g.int_rows[i]) for i in range(dim)]
-    width = sum(g.size for g in groups)
-    start = 0
-    for g in groups:
-        rows.append((0,) * start + (scale,) * g.size + (0,) * (width - start - g.size))
-        start += g.size
+    if not isinstance(generators, _ScaledGroup):
+        generators = _ScaledGroup.of(generators)
+    scale = lcm(point_scale, generators.scale)
+    rows = _hull_rows(generators, len(point_ints), scale)
     factor = scale // point_scale
-    b_ints = tuple(v * factor for v in point_ints) + (scale,) * len(groups)
-    return StandardLp(scale, tuple(rows), b_ints, (ZERO,) * width)
+    b_ints = (*(v * factor for v in point_ints), scale)
+    return StandardLp(scale, tuple(rows), b_ints, (ZERO,) * generators.size)
+
+
+def _hull_rows(group: _ScaledGroup, dim: int, scale: int):
+    """L·A of hull_lp over group at L = scale, a multiple of the group's
+    scale: one row per coordinate of a dim-long point, then the convexity
+    row."""
+    if group.size and group.length != dim:
+        raise DimensionMismatchError("generator length does not match the point")
+    rows = [()] * dim
+    if group.size:
+        factor = scale // group.scale
+        rows = [tuple(v * factor for v in row) for row in group.int_rows]
+    return [*rows, (scale,) * group.size]
 
 
 @dataclass(frozen=True)
@@ -545,9 +546,9 @@ def priced_hull(
 ) -> LpOutcome:
     """Column generation for: is point in the hull of the columns price knows?
 
-    The master is hull_lp(point, columns) with one group, on its integer
-    image at the caller's scale L: point_ints is L·point, and every column
-    enters as L·a. It starts with no columns. While it is infeasible, its
+    The master is hull_lp(point, columns), on its integer image at the
+    caller's scale L: point_ints is L·point, and every column enters as
+    L·a. It starts with no columns. While it is infeasible, its
     checked Farkas dual y, ints over D (l over the coordinates, c on the
     convexity row), goes to price(y); a positive multiple of a separating
     (l, c) still separates. price returns L·a as ints for a column a with
@@ -602,18 +603,13 @@ def hull_outcomes(
     remaining points cold.
     """
     common = lcm(scale, group.scale)
-    factor, point_factor = common // group.scale, common // scale
+    point_factor = common // scale
     points = iter(points_ints)
     first = next(points, None)
     if first is None:
         return
     dim = len(first)
-    if group.size and group.length != dim:
-        raise DimensionMismatchError("generator length does not match the point")
-    rows = [()] * dim
-    if group.size:
-        rows = [tuple(v * factor for v in row) for row in group.int_rows]
-    rows.append((common,) * group.size)
+    rows = _hull_rows(group, dim, common)
 
     def image(point):
         if len(point) != dim:

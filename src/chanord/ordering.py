@@ -16,13 +16,14 @@ channels. Both are re-verified exactly before being returned; the
 mixture on ints, Σ α·D_g∘W'∘D_f rebuilt entry by entry from one scaling
 of W' and one of the weights.
 
-Every other hull question here goes through lp_solver.hull_lp: a row of
-w against the rows of wp (input-degradedness, one program per row), a
-row against the other rows (the srank input reduction), and the
-flattened w against a sum of |Y'| hulls (output-degradedness,
-w = T∘wp). Hull y' holds the |Y| ways to send column y' of wp to one
-output, and row y' of T is the point chosen in it. srank certifies its
-reduction with the two degradedness witnesses, not with containment.
+Output-degradedness (w = T∘wp) is containment with the encoder fixed
+to the identity: T is a mixture of deterministic output maps, so the
+same master decides it, priced by the same game with each secret sent
+to its own input. Every other hull question here goes through
+lp_solver.hull_lp: a row of w against the rows of wp
+(input-degradedness, one program per row) and a row against the other
+rows (the srank input reduction). srank certifies its reduction with
+the two degradedness witnesses, not with containment.
 """
 
 from __future__ import annotations
@@ -193,29 +194,9 @@ def contains(
         _verify_witness(witness, wp, w)
         return OrderingVerdict(tag=CONTAINS, witness=witness)
     w_red, input_map, output_injection = _reduce_target(w)
-    n, m = w_red.input_size, w_red.output_size
+    n = w_red.input_size
     enforce_cap(wp.input_size**n, max_pairs, "encoder enumeration", "elements")
-    # A pair column sums entries of one wp row, so its denominators divide
-    # d_W; with the target's, they fix the master's scale L.
-    d_t, target = scaled_ints(p for row in w_red.rows for p in row)
-    d_w, wp_ints = scaled_ints(p for row in wp.rows for p in row)
-    scale = lcm(d_t, d_w)
-    m_p, factor = wp.output_size, scale // d_w
-    pairs = []
-
-    def price(dual):
-        # dual is (l, c) as ints over D. The game of payoff l against wp
-        # pays total/(d_W·D·n) on average at its optimum, so some pair
-        # prices l·a + c > 0 exactly when total + d_W·c > 0. The empty
-        # master's dual is all ones: every pair ties, and the first column
-        # is the lexicographically first pair.
-        total, f_img, g_img = _best_pair(_score_tables(wp_ints, dual[:-1], m_p, m))
-        if total + d_w * dual[-1] <= 0:
-            return None
-        pairs.append((f_img, g_img))
-        return _pair_ints(wp_ints, m_p, f_img, g_img, m, factor)
-
-    outcome = priced_hull([v * (scale // d_t) for v in target], price, scale)
+    outcome, pairs, wp_image = _master(wp, w_red)
     if outcome.tag != FEASIBLE:
         # No pair prices positive: the restricted dual separates the
         # target from every column, not only from the ones found.
@@ -241,8 +222,48 @@ def contains(
             )
             weights.append(((f, g), alpha))
     witness = ContainmentWitness(tuple(weights))
-    _verify_witness(witness, wp, w, (d_w, wp_ints))
+    _verify_witness(witness, wp, w, wp_image)
     return OrderingVerdict(tag=CONTAINS, witness=witness)
+
+
+def _master(wp: Channel, target: Channel, identity_encoder: bool = False):
+    """Is target a mixture of D_g∘wp∘D_f over deterministic pairs (f, g)?
+
+    One lp_solver.priced_hull master over the flattened target, its
+    columns priced by the game of its Farkas dual against wp. With
+    identity_encoder, secret u may only be sent to input u: each secret's
+    score table is cut to its own input row, so pricing scores one
+    encoder. Returns the outcome, the pairs entered as 0-based images, in
+    column order, and wp's (d_W, ints), row-major.
+    """
+    m = target.output_size
+    # A pair column sums entries of one wp row, so its denominators divide
+    # d_W; with the target's, they fix the master's scale L.
+    d_t, target_ints = scaled_ints(p for row in target.rows for p in row)
+    d_w, wp_ints = scaled_ints(p for row in wp.rows for p in row)
+    scale = lcm(d_t, d_w)
+    m_p, factor = wp.output_size, scale // d_w
+    pairs = []
+
+    def price(dual):
+        # dual is (l, c) as ints over D. The game of payoff l against wp
+        # pays total/(d_W·D·n) on average at its optimum, so some pair
+        # prices l·a + c > 0 exactly when total + d_W·c > 0. The empty
+        # master's dual is all ones: every pair ties, and the first column
+        # is the lexicographically first pair.
+        tables = _score_tables(wp_ints, dual[:-1], m_p, m)
+        if identity_encoder:
+            tables = [[table[u]] for u, table in enumerate(tables)]
+        total, f_img, g_img = _best_pair(tables)
+        if total + d_w * dual[-1] <= 0:
+            return None
+        if identity_encoder:
+            f_img = tuple(range(len(f_img)))
+        pairs.append((f_img, g_img))
+        return _pair_ints(wp_ints, m_p, f_img, g_img, m, factor)
+
+    outcome = priced_hull([v * (scale // d_t) for v in target_ints], price, scale)
+    return outcome, pairs, (d_w, wp_ints)
 
 
 def _verify_witness(
@@ -290,30 +311,26 @@ def shannon_equivalent(w1: Channel, w2: Channel, max_pairs: int = DEFAULT_MAX_PA
 
 
 def degraded_from(w: Channel, wp: Channel) -> Channel | None:
-    """Some output randomizer T with w = T ∘ wp, or None if none exists."""
+    """Some output randomizer T with w = T ∘ wp, or None if none exists.
+
+    This is containment with the encoder fixed to the identity: T is a
+    mixture Σ α·D_g of deterministic output maps, found by the master of
+    contains with each secret priced on its own input row, so a pricing
+    step is polynomial and needs no cap. The master has one pivot budget
+    for all its rounds; exceeding it raises ResourceLimitError, never None.
+    """
     if w.input_size != wp.input_size:
         raise DimensionMismatchError("degraded_from: input alphabets differ")
     if w == wp:
         return identity_channel(w.output_size)
-    m_from, m_to = wp.output_size, w.output_size
-    # Generator (y2, y1) puts column y2 of wp at output y1 in every input's
-    # block; row y2 of T picks a point of group y2's hull. The groups are
-    # cut as ints from one scaling of wp; each reduces to its least scale.
-    d_w, wp_ints = scaled_ints(p for row in wp.rows for p in row)
-    length = w.input_size * m_to
-    groups = []
-    for y2 in range(m_from):
-        ints = [0] * (m_to * length)
-        for y1 in range(m_to):
-            ints[y1 * length + y1 : (y1 + 1) * length : m_to] = wp_ints[y2::m_from]
-        groups.append(_ScaledGroup(d_w, ints, m_to, length))
-    outcome = solve_feasibility(hull_lp([p for row in w.rows for p in row], *groups))
+    outcome, pairs, _wp_image = _master(wp, w, identity_encoder=True)
     if outcome.tag != FEASIBLE:
         return None
-    t_rows = tuple(
-        outcome.primal[y2 * m_to : (y2 + 1) * m_to] for y2 in range(m_from)
-    )
-    witness = Channel(m_from, m_to, t_rows)
+    t_rows = [[ZERO] * w.output_size for _ in range(wp.output_size)]
+    for alpha, (_f_img, g_img) in zip(outcome.primal, pairs):
+        for row, y in zip(t_rows, g_img):
+            row[y] += alpha
+    witness = Channel(wp.output_size, w.output_size, tuple(map(tuple, t_rows)))
     if compose(witness, wp) != w:
         raise InternalCheckError("degradation witness failed verification")
     return witness
@@ -412,21 +429,23 @@ def srank_upper_bound(w: Channel) -> int:
     return max(w_red.input_size, w_red.output_size)
 
 
-def _map_key(f: DeterministicMap, g: DeterministicMap) -> str:
-    f_part = ",".join(str(v) for v in f.image)
-    g_part = ",".join(str(v) for v in g.image)
-    return f"f=[{f_part}];g=[{g_part}]"
+def _map_key(f_img, g_img) -> str:
+    return f"f=[{','.join(map(str, f_img))}];g=[{','.join(map(str, g_img))}]"
 
 
 def _parse_map_key(key: str):
+    """The images (f, g) of a key spelled exactly as _map_key writes it,
+    surrounding whitespace aside; any other spelling is a ValueError, so
+    no two keys read as the same pair."""
     body = key.strip()
-    if not body.startswith("f=[") or ";g=[" not in body or not body.endswith("]"):
+    try:
+        parts = body[len("f=[") : -1].split("];g=[")
+        images = tuple(tuple(map(int, part.split(","))) for part in parts)
+    except ValueError:
+        images = ()
+    if len(images) != 2 or _map_key(*images) != body:
         raise ValueError(f"malformed witness key {key!r}")
-    f_text, g_text = body[len("f=[") :].split("];g=[", 1)
-    g_text = g_text[:-1]
-    f_img = tuple(int(s) for s in f_text.split(",") if s)
-    g_img = tuple(int(s) for s in g_text.split(",") if s)
-    return f_img, g_img
+    return images
 
 
 def witness_to_json(witness: ContainmentWitness) -> dict:
@@ -437,7 +456,7 @@ def witness_to_json(witness: ContainmentWitness) -> dict:
         "yp_size": g0.domain_size,
         "y_size": g0.codomain_size,
         "weights": {
-            _map_key(f, g): rat_str(weight)
+            _map_key(f.image, g.image): rat_str(weight)
             for (f, g), weight in witness.basis_weights
         },
     }

@@ -231,11 +231,12 @@ def check_optimal(lp, x, y, value):
 
 
 def rational_hull_program(point, *groups):
-    """(A, b, c) of hull_lp(point, *groups) in exact rationals, built the
-    way hull_lp built its rational rows before a program became its
-    integer image: one row per coordinate, holding that coordinate of
-    every generator, group after group; then one convexity row per group,
-    1 on its own generators; b is the point and then a 1 per group; c is
+    """(A, b, c) in exact rationals of: is point in conv(G₁) + … + conv(G_k)?
+    With one group it is hull_lp(point, group)'s program, built the way
+    hull_lp built its rational rows before a program became its integer
+    image: one row per coordinate, holding that coordinate of every
+    generator, group after group; then one convexity row per group, 1 on
+    its own generators; b is the point and then a 1 per group; c is
     zero."""
     groups = [list(group) for group in groups]
     width = sum(len(group) for group in groups)
@@ -604,11 +605,11 @@ def fraction_skew_compose_cpc(v, vp):
 
 
 def rational_group_degraded_from(w, wp):
-    """ordering.degraded_from as it built its hull groups: group y2 holds
+    """ordering.degraded_from as the polynomial sum-of-hulls program it
+    solved before it moved onto the containment master: group y2 holds
     |Y| rational generators, generator y1 putting column y2 of wp at
-    output y1 of every input's block and ZERO elsewhere, which hull_lp
-    scales to ints group by group. It is the reference the groups cut
-    from one scaling of wp must agree with, witness for witness.
+    output y1 of every input's block and ZERO elsewhere, and row y2 of T
+    is the point chosen in hull y2. The verdict must match the master's.
     """
     m_from, m_to = wp.output_size, w.output_size
     groups = [
@@ -618,7 +619,8 @@ def rational_group_degraded_from(w, wp):
         ]
         for column in zip(*wp.rows)
     ]
-    outcome = solve_feasibility(hull_lp([p for row in w.rows for p in row], *groups))
+    program = rational_hull_program([p for row in w.rows for p in row], *groups)
+    outcome = solve_feasibility(standard_lp(*program))
     if outcome.tag != FEASIBLE:
         return None
     return Channel(

@@ -326,6 +326,18 @@ def test_pivot_budget_exhaustion_exits_2(capsys, write_channel, monkeypatch):
     assert code == 2 and report is None and "pivot budget" in err
 
 
+def test_degrade_pivot_budget_exhaustion_exits_2(capsys, write_channel, monkeypatch):
+    monkeypatch.setattr(
+        ordering,
+        "priced_hull",
+        lambda point, price, scale: priced_hull(point, price, scale, max_pivots=0),
+    )
+    a = write_channel("a.json", bsc("1/4"))
+    b = write_channel("b.json", identity_channel(2))
+    code, report, err = run_cli(capsys, "degrade", a, b)
+    assert code == 2 and report is None and "pivot budget" in err
+
+
 def test_non_integer_channel_size_is_an_input_error(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"input_size": 1.9, "output_size": True, "rows": [["1"]]}))

@@ -221,80 +221,41 @@ def test_hull_lp_weights_or_separating_hyperplane(instance):
         assert level(point) > 0
 
 
-@st.composite
-def hull_sum_instances(draw, max_groups=3):
-    """A point and 1 to max_groups generator groups of 0–3 generators
-    each, so empty and one-generator groups occur. When no group is empty,
-    half the points are drawn as a sum of one convex combination per
-    group."""
-    dim = draw(st.integers(1, 3))
-    groups = [
-        [tuple(draw(small_rationals()) for _ in range(dim)) for _ in range(size)]
-        for size in draw(st.lists(st.integers(0, 3), min_size=1, max_size=max_groups))
-    ]
-    if all(groups) and draw(st.booleans()):
-        point = [ZERO] * dim
-        for group in groups:
-            raw = [draw(st.integers(0, 3)) for _ in group]
-            if not any(raw):
-                raw[0] = 1
-            for k, gen in zip(raw, group):
-                point = [p + Rat(k, sum(raw)) * g for p, g in zip(point, gen)]
-        return tuple(point), groups, True
-    return tuple(draw(small_rationals()) for _ in range(dim)), groups, False
-
-
-def check_hull_sum_outcome(point, groups, out):
+def check_hull_outcome(point, generators, out):
     """Re-check a hull_lp outcome against its documented meaning."""
     def dot(a, b):
         return sum((x * y for x, y in zip(a, b)), start=ZERO)
 
     if out.tag == FEASIBLE:
-        weights = list(out.primal)
-        assert len(weights) == sum(len(group) for group in groups)
+        weights = out.primal
+        assert len(weights) == len(generators)
         assert all(v >= 0 for v in weights)
+        assert sum(weights, start=ZERO) == ONE
         total = [ZERO] * len(point)
-        for group in groups:
-            mix, weights = weights[: len(group)], weights[len(group) :]
-            assert sum(mix, start=ZERO) == ONE
-            for v, gen in zip(mix, group):
-                total = [t + v * g for t, g in zip(total, gen)]
+        for v, gen in zip(weights, generators):
+            total = [t + v * g for t, g in zip(total, gen)]
         assert tuple(total) == point
     else:
         assert out.tag == INFEASIBLE
-        normal = out.dual_certificate[: len(point)]
-        offsets = out.dual_certificate[len(point) :]
-        assert len(offsets) == len(groups)
-        for group, offset in zip(groups, offsets):
-            assert all(dot(normal, gen) + offset <= 0 for gen in group)
-        assert dot(normal, point) + sum(offsets, start=ZERO) > 0
-
-
-@settings(max_examples=150)
-@given(instance=hull_sum_instances())
-def test_hull_lp_over_several_groups(instance):
-    point, groups, inside = instance
-    out = solve_feasibility(hull_lp(point, *groups))
-    if inside:
-        assert out.tag == FEASIBLE
-    if not all(groups):
-        assert out.tag == INFEASIBLE
-    check_hull_sum_outcome(point, groups, out)
+        *normal, offset = out.dual_certificate
+        assert len(normal) == len(point)
+        assert all(dot(normal, gen) + offset <= 0 for gen in generators)
+        assert dot(normal, point) + offset > 0
 
 
 def test_hull_lp_groups_with_one_and_no_generators():
     half = Rat(1, 2)
     shift = [(ONE, ZERO)]
-    segment = [(ZERO, ZERO), (ZERO, ONE)]
-    out = solve_feasibility(hull_lp((ONE + half, half), shift, segment, shift))
+    out = solve_feasibility(hull_lp((ONE, half), shift))
     assert out.tag == INFEASIBLE
-    check_hull_sum_outcome((ONE + half, half), [shift, segment, shift], out)
-    out = solve_feasibility(hull_lp((Rat(2), half), shift, segment, shift))
-    assert out.tag == FEASIBLE and out.primal == (ONE, half, half, ONE)
-    check_hull_sum_outcome((Rat(2), half), [shift, segment, shift], out)
-    out = solve_feasibility(hull_lp((ONE, ZERO), shift, []))
-    assert out.tag == INFEASIBLE
-    check_hull_sum_outcome((ONE, ZERO), [shift, []], out)
+    check_hull_outcome((ONE, half), shift, out)
+    out = solve_feasibility(hull_lp((ONE, ZERO), shift))
+    assert out.tag == FEASIBLE and out.primal == (ONE,)
+    check_hull_outcome((ONE, ZERO), shift, out)
+    for empty in ([], _ScaledGroup(1, [], 0, 2)):
+        out = solve_feasibility(hull_lp((ONE, ZERO), empty))
+        assert out.tag == INFEASIBLE
+        check_hull_outcome((ONE, ZERO), [], out)
 
 
 @st.composite
@@ -420,21 +381,19 @@ def test_eliminate_is_the_bareiss_update_with_and_without_a_multiplier(data):
 
 
 @pytest.mark.parametrize(
-    "groups",
+    "generators",
     [
-        [[(ONE, Rat(5))]],
-        [[()]],
-        [[(ONE,), (ONE, ONE)]],
-        [[(ONE,)], [(ONE, ZERO)]],
-        [_ScaledGroup.of([(ONE, Rat(5))])],
-        [_ScaledGroup(1, [], 1, 0)],
+        [(ONE, Rat(5))],
+        [()],
+        [(ONE,), (ONE, ONE)],
+        _ScaledGroup.of([(ONE, Rat(5))]),
+        _ScaledGroup(1, [], 1, 0),
     ],
-    ids=["longer", "shorter", "mixed-group", "second-group", "pre-scaled",
-         "pre-scaled-shorter"],
+    ids=["longer", "shorter", "mixed-group", "pre-scaled", "pre-scaled-shorter"],
 )
-def test_hull_lp_rejects_a_generator_of_another_length(groups):
+def test_hull_lp_rejects_a_generator_of_another_length(generators):
     with pytest.raises(DimensionMismatchError):
-        hull_lp((ONE,), *groups)
+        hull_lp((ONE,), generators)
 
 
 def _corrupt_first(change):
@@ -601,43 +560,43 @@ def prescaled(generators, length, factor):
 
 @st.composite
 def prescaled_hull_programs(draw):
-    """hull_lp arguments drawn as hull_sum_instances, with 1–4 groups and
-    empty groups inserted; each group, and the point, is passed either
-    as rationals or pre-scaled at a multiple of its least scale. Returns
-    (point, groups as rationals, the arguments as passed)."""
-    point, groups, _inside = draw(hull_sum_instances(max_groups=4))
-    if len(groups) < 4 and draw(st.booleans()):
-        groups.insert(draw(st.integers(0, len(groups))), [])
+    """hull_lp arguments drawn as hull_instances, the generators dropped
+    in one draw of four, so empty groups occur; the generators, and the
+    point, are each passed either as rationals or pre-scaled at a
+    multiple of their least scale. Returns (point, generators as
+    rationals, the arguments as passed)."""
+    point, generators = draw(hull_instances())
+    if draw(st.integers(0, 3)) == 0:
+        generators = []
     factors = st.one_of(st.none(), st.sampled_from([1, 2, 6]))
 
-    def as_passed(generators, plain):
+    def as_passed(gens, plain):
         factor = draw(factors)
-        return plain if factor is None else prescaled(generators, len(point), factor)
+        return plain if factor is None else prescaled(gens, len(point), factor)
 
-    passed = [as_passed([point], point), *(as_passed(g, g) for g in groups)]
-    return point, groups, passed
+    return point, generators, [as_passed([point], point), as_passed(generators, generators)]
 
 
 @settings(max_examples=200)
 @given(program=prescaled_hull_programs())
 def test_hull_lp_image_equals_one_scaling_of_the_program(program):
-    point, groups, passed = program
+    point, generators, passed = program
     lp = hull_lp(*passed)
-    assert lp == hull_lp(point, *groups)
+    assert lp == hull_lp(point, generators)
     assert (lp.scale, lp.a_ints, lp.b_ints) == image_by_one_scaling(
-        *rational_hull_program(point, *groups)[:2]
+        *rational_hull_program(point, generators)[:2]
     )
 
 
 @settings(max_examples=200)
 @given(program=prescaled_hull_programs())
 def test_hull_lp_derives_the_rational_program(program):
-    point, groups, passed = program
+    point, generators, passed = program
     lp = hull_lp(*passed)
     assert (lp.constraint_matrix, lp.rhs, lp.objective) == rational_hull_program(
-        point, *groups
+        point, generators
     )
-    assert (lp.num_rows, lp.num_cols) == (len(point) + len(groups), len(lp.objective))
+    assert (lp.num_rows, lp.num_cols) == (len(point) + 1, len(generators))
 
 
 # (A, b, c) with mixed denominators, and one of whole numbers for int.
@@ -736,9 +695,9 @@ def test_priced_hull_agrees_with_the_listed_hull_program(instance):
     assert out.tag == solve_feasibility(hull_lp(point, generators)).tag
     # The answer is one of hull_lp over the columns entered, and a final
     # Farkas dual separates the point from every listed generator.
-    check_hull_sum_outcome(point, [entered], out)
+    check_hull_outcome(point, entered, out)
     if out.tag == INFEASIBLE:
-        check_hull_sum_outcome(point, [generators], out)
+        check_hull_outcome(point, generators, out)
 
 
 def test_master_pivot_budget_counts_every_round_and_the_expulsion(monkeypatch):
