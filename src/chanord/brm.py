@@ -297,12 +297,13 @@ def region_subset(
     lcm of the two scales, to drop repeats of b and of a, so each distinct
     point of a not among b's is checked once, in order of first
     appearance. Those keys are a's points as ints at that lcm, and
-    lp_solver.hull_outcomes answers them from one warm tableau; only the
-    right-hand side changes from point to point. When b's program has a
-    redundant row (b's points lie in a proper affine subspace), the warm
-    routine stops after the first point and the rest are solved cold, one
-    program each. The first generator found outside is returned, as the
-    rational point, as the violator.
+    lp_solver.hull_outcomes answers them from one warm tableau: one basis
+    is built from b's generators, and each point is one dual-simplex
+    repair of it, with only the right-hand side changing from point to
+    point. When b's program has a redundant row (b is empty, or its points
+    lie in a proper affine subspace), the warm routine answers no point
+    and every one is solved cold, one program each. The first generator
+    found outside is returned, as the rational point, as the violator.
     """
     if a.u_size != b.u_size:
         raise DimensionMismatchError("regions live in different payoff spaces")

@@ -16,10 +16,11 @@ than rebuilt, here and in cpc_from_pairs.
 
 The deterministic pairs (f, g) are the extreme points of this set. This
 module never lists them: pair_column builds the simulated column
-D_g ∘ W' ∘ D_f of one pair, which is how the metric search adds the
-pairs a game prices, one at a time (containment builds the same column
-on ints). The payoff regions of brm do enumerate every pair, but score
-it on the game's integer tables, not through a column.
+D_g ∘ W' ∘ D_f of one pair on rationals, the reference the tests check
+the integer form against. The metric search and containment, which add
+the pairs a game prices one at a time, build the same column on ints
+with brm._pair_ints. The payoff regions of brm do enumerate every pair,
+but score it on the game's integer tables, not through a column.
 
 Carathéodory reduction is a hull question like every other in the
 library and goes through lp_solver.hull_lp: the flattened channel lies in

@@ -40,28 +40,31 @@ the master's image: a Farkas dual over every column entered so far, a
 point over its support.
 
 hull_outcomes answers hull programs that share their generators and
-differ only in the point, one after another, from one live tableau. The
-first point is solved cold; each later point enters as a new right-hand
-side, (D·B⁻¹)·(s·L·b), computed as append_column computes a column, and
-the image's b becomes the new L·b, which the exit checks read. With a
-zero objective every basis is dual feasible, so dual simplex repairs the
+differ only in the point, one after another, from one live tableau. One
+basis is built from the generators before any point: the tableau of
+their rows with a zero right-hand side, each artificial pivoted out onto
+the first nonzero original column of its row (a crash basis). Every
+point, the first included, enters as a new right-hand side,
+(D·B⁻¹)·(s·L·b), computed as append_column computes a column, and the
+image's b becomes the new L·b, which the exit checks read. With a zero
+objective every basis is dual feasible, so dual simplex repairs the
 basis under the least-index rule (Lemke 1954, Bland 1977): the row of
 negative rhs whose basic index is smallest leaves, the smallest original
 column with a negative entry in that row enters, and artificials never
 enter. All rhs nonnegative is a FEASIBLE point; a negative row with no
 negative entry is INFEASIBLE, with Farkas dual −(s ⊙ that row's
-artificial block). A warm start needs a basis of original columns, so
-the program must have full row rank: when the first phase one drops a
-redundant row, hull_outcomes answers no further point.
+artificial block). The crash basis is made of original columns only if
+the program has full row rank: when the crash drops a redundant row (a
+degenerate or empty group), hull_outcomes answers no point.
 
 The pivot budget is a number of pivots per LP solve: one call of
 solve_feasibility or maximize may pivot DEFAULT_MAX_PIVOTS (100,000)
 times over both phases, expulsions of artificials included. A master of
 priced_hull is one solve: the budget counts every pivot of all its
 restricted solves and of the final expulsion together. Each point of
-hull_outcomes is one solve: its repair pivots, and for the point after
-an infeasible first one the expulsion of the artificials, count against
-a budget of its own. Every oracle of the library solves under that
+hull_outcomes is one solve: its dual-simplex repair pivots count against
+a budget of its own, and the first point's budget also covers the crash
+that builds the basis. Every oracle of the library solves under that
 default; exceeding it raises ResourceLimitError instead of ever
 returning an unverified answer.
 """
@@ -251,8 +254,8 @@ class _Tableau:
     (p·t − f·v) // D, v being the pivot row's entry in t's column, and
     makes p the new D (Edmonds 1967, Bareiss 1968): every entry is then a
     minor of the initial rows, so each division is exact. Only expelling
-    an artificial can pivot on a negative entry; all rows and D are then
-    negated to keep D positive.
+    an artificial or a dual repair can pivot on a negative entry; all
+    rows and D are then negated to keep D positive.
 
     Scaling [A | b] by one L > 0 multiplies the phase-one reduced costs of
     the original columns by L and all ratio-test quotients of one column
@@ -359,8 +362,10 @@ class _Tableau:
             self._pivot(z, pr, pc)
 
     def drop_redundant_and_expel_artificials(self):
-        """After a zero-value phase 1, pivot artificials out of the basis;
-        rows that admit no pivot are redundant and removed."""
+        """After a zero-value phase 1, or from the start on a zero rhs,
+        pivot each basic artificial out onto the first nonzero original
+        column of its row; rows that admit no pivot are redundant and
+        removed."""
         keep = []
         for i in range(len(self.rows)):
             if self.basis[i] < self.ncols:
@@ -590,48 +595,39 @@ def hull_outcomes(
     points_ints yields each point as L·point, ints at the caller's scale
     L; every program is hull_lp's, on its image at the lcm of L and the
     group's scale, and only its right-hand side changes from point to
-    point. The first point is solved cold, as solve_feasibility solves it;
-    each later one enters as a new right-hand side and is repaired by dual
-    simplex pivots (see _warm_outcome). Yields one LpOutcome per point, as
-    exact rationals, verified on that point's image; max_pivots bounds the
-    pivots of each point.
+    point. One basis is built from the generators before the first point:
+    the tableau of the group's rows with a zero right-hand side, each
+    artificial pivoted out onto the first nonzero original column of its
+    row (a crash basis of original columns). Each point then enters as a
+    new right-hand side and is repaired by dual simplex pivots (see
+    _warm_outcome). Yields one LpOutcome per point, as exact rationals,
+    verified on that point's image. max_pivots bounds the pivots of each
+    point; the first point's budget also covers the crash.
 
-    A warm start needs a basis of original columns, which exists only if
-    the program has full row rank. When the first point's phase one, or
-    expelling the artificials an infeasible first point left basic, drops
-    a redundant row, nothing more is yielded: the caller answers the
-    remaining points cold.
+    A basis of original columns exists only if the program has full row
+    rank. When the crash drops a redundant row (the generators lie in a
+    proper affine subspace, or there are none), nothing is yielded: the
+    caller answers every point cold. A point whose length is not the
+    generators' raises DimensionMismatchError.
     """
     common = lcm(scale, group.scale)
     point_factor = common // scale
-    points = iter(points_ints)
-    first = next(points, None)
-    if first is None:
+    rows = _hull_rows(group, group.length, common)
+    tab = _Tableau((rows, (0,) * len(rows)), group.size, max_pivots)
+    tab.drop_redundant_and_expel_artificials()
+    if len(tab.rows) < len(rows):
         return
-    dim = len(first)
-    rows = _hull_rows(group, dim, common)
-
-    def image(point):
-        if len(point) != dim:
-            raise DimensionMismatchError("hull points differ in length")
-        return rows, (*(v * point_factor for v in point), common)
-
-    tab = _Tableau(image(first), group.size, max_pivots)
-    farkas = _phase_one(tab)
-    yield _feasibility_outcome(tab, farkas)
-    for point in points:
+    for point in points_ints:
+        if len(point) != group.length:
+            raise DimensionMismatchError("generator length does not match the point")
+        yield _warm_outcome(tab, (rows, (*(v * point_factor for v in point), common)))
         tab.pivots_used = 0
-        if farkas is not None:
-            tab.drop_redundant_and_expel_artificials()
-            farkas = None
-        if len(tab.rows) < len(rows):
-            return
-        yield _warm_outcome(tab, image(point))
 
 
 def _warm_outcome(tab: _Tableau, image) -> LpOutcome:
     """The verified answer for a new image (same L·A, new L·b) from the
-    tableau's basis of original columns.
+    tableau's basis of original columns: the crash basis for the first
+    point of hull_outcomes, the previous point's basis for each later one.
 
     The new rhs is (D·B⁻¹)·(s·L·b), as append_column computes a column.
     With a zero objective every basis is dual feasible, so dual simplex

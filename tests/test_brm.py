@@ -32,9 +32,15 @@ from chanord.channel_core import (
 )
 from chanord.cpc import as_channel
 from chanord.errors import DimensionMismatchError, ResourceLimitError
-from chanord.lp_solver import FEASIBLE, hull_lp, solve_feasibility
+from chanord.lp_solver import (
+    FEASIBLE,
+    _ScaledGroup,
+    hull_lp,
+    hull_outcomes,
+    solve_feasibility,
+)
 from chanord.prng import counter_int
-from chanord.rational import ONE, ZERO, Rat
+from chanord.rational import ONE, ZERO, Rat, scaled_ints
 
 
 def constant_payoff(u, v):
@@ -471,6 +477,39 @@ def first_point_outside(a, b):
     return None
 
 
+@pytest.mark.parametrize("b_points, a_points, cold_count", [
+    ((), ((ONE, ZERO), (Rat(1, 2), Rat(1, 2))), 1),
+    ((), (), 0),
+    (((ONE, ZERO), (ZERO, ONE), (Rat(1, 4), Rat(3, 4))),
+     ((ONE, ZERO), (Rat(1, 2), Rat(1, 2)), (ZERO, ONE), (Rat(1, 2), Rat(1, 2))), 1),
+    (((ONE, ZERO), (ZERO, ONE), (Rat(1, 4), Rat(3, 4))),
+     ((Rat(1, 2), Rat(1, 2)), (Rat(2), -ONE), (ONE, ONE)), 2),
+    (((ONE, ZERO), (ZERO, ONE), (Rat(1, 4), Rat(3, 4))),
+     ((Rat(1, 2), Rat(1, 2)), (ONE, ONE)), 2),
+])
+def test_region_subset_answers_an_empty_or_flat_region_cold(
+    monkeypatch, b_points, a_points, cold_count
+):
+    # Over no points, or points on the line x + y = 1, b's program has a
+    # redundant row: the warm tableau answers nothing, and every pending
+    # point of a, up to the first outside, is one cold program.
+    from chanord import brm
+
+    scale, ints = scaled_ints(v for point in b_points for v in point)
+    group = _ScaledGroup(scale, ints, len(b_points), 2)
+    assert list(hull_outcomes([(0, 0), (1, 1)], group, 1)) == []
+    cold = []
+    monkeypatch.setattr(
+        brm, "solve_feasibility", lambda lp: cold.append(lp) or solve_feasibility(lp)
+    )
+    a, b = PayoffRegionGenerators(2, a_points), PayoffRegionGenerators(2, b_points)
+    expected = first_point_outside(a, b)
+    inclusion = region_subset(a, b)
+    assert inclusion.inside_all == (expected is None)
+    assert inclusion.violator == expected
+    assert len(cold) == cold_count
+
+
 def test_region_subset_on_repeated_points_matches_the_plain_programs():
     answers = []
     for seed in range(10):
@@ -499,8 +538,8 @@ def test_region_subset_on_repeated_points_matches_the_plain_programs():
 def test_region_subset_solves_a_degenerate_region_cold(monkeypatch):
     # When b's points lie in a proper affine subspace (here: one coordinate
     # is the same in all of them, as when a payoff row has equal entries),
-    # the warm tableau answers one point and the rest are solved cold.
-    # Regions that span the space are answered warm throughout.
+    # the warm tableau answers no point and every pending one is solved
+    # cold. Regions that span the space are answered warm throughout.
     from chanord import brm
 
     cold = []
@@ -537,4 +576,4 @@ def test_region_subset_solves_a_degenerate_region_cold(monkeypatch):
         answers[degenerate].append((inclusion.inside_all, len(cold)))
     for degenerate, runs in answers.items():
         assert {inside for inside, _cold in runs} == {True, False}, runs
-        assert all(cold == (4 if degenerate else 0) for inside, cold in runs if inside), runs
+        assert all(cold == (5 if degenerate else 0) for inside, cold in runs if inside), runs

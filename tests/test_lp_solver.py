@@ -801,10 +801,10 @@ def test_warm_outcomes_match_the_cold_programs(kind):
         scale, ints = scaled_points(points)
         outcomes = list(hull_outcomes(ints, group, scale))
         # Every point is answered exactly when the program has full row
-        # rank; otherwise only the first, solved cold.
+        # rank; otherwise none, since the crash basis drops a row.
         first = hull_lp(points[0], group)
         full_rank = matrix_rank(first.constraint_matrix) == first.num_rows
-        assert len(outcomes) == (len(points) if full_rank else 1)
+        assert len(outcomes) == (len(points) if full_rank else 0)
         for point, out in zip(points, outcomes):
             lp = hull_lp(point, group)
             assert out.tag == solve_feasibility(lp).tag
@@ -812,7 +812,9 @@ def test_warm_outcomes_match_the_cold_programs(kind):
                 check_primal(lp, out.primal)
             else:
                 check_farkas(lp, out.dual_certificate)
-        warm_tags += [out.tag for out in outcomes[1:]]
+        warm_tags += [out.tag for out in outcomes]
+        # A first point outside the hull is repaired like any other; the
+        # points after it start from the basis it left.
         infeasible_starts += len(outcomes) > 1 and outcomes[0].tag == INFEASIBLE
     if kind in ("random", "repeated"):
         assert min(warm_tags.count(tag) for tag in (FEASIBLE, INFEASIBLE)) >= 20, warm_tags
@@ -828,6 +830,12 @@ def test_warm_outcomes_of_no_points_and_of_points_of_other_lengths():
         list(hull_outcomes([(1,)], group, 1))
     with pytest.raises(DimensionMismatchError):
         list(hull_outcomes([(0, 0), (1,)], group, 1))
+    # Two generators in the plane leave a redundant row, so no point is
+    # read; the caller's cold hull_lp raises instead.
+    flat = _ScaledGroup.of([(ONE, ZERO), (ZERO, ONE)])
+    assert list(hull_outcomes([(1,)], flat, 1)) == []
+    with pytest.raises(DimensionMismatchError):
+        hull_lp((ONE,), flat)
 
 
 def per_point_pivots(monkeypatch, points_ints, group, scale, **budget):
@@ -877,8 +885,28 @@ def test_warm_pivot_budget_is_per_point(monkeypatch):
         assert isinstance(error, ResourceLimitError) and "pivot budget" in str(error)
 
 
-# Generators 0 and 2 on the line: the first point, 1, is solved cold; 2 is
-# inside and 3 outside, both answered warm.
+def test_first_warm_point_budget_covers_the_crash(monkeypatch):
+    # The crash pivots once per row of a full-rank program, before any
+    # point; a budget below that raises before the first answer.
+    for seed in range(30):
+        points, generators = warm_sequence("random", seed)
+        group = _ScaledGroup.of(generators)
+        scale, ints = scaled_points(points)
+        outcomes, counts, error = per_point_pivots(monkeypatch, ints, group, scale)
+        if not outcomes:
+            continue  # a redundant row: the crash answers nothing
+        crash = len(generators[0]) + 1
+        assert error is None and counts[0] >= crash
+        assert per_point_pivots(monkeypatch, [], group, scale, max_pivots=crash) == ([], [], None)
+        got, got_counts, error = per_point_pivots(
+            monkeypatch, ints, group, scale, max_pivots=crash - 1
+        )
+        assert got == [] and got_counts == []
+        assert isinstance(error, ResourceLimitError) and "pivot budget" in str(error)
+
+
+# Generators 0 and 2 on the line: the first point, 1, is inside; 2 is
+# inside and 3 outside, all answered from the crash basis.
 WARM_TAMPERS = [
     ("support", _corrupt_first(lambda r: -r), "primal point has a negative coordinate"),
     ("support", _corrupt_first(lambda r: r + 1), "primal point violates a constraint"),
@@ -897,7 +925,7 @@ def test_every_warm_exit_check_rejects_a_tampered_certificate(
         FEASIBLE, FEASIBLE, INFEASIBLE
     ]
     answers = hull_outcomes(points, group, 1)
-    next(answers)  # the cold first point, untouched
+    next(answers)  # the first point, answered before the tampering
     original = getattr(_Tableau, method)
     monkeypatch.setattr(_Tableau, method, lambda tab, *args: change(original(tab, *args)))
     with pytest.raises(InternalCheckError) as caught:
