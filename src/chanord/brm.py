@@ -18,9 +18,9 @@ The game optimum is one int core, _best_pair: it walks every encoder
 f: U -> X over the tables, and encoders sharing a prefix of images share
 its partial score sums. optimal_average_payoff wraps it for rational
 games. Containment prices its columns on it directly, with the master's
-int dual as l, and the metric search scores every payoff of its ascent
-on it, each channel scaled once; both build a pair's simulated column on
-ints with _pair_ints. Every scaling is positive, so the value and the
+int dual as l, and the metric search scores each distinct payoff of its
+ascent on it once, each channel scaled once; both build a pair's
+simulated column on ints with _pair_ints. Every scaling is positive, so the value and the
 reported optimal pair (first encoder, smallest decoders) are exactly
 those of scoring every pair in rational arithmetic.
 """
@@ -28,9 +28,9 @@ those of scoring every pair in rational arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from operator import add
 
 from .channel_core import Channel, DeterministicMap, channel_from_json, channel_to_json
@@ -111,6 +111,13 @@ class PayoffRegionGenerators:
     def __post_init__(self):
         if any(len(point) != self.u_size for point in self.points):
             raise DimensionMismatchError("region point length does not match u_size")
+
+    @cached_property
+    def _image(self):
+        """(d, every coordinate times d as an int, point after point), d the
+        least common denominator: scaled_ints of the points, on first use.
+        region_generators sets it from the ints it summed."""
+        return scaled_ints(v for point in self.points for v in point)
 
 
 @dataclass(frozen=True)
@@ -266,6 +273,8 @@ def region_generators(
 
     Coordinates are summed on ints over d_W·d_l, and one rational is
     built per distinct total, shared by every coordinate that has it.
+    Those ints, reduced to the least common denominator, are the
+    region's int image, handed over to region_subset.
     """
     count = g.x_size**g.u_size * g.v_size**g.y_size
     enforce_cap(count, max_pairs, "deterministic-pair basis", "elements")
@@ -273,7 +282,7 @@ def region_generators(
     d_l, l_ints = scaled_ints(c for row in g.payoff_matrix for c in row)
     scale, tables = d_w * d_l, _score_tables(w_ints, l_ints, g.y_size, g.v_size)
     rat = cache(lambda total: Rat(total, scale))
-    points = []
+    points, flat = [], []
     for f_img in product(range(g.x_size), repeat=g.u_size):
         # choices[y][v] holds every secret's score when g sends y to v.
         choices = [
@@ -281,8 +290,15 @@ def region_generators(
             for y in range(g.y_size)
         ]
         for picks in product(*choices):
-            points.append(tuple(map(rat, map(sum, zip(*picks)))))
-    return PayoffRegionGenerators(g.u_size, tuple(points))
+            totals = list(map(sum, zip(*picks)))
+            flat.extend(totals)
+            points.append(tuple(map(rat, totals)))
+    region = PayoffRegionGenerators(g.u_size, tuple(points))
+    # The points' least common denominator is scale over the gcd of scale
+    # and every total, so this is exactly what _image would compute.
+    common = gcd(scale, *flat)
+    vars(region)["_image"] = scale // common, [v // common for v in flat]
+    return region
 
 
 def region_subset(
@@ -291,10 +307,11 @@ def region_subset(
     """Exact test that conv(a) ⊆ conv(b).
 
     Convexity makes checking a's generators sufficient; each check is the
-    hull program of one point over b's (deduplicated) generators, which
-    are scaled to ints once for all of them. Points are compared on int
-    images: a's and b's generators are each scaled once, and keyed at the
-    lcm of the two scales, to drop repeats of b and of a, so each distinct
+    hull program of one point over b's (deduplicated) generators, as ints
+    once for all of them. Points are compared on int images: each region's
+    _image, the ints region_generators summed (or one scaling of the
+    points, for a region built otherwise), keyed at the lcm of the two
+    scales, to drop repeats of b and of a, so each distinct
     point of a not among b's is checked once, in order of first
     appearance. Those keys are a's points as ints at that lcm, and
     lp_solver.hull_outcomes answers them from one warm tableau: one basis
@@ -308,8 +325,8 @@ def region_subset(
     if a.u_size != b.u_size:
         raise DimensionMismatchError("regions live in different payoff spaces")
     dim = a.u_size
-    b_scale, b_ints = scaled_ints(v for point in b.points for v in point)
-    a_scale, a_ints = scaled_ints(v for point in a.points for v in point)
+    b_scale, b_ints = b._image
+    a_scale, a_ints = a._image
     common = lcm(a_scale, b_scale)
     b_unique = {}  # key -> ints of b's first point with it
     for k in range(len(b.points)):

@@ -33,6 +33,18 @@ lp_solver.maximize; its dual prices are the next payoff, checked on ints.
 One global L keeps the pivot path and duals of the rational program.
 Rationals are built only for the returned estimate, whose witness is
 re-scored by optimal_average_payoff on the rational games.
+
+One search solves each ascent program and scores each game optimum
+once. Its memo lives for one call: programs keyed by their exact rows,
+the active column minus each piece as ints (all a program depends on
+at the search's one scale), and each channel's optima keyed by the
+payoff's ints.
+Most repeats are one side's step redone a refine step later from
+unchanged inputs; the rest are first programs shared by neighbouring
+steps, pricing at a candidate already scored, and the re-score of a
+candidate. Only results that passed their checks are stored, and the
+encoder cap is checked before every lookup, so a cap failure is raised
+where a scan would raise it.
 """
 
 from __future__ import annotations
@@ -87,17 +99,26 @@ def _cap(w: Channel, n: int, max_encoders):
     enforce_cap(w.input_size**n, max_encoders, "encoder enumeration", "elements")
 
 
-def _opt(w: Channel, w_image, n: int, m: int, payoff, max_encoders):
+def _opt(w: Channel, w_image, n: int, m: int, payoff, max_encoders, scored=None):
     """The optimum of the n×m game of payoff around w, from w's int image
     and the payoff as (den, its entries as ints over den, row after row):
     _best_pair's (total, encoder images, decoder images), 0-based. The
     optimal average payoff is total/(d_W·den·n), the value and pair of
-    optimal_average_payoff on the rational game."""
+    optimal_average_payoff on the rational game.
+
+    scored, if given, holds w's optima already found by one search, keyed
+    by n, m and the payoff's ints; a game found there is not scanned
+    again. The cap is checked first, so it fails as a scan would."""
     _cap(w, n, max_encoders)
-    return _best_pair(_score_tables(w_image[1], payoff[1], w.output_size, m))
+    if scored is None:
+        scored = {}
+    key = (n, m, payoff[0], tuple(payoff[1]))
+    if key not in scored:
+        scored[key] = _best_pair(_score_tables(w_image[1], payoff[1], w.output_size, m))
+    return scored[key]
 
 
-def _restricted_ascent(active, pieces, scale, n, m):
+def _restricted_ascent(active, pieces, scale, n, m, solved=None):
     """Exact maximizer of ⟨active, l⟩ − max_j ⟨piece_j, l⟩ over the simplex,
     as (den, l's entries as ints over den, row after row).
 
@@ -108,14 +129,24 @@ def _restricted_ascent(active, pieces, scale, n, m):
     rescaled. Solved in the orientation whose row count is the payoff
     dimension, as its integer image at L; the optimal payoff is the vector
     of dual prices on those rows, whatever the scale.
+
+    The program depends on active and the pieces only through their
+    differences. solved, if given, maps the differences of the programs
+    one search has solved, all at its one scale, to their checked
+    payoffs; a program found there is not solved again.
     """
+    if solved is None:
+        solved = {}
+    diffs = tuple(
+        tuple(a - piece[coord] for piece in pieces) for coord, a in enumerate(active)
+    )
+    if diffs in solved:
+        return solved[diffs]
     dim = n * m
     # Columns: piece mixture, slacks, z+ and z-.
     rows = [
-        tuple(a - piece[coord] for piece in pieces)
-        + (0,) * coord + (scale,) + (0,) * (dim - coord - 1)
-        + (-scale, scale)
-        for coord, a in enumerate(active)
+        diff + (0,) * coord + (scale,) + (0,) * (dim - coord - 1) + (-scale, scale)
+        for coord, diff in enumerate(diffs)
     ]
     rows.append((scale,) * len(pieces) + (0,) * (dim + 2))
     objective = (ZERO,) * (len(pieces) + dim) + (-ONE, ONE)
@@ -123,23 +154,29 @@ def _restricted_ascent(active, pieces, scale, n, m):
     den, ints = scaled_ints(maximize(lp).dual_certificate[:dim])
     if any(v < 0 for v in ints) or sum(ints) != den:
         raise InternalCheckError("ascent subproblem produced an invalid payoff")
+    solved[diffs] = den, ints
     return den, ints
 
 
-def _ascent_step(active, other, other_image, other_opt, scale, n, m, max_encoders):
+def _ascent_step(
+    active, other, other_image, other_opt, scale, n, m, max_encoders,
+    solved=None, scored=None,
+):
     """_restricted_ascent over every deterministic pair of `other`, by
     column generation from other's optimum other_opt (_opt's triple): each
     optimum l is priced with other's optimal pair. Fewer pieces can only
     raise the objective, so once the priced piece is already present, l is
     optimal for all. Returns l and other's optimum at l. active and the
-    pieces are ints over scale, a multiple of other's d_W.
+    pieces are ints over scale, a multiple of other's d_W. solved and
+    scored, if given, are one search's memos of programs, for
+    _restricted_ascent, and of other's optima, for _opt.
     """
     d_w, w_ints = other_image
     factor, y_size = scale // d_w, other.output_size
     pieces = [_pair_ints(w_ints, y_size, other_opt[1], other_opt[2], m, factor)]
     while True:
-        candidate = _restricted_ascent(active, pieces, scale, n, m)
-        opt = _opt(other, other_image, n, m, candidate, max_encoders)
+        candidate = _restricted_ascent(active, pieces, scale, n, m, solved)
+        opt = _opt(other, other_image, n, m, candidate, max_encoders, scored)
         piece = _pair_ints(w_ints, y_size, opt[1], opt[2], m, factor)
         if piece in pieces:
             return candidate, opt
@@ -204,9 +241,13 @@ def brm_distance_lower_bound(
     # search is a _best_pair scan over its tables, and every ascent
     # program is an integer image at the lcm of the two scales.
     image1, image2 = _image(w1), _image(w2)
-    sides = ((w1, image1), (w2, image2))
     d1, d2 = image1[0], image2[0]
     scale = lcm(d1, d2)
+    # The search's memo, local to this call: every ascent program it
+    # solves, and each channel's game optima it scores, so none is
+    # computed twice. Concurrent searches never share entries.
+    solved = {}
+    sides = ((w1, image1, {}), (w2, image2, {}))
 
     best = None  # (score, payoff, dims); score as _gap returns it
     for trial in range(budget):
@@ -221,22 +262,29 @@ def brm_distance_lower_bound(
             if best is None:
                 best = ((0, 1), payoff, (n, m))
             continue
-        opts = [_opt(w, image, n, m, payoff, max_encoders) for w, image in sides]
+        opts = [
+            _opt(w, image, n, m, payoff, max_encoders, scored)
+            for w, image, scored in sides
+        ]
         score = _gap(d1, d2, opts, payoff, n)
         for _step in range(_MAX_REFINE_STEPS):
             chosen = None  # (score, payoff, opts) of the better candidate
             for k in (0, 1):
-                (own, own_image), (other, other_image) = sides[k], sides[1 - k]
+                (own, own_image, own_scored), (other, other_image, other_scored) = (
+                    sides[k], sides[1 - k]
+                )
                 active = _pair_ints(
                     own_image[1], own.output_size, opts[k][1], opts[k][2], m,
                     scale // own_image[0],
                 )
                 candidate, other_opt = _ascent_step(
                     active, other, other_image, opts[1 - k], scale, n, m,
-                    max_encoders,
+                    max_encoders, solved, other_scored,
                 )
                 # The last pricing scored other at candidate; only own is new.
-                own_opt = _opt(own, own_image, n, m, candidate, max_encoders)
+                own_opt = _opt(
+                    own, own_image, n, m, candidate, max_encoders, own_scored
+                )
                 cand_opts = (own_opt, other_opt) if k == 0 else (other_opt, own_opt)
                 cand_score = _gap(d1, d2, cand_opts, candidate, n)
                 # Ties go to the lexicographically smaller payoff, then to

@@ -231,9 +231,9 @@ def _master(wp: Channel, target: Channel, identity_encoder: bool = False):
 
     One lp_solver.priced_hull master over the flattened target, its
     columns priced by the game of its Farkas dual against wp. With
-    identity_encoder, secret u may only be sent to input u: each secret's
-    score table is cut to its own input row, so pricing scores one
-    encoder. Returns the outcome, the pairs entered as 0-based images, in
+    identity_encoder, secret u may only be sent to input u: only each
+    secret's score table on its own input row is built, so pricing scores
+    one encoder. Returns the outcome, the pairs entered as 0-based images, in
     column order, and wp's (d_W, ints), row-major.
     """
     m = target.output_size
@@ -251,9 +251,16 @@ def _master(wp: Channel, target: Channel, identity_encoder: bool = False):
         # prices l·a + c > 0 exactly when total + d_W·c > 0. The empty
         # master's dual is all ones: every pair ties, and the first column
         # is the lexicographically first pair.
-        tables = _score_tables(wp_ints, dual[:-1], m_p, m)
         if identity_encoder:
-            tables = [[table[u]] for u, table in enumerate(tables)]
+            tables = [
+                _score_tables(
+                    wp_ints[u * m_p : (u + 1) * m_p], dual[u * m : (u + 1) * m],
+                    m_p, m,
+                )[0]
+                for u in range(target.input_size)
+            ]
+        else:
+            tables = _score_tables(wp_ints, dual[:-1], m_p, m)
         total, f_img, g_img = _best_pair(tables)
         if total + d_w * dual[-1] <= 0:
             return None

@@ -348,6 +348,21 @@ def test_region_generators_match_pair_enumeration():
             assert list(gens.points) == brute_force_region_points(game)
 
 
+def test_region_generators_hand_over_the_plain_image():
+    # region_generators sets each region's int image from the ints it
+    # summed; a region built from the same points scales them on first
+    # use. Both give the same value, and neither shows in == or repr.
+    shapes = [(1, 2, 2, 2), (2, 1, 3, 2), (2, 2, 2, 1), (2, 3, 2, 2), (3, 2, 2, 3)]
+    for seed, shape in enumerate(shapes):
+        for game in oracle_games(*shape, seed + 1750):
+            gens = region_generators(game)
+            plain = PayoffRegionGenerators(gens.u_size, gens.points)
+            assert "_image" in vars(gens) and "_image" not in vars(plain)
+            flat = [v for point in gens.points for v in point]
+            assert gens._image == plain._image == scaled_ints(flat)
+            assert gens == plain and repr(gens) == repr(plain)
+
+
 def test_region_generators_cap_boundary():
     for u, x, y, v in [(1, 3, 2, 2), (2, 2, 2, 3), (2, 1, 3, 2), (3, 2, 1, 1)]:
         game = random_game(120 + u * x * y * v, u=u, x=x, y=y, v=v)

@@ -1,3 +1,5 @@
+import sys
+import threading
 from dataclasses import replace
 from math import lcm
 
@@ -422,3 +424,82 @@ def test_skipped_shapes_fail_the_cap_as_the_rational_search(budget):
         assert outcomes[low - 1] == (
             f"encoder enumeration has {x1} elements (cap {low - 1})"
         )
+
+
+# Channel pairs (|X1|, |Y1|, |X2|, |Y2|) for the searches below.
+MEMO_PAIRS = ((2, 2, 2, 2), (2, 3, 3, 2), (3, 2, 2, 2), (3, 3, 2, 3))
+
+
+def test_search_solves_each_program_and_scores_each_game_once(monkeypatch):
+    # Within one search no ascent program is solved twice and no game
+    # optimum of one channel is scanned twice, though both are asked for
+    # again; the estimate is still the rational search's.
+    programs, scans, requests = [], [], []
+    real_maximize, real_best_pair, real_opt = (
+        metric.maximize, metric._best_pair, metric._opt
+    )
+
+    def recording_maximize(lp, *args, **kwargs):
+        programs.append((lp.scale, lp.a_ints, lp.b_ints, lp.objective))
+        return real_maximize(lp, *args, **kwargs)
+
+    def recording_best_pair(tables):
+        # A channel's tables fix the payoff's ints, and tables of
+        # different shapes or entries tell the channels apart.
+        scans.append(repr(tables))
+        return real_best_pair(tables)
+
+    def recording_opt(*args, **kwargs):
+        requests.append(args)
+        return real_opt(*args, **kwargs)
+
+    monkeypatch.setattr(metric, "maximize", recording_maximize)
+    monkeypatch.setattr(metric, "_best_pair", recording_best_pair)
+    monkeypatch.setattr(metric, "_opt", recording_opt)
+    scanned = asked = 0
+    for k, (x1, y1, x2, y2) in enumerate(MEMO_PAIRS):
+        w1 = random_channel(x1, y1, 9900 + k, 6)
+        w2 = random_channel(x2, y2, 9910 + k, 6)
+        for seed in (k, k + 5):
+            for log in (programs, scans, requests):
+                log.clear()
+            est = brm_distance_lower_bound(w1, w2, n_max=3, m_max=3, budget=24, seed=seed)
+            assert len(set(programs)) == len(programs)
+            assert len(set(scans)) == len(scans)
+            assert est == rational_brm_distance_lower_bound(w1, w2, 3, 3, 24, seed=seed)
+            scanned, asked = scanned + len(scans), asked + len(requests)
+    assert asked > scanned
+
+
+def test_concurrent_searches_equal_their_sequential_results():
+    # Each search's memo is its own: two threads searching pairs of the
+    # same shapes at once, with thread switches forced often, see each
+    # other's programs and payoffs nowhere.
+    pairs = [
+        (random_channel(2, 2, 9920 + k, 6), random_channel(2, 2, 9930 + k, 6))
+        for k in range(6)
+    ]
+
+    def search(w1, w2):
+        return brm_distance_lower_bound(w1, w2, n_max=3, m_max=3, budget=12, seed=1)
+
+    sequential = [search(*pair) for pair in pairs]
+    results = {}
+
+    def run(name, chunk):
+        results[name] = [search(*pair) for pair in chunk]
+
+    threads = [
+        threading.Thread(target=run, args=(name, pairs[name::2])) for name in (0, 1)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results[0] == sequential[0::2] and results[1] == sequential[1::2]
