@@ -7,8 +7,9 @@ payoff for a secret u is the expectation of l(u, g(y)). Everything here
 is exact.
 
 A pair is scored in one of two ways. The exhaustive scans, the game
-optimum and the region generators, run on Python ints: W and l are scaled
-to common denominators and every score W(y|x)·l(u, v) is tabulated once
+optimum and the region generators, run on Python ints: W is read as its
+integer image (Channel._image, scaled once per channel), l is scaled to
+its common denominator, and every score W(y|x)·l(u, v) is tabulated once
 by _score_tables. A mixed strategy is scored through the channel it
 simulates: by the paper's characterization the strategy is a
 convex-product channel, wiring W through it gives a channel U -> V, and
@@ -19,10 +20,11 @@ f: U -> X over the tables, and encoders sharing a prefix of images share
 its partial score sums. optimal_average_payoff wraps it for rational
 games. Containment prices its columns on it directly, with the master's
 int dual as l, and the metric search scores each distinct payoff of its
-ascent on it once, each channel scaled once; both build a pair's
-simulated column on ints with _pair_ints. Every scaling is positive, so the value and the
-reported optimal pair (first encoder, smallest decoders) are exactly
-those of scoring every pair in rational arithmetic.
+ascent on it once; both read each channel's integer image and build a
+pair's simulated column on ints with _pair_ints. Every scaling is
+positive, so the value and the reported optimal pair (first encoder,
+smallest decoders) are exactly those of scoring every pair in rational
+arithmetic.
 """
 
 from __future__ import annotations
@@ -237,14 +239,15 @@ def optimal_average_payoff(
     (value, (encoder, decoder)); the argmax is the lexicographically first
     optimal encoder, and per output the smallest optimal decoder index.
 
-    The scan is _best_pair on Python ints: W and l are scaled by their
-    common denominators d_W and d_l and tabulated once by _score_tables.
+    The scan is _best_pair on Python ints: W's integer image over d_W and
+    l scaled by its common denominator d_l, tabulated once by
+    _score_tables.
     A positive scaling changes no comparison, so the strict-improvement
     tests keep the tie order, and the value is one exact division,
     total / (d_W·d_l·|U|).
     """
     enforce_cap(g.x_size**g.u_size, max_encoders, "encoder enumeration", "elements")
-    d_w, w_ints = scaled_ints(p for row in g.randomizer.rows for p in row)
+    d_w, w_ints = g.randomizer._image
     d_l, l_ints = scaled_ints(c for row in g.payoff_matrix for c in row)
     total, f_img, g_img = _best_pair(_score_tables(w_ints, l_ints, g.y_size, g.v_size))
     return Rat(total, d_w * d_l * g.u_size), (
@@ -278,7 +281,7 @@ def region_generators(
     """
     count = g.x_size**g.u_size * g.v_size**g.y_size
     enforce_cap(count, max_pairs, "deterministic-pair basis", "elements")
-    d_w, w_ints = scaled_ints(p for row in g.randomizer.rows for p in row)
+    d_w, w_ints = g.randomizer._image
     d_l, l_ints = scaled_ints(c for row in g.payoff_matrix for c in row)
     scale, tables = d_w * d_l, _score_tables(w_ints, l_ints, g.y_size, g.v_size)
     rat = cache(lambda total: Rat(total, scale))

@@ -9,11 +9,11 @@ by index offset and row-major flattening (second factor fastest).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import DimensionMismatchError
 from .prng import counter_int
-from .rational import ONE, ZERO, Rat, parse_rat_matrix, parse_size, rat_str
+from .rational import ONE, ZERO, Rat, parse_rat_matrix, parse_size, rat_str, scaled_ints
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,15 @@ class Channel:
                 total += p
             if total != ONE:
                 raise ValueError("channel row does not sum to 1")
+
+    @cached_property
+    def _image(self):
+        """(d, every entry times d as an int, row after row, in a tuple), d
+        the least common denominator: scaled_ints of the rows, on first use.
+        Every integer form of a channel in the library is read from it; it
+        is not a field, so equality, hashing and repr ignore it."""
+        d, ints = scaled_ints(p for row in self.rows for p in row)
+        return d, tuple(ints)
 
 
 @dataclass(frozen=True)

@@ -29,9 +29,9 @@ basic solution. Its support is a set of linearly independent columns of
 [1; atoms], hence at most |support| + 1 ≤ dim + 1 affinely independent
 atoms, support being the coordinates where the channel is nonzero. The
 atoms and the point are built on the program's integer image, from one
-scaling each of the weights, of every R entry and of every T entry, and
-the coordinates where the channel is 0 (every atom is 0 there) are left
-out of the program.
+scaling of the weights and the int rows _int_matrices gives every R and
+every T (those skew-composition composes on), and the coordinates where
+the channel is 0 (every atom is 0 there) are left out of the program.
 """
 
 from __future__ import annotations
@@ -225,9 +225,9 @@ def caratheodory_reduce(v: CpcChannel) -> CpcChannel:
     """Shrink the term list without changing the flattened channel.
 
     The program is built on its integer image: one scaled_ints over the
-    weights (d_α), one over every R entry (d_R) and one over every T entry
+    weights (d_α), and _int_matrices over every R (d_R) and over every T
     (d_T). Terms of weight 0 are dropped and identical (R, T) atoms merged
-    on those ints, first appearance first. Atom k is R_k ⊗ T_k as ints
+    on those int rows, first appearance first. Atom k is R_k ⊗ T_k as ints
     over d_R·d_T, in as_channel's row-major order, and the point
     Σ α_k·atom_k as ints over d_α·d_R·d_T. Where the point is 0 every atom
     is 0 (positive weights, nonnegative entries), so those coordinate rows
@@ -245,28 +245,20 @@ def caratheodory_reduce(v: CpcChannel) -> CpcChannel:
     if not terms:
         raise ValueError("convex-product channel has no mass")
     alpha_scale, alphas = scaled_ints(term.weight for term in terms)
-    r_scale, r_ints = scaled_ints(p for term in terms for row in term.r.rows for p in row)
-    t_scale, t_ints = scaled_ints(p for term in terms for row in term.t.rows for p in row)
-    r_len = v.x_size * v.xp_size
-    t_len = v.yp_size * v.y_size
-    merged = {}  # (R ints, T ints) -> [first term, summed int weight]
-    for k, (term, alpha) in enumerate(zip(terms, alphas)):
-        key = (
-            tuple(r_ints[k * r_len : (k + 1) * r_len]),
-            tuple(t_ints[k * t_len : (k + 1) * t_len]),
-        )
+    r_scale, r_mats = _int_matrices([term.r for term in terms])
+    t_scale, t_mats = _int_matrices([term.t for term in terms])
+    merged = {}  # (R int rows, T int rows) -> [first term, summed int weight]
+    for key, term, alpha in zip(zip(r_mats, t_mats), terms, alphas):
         if key in merged:
             merged[key][1] += alpha
         else:
             merged[key] = [term, alpha]
     atoms = []
-    point = [0] * (r_len * t_len)
-    for (r_key, t_key), (_term, alpha) in merged.items():
+    point = [0] * (v.x_size * v.yp_size * v.xp_size * v.y_size)
+    for (r_rows, t_rows), (_term, alpha) in merged.items():
         atom = []
-        for x in range(v.x_size):
-            r_row = r_key[x * v.xp_size : (x + 1) * v.xp_size]
-            for yp in range(v.yp_size):
-                t_row = t_key[yp * v.y_size : (yp + 1) * v.y_size]
+        for r_row in r_rows:
+            for t_row in t_rows:
                 for rv in r_row:
                     atom.extend([rv * tv for tv in t_row] if rv else (0,) * v.y_size)
         atoms.append(atom)

@@ -137,21 +137,15 @@ class StandardLp:
 
 def standard_lp(matrix, rhs, objective=None) -> StandardLp:
     """The program of A = matrix, b = rhs and c = objective (zero if None),
-    their entries anything Rat accepts; A and b are scaled once, to their
-    least common denominator L. Rationals and ints are read as they are:
-    Rat is called on entries only when one of them needs parsing."""
-    rows = [tuple(row) for row in matrix] + [tuple(rhs)]
-    try:
-        scale, flat = scaled_ints(v for row in rows for v in row)
-    except AttributeError:  # an entry such as a "p/q" string or a float
-        rows = [tuple(map(Rat, row)) for row in rows]
-        scale, flat = scaled_ints(v for row in rows for v in row)
+    their entries anything Rat accepts, each read through Rat once; A and
+    b are scaled once, to their least common denominator L."""
+    rows = [tuple(map(Rat, row)) for row in (*matrix, rhs)]
+    scale, flat = scaled_ints(v for row in rows for v in row)
     ints = iter(flat)
     *a_ints, b_ints = (tuple(islice(ints, len(row))) for row in rows)
     if objective is None:
         objective = (ZERO,) * (len(rows[0]) if a_ints else 0)
-    c = tuple(v if type(v) is Rat else Rat(v) for v in objective)
-    return StandardLp(scale, tuple(a_ints), b_ints, c)
+    return StandardLp(scale, tuple(a_ints), b_ints, tuple(map(Rat, objective)))
 
 
 class _ScaledGroup:

@@ -25,14 +25,15 @@ each channel and score no game; trial 0, always 1×1, keeps its sample
 as the witness of the bound 0 that any later trial can only beat.
 
 The search runs on ints over known positive denominators. Each channel
-is scaled once; a payoff is (den, ints), a game optimum is brm._best_pair
-over the int score tables, and a piece is a pair column on ints
-(brm._pair_ints). The subproblem is built directly as its integer image
-at L, the lcm of the two channels' scales, and solved by
-lp_solver.maximize; its dual prices are the next payoff, checked on ints.
-One global L keeps the pivot path and duals of the rational program.
-Rationals are built only for the returned estimate, whose witness is
-re-scored by optimal_average_payoff on the rational games.
+is read as its integer image (Channel._image); a payoff is (den, ints),
+a game optimum is brm._best_pair over the int score tables, and a piece
+is a pair column on ints (brm._pair_ints). The subproblem is built
+directly as its integer image at L, the lcm of the two channels' scales,
+and solved by lp_solver.maximize; its dual prices are the next payoff,
+checked on ints. One global L keeps the pivot path and duals of the
+rational program. Rationals are built only for the returned estimate,
+whose witness is re-scored by optimal_average_payoff on the rational
+games.
 
 One search solves each ascent program and scores each game optimum
 once. Its memo lives for one call: programs keyed by their exact rows,
@@ -88,37 +89,30 @@ def metric_estimate_to_json(est: MetricEstimate) -> dict:
     }
 
 
-def _image(w: Channel):
-    """(d_W, W's entries as ints over d_W, row after row)."""
-    return scaled_ints(p for row in w.rows for p in row)
-
-
 def _cap(w: Channel, n: int, max_encoders):
     """optimal_average_payoff's cap on the encoders of an n-secret game
     around w."""
     enforce_cap(w.input_size**n, max_encoders, "encoder enumeration", "elements")
 
 
-def _opt(w: Channel, w_image, n: int, m: int, payoff, max_encoders, scored=None):
+def _opt(w: Channel, n: int, m: int, payoff, max_encoders, scored):
     """The optimum of the n×m game of payoff around w, from w's int image
     and the payoff as (den, its entries as ints over den, row after row):
     _best_pair's (total, encoder images, decoder images), 0-based. The
     optimal average payoff is total/(d_W·den·n), the value and pair of
     optimal_average_payoff on the rational game.
 
-    scored, if given, holds w's optima already found by one search, keyed
-    by n, m and the payoff's ints; a game found there is not scanned
-    again. The cap is checked first, so it fails as a scan would."""
+    scored holds w's optima already found by one search, keyed by n, m
+    and the payoff's ints; a game found there is not scanned again. The
+    cap is checked first, so it fails as a scan would."""
     _cap(w, n, max_encoders)
-    if scored is None:
-        scored = {}
     key = (n, m, payoff[0], tuple(payoff[1]))
     if key not in scored:
-        scored[key] = _best_pair(_score_tables(w_image[1], payoff[1], w.output_size, m))
+        scored[key] = _best_pair(_score_tables(w._image[1], payoff[1], w.output_size, m))
     return scored[key]
 
 
-def _restricted_ascent(active, pieces, scale, n, m, solved=None):
+def _restricted_ascent(active, pieces, scale, n, m, solved):
     """Exact maximizer of ⟨active, l⟩ − max_j ⟨piece_j, l⟩ over the simplex,
     as (den, l's entries as ints over den, row after row).
 
@@ -131,12 +125,10 @@ def _restricted_ascent(active, pieces, scale, n, m, solved=None):
     of dual prices on those rows, whatever the scale.
 
     The program depends on active and the pieces only through their
-    differences. solved, if given, maps the differences of the programs
-    one search has solved, all at its one scale, to their checked
-    payoffs; a program found there is not solved again.
+    differences. solved maps the differences of the programs one search
+    has solved, all at its one scale, to their checked payoffs; a program
+    found there is not solved again.
     """
-    if solved is None:
-        solved = {}
     diffs = tuple(
         tuple(a - piece[coord] for piece in pieces) for coord, a in enumerate(active)
     )
@@ -158,25 +150,22 @@ def _restricted_ascent(active, pieces, scale, n, m, solved=None):
     return den, ints
 
 
-def _ascent_step(
-    active, other, other_image, other_opt, scale, n, m, max_encoders,
-    solved=None, scored=None,
-):
+def _ascent_step(active, other, other_opt, scale, n, m, max_encoders, solved, scored):
     """_restricted_ascent over every deterministic pair of `other`, by
     column generation from other's optimum other_opt (_opt's triple): each
     optimum l is priced with other's optimal pair. Fewer pieces can only
     raise the objective, so once the priced piece is already present, l is
     optimal for all. Returns l and other's optimum at l. active and the
     pieces are ints over scale, a multiple of other's d_W. solved and
-    scored, if given, are one search's memos of programs, for
-    _restricted_ascent, and of other's optima, for _opt.
+    scored are one search's memos of programs, for _restricted_ascent, and
+    of other's optima, for _opt.
     """
-    d_w, w_ints = other_image
+    d_w, w_ints = other._image
     factor, y_size = scale // d_w, other.output_size
     pieces = [_pair_ints(w_ints, y_size, other_opt[1], other_opt[2], m, factor)]
     while True:
         candidate = _restricted_ascent(active, pieces, scale, n, m, solved)
-        opt = _opt(other, other_image, n, m, candidate, max_encoders, scored)
+        opt = _opt(other, n, m, candidate, max_encoders, scored)
         piece = _pair_ints(w_ints, y_size, opt[1], opt[2], m, factor)
         if piece in pieces:
             return candidate, opt
@@ -237,17 +226,16 @@ def brm_distance_lower_bound(
         if size % n == 0
     )
     dims = list(islice(shapes, budget))
-    # Each channel is scaled to ints once; every game optimum of the
-    # search is a _best_pair scan over its tables, and every ascent
-    # program is an integer image at the lcm of the two scales.
-    image1, image2 = _image(w1), _image(w2)
-    d1, d2 = image1[0], image2[0]
+    # Every game optimum of the search is a _best_pair scan over a
+    # channel's int tables, and every ascent program is an integer image
+    # at the lcm of the two channels' scales.
+    d1, d2 = w1._image[0], w2._image[0]
     scale = lcm(d1, d2)
     # The search's memo, local to this call: every ascent program it
     # solves, and each channel's game optima it scores, so none is
     # computed twice. Concurrent searches never share entries.
     solved = {}
-    sides = ((w1, image1, {}), (w2, image2, {}))
+    sides = ((w1, {}), (w2, {}))
 
     best = None  # (score, payoff, dims); score as _gap returns it
     for trial in range(budget):
@@ -262,29 +250,22 @@ def brm_distance_lower_bound(
             if best is None:
                 best = ((0, 1), payoff, (n, m))
             continue
-        opts = [
-            _opt(w, image, n, m, payoff, max_encoders, scored)
-            for w, image, scored in sides
-        ]
+        opts = [_opt(w, n, m, payoff, max_encoders, scored) for w, scored in sides]
         score = _gap(d1, d2, opts, payoff, n)
         for _step in range(_MAX_REFINE_STEPS):
             chosen = None  # (score, payoff, opts) of the better candidate
             for k in (0, 1):
-                (own, own_image, own_scored), (other, other_image, other_scored) = (
-                    sides[k], sides[1 - k]
-                )
+                (own, own_scored), (other, other_scored) = sides[k], sides[1 - k]
+                d_own, own_ints = own._image
                 active = _pair_ints(
-                    own_image[1], own.output_size, opts[k][1], opts[k][2], m,
-                    scale // own_image[0],
+                    own_ints, own.output_size, opts[k][1], opts[k][2], m, scale // d_own
                 )
                 candidate, other_opt = _ascent_step(
-                    active, other, other_image, opts[1 - k], scale, n, m,
-                    max_encoders, solved, other_scored,
+                    active, other, opts[1 - k], scale, n, m, max_encoders, solved,
+                    other_scored,
                 )
                 # The last pricing scored other at candidate; only own is new.
-                own_opt = _opt(
-                    own, own_image, n, m, candidate, max_encoders, own_scored
-                )
+                own_opt = _opt(own, n, m, candidate, max_encoders, own_scored)
                 cand_opts = (own_opt, other_opt) if k == 0 else (other_opt, own_opt)
                 cand_score = _gap(d1, d2, cand_opts, candidate, n)
                 # Ties go to the lexicographically smaller payoff, then to
@@ -306,8 +287,9 @@ def brm_distance_lower_bound(
         tuple(Rat(v, payoff_den) for v in payoff_ints[u * m : (u + 1) * m])
         for u in range(n)
     )
-    # The witness is re-scored on the rational games, each channel scaled
-    # afresh, independently of the images the search used.
+    # The witness is re-scored on the rational games: the rational payoff
+    # built from the search's ints, scaled afresh, is scanned by
+    # optimal_average_payoff, which must give the bound's exact value.
     games = [BrmGame(n, w.input_size, w.output_size, m, witness, w) for w in (w1, w2)]
     check, check2 = (optimal_average_payoff(g, max_encoders)[0] for g in games)
     if abs(check - check2) != lower:

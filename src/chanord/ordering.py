@@ -6,23 +6,25 @@ least as well with W' as with W. contains runs both sides as one column
 generation, lp_solver.priced_hull: while the hull program over the pairs
 found so far is infeasible, its Farkas dual is a payoff whose optimal
 pair against W' enters next, as one more column of the same live
-tableau. Pricing and entry run on the master's integer image L·[A | b]:
-W' and the target are scaled once per call, the dual arrives as ints
-and is scored against W''s int tables (brm._best_pair), and a pair's
-column enters as W''s ints times L/d_W; no round builds a rational. It
+tableau. Pricing and entry run on the master's integer image L·[A | b],
+built from the integer images of W' and the target (Channel._image, each
+scaled once per channel): the dual arrives as ints and is scored
+against W''s int tables (brm._best_pair), and a pair's column enters as
+W''s ints times L/d_W; no round builds a rational. It
 ends with a mixture that reconstructs W, or with a dual no pair beats,
 turned into a normalized positive payoff that strictly separates the
 channels. Both are re-verified exactly before being returned; the
-mixture on ints, Σ α·D_g∘W'∘D_f rebuilt entry by entry from one scaling
-of W' and one of the weights.
+mixture on ints, Σ α·D_g∘W'∘D_f rebuilt entry by entry from W''s
+integer image and one scaling of the weights.
 
 Output-degradedness (w = T∘wp) is containment with the encoder fixed
 to the identity: T is a mixture of deterministic output maps, so the
 same master decides it, priced by the same game with each secret sent
 to its own input. Every other hull question here goes through
 lp_solver.hull_lp: a row of w against the rows of wp
-(input-degradedness, one program per row) and a row against the other
-rows (the srank input reduction). srank certifies its reduction with
+(input-degradedness, one program per row, wp's rows read from its
+integer image) and a row against the other rows (the srank input
+reduction). srank certifies its reduction with
 the two degradedness witnesses, not with containment.
 """
 
@@ -128,11 +130,15 @@ def _reduce_target(w: Channel):
             kept_rows.append(row)
         to_red.append(first_of[row] + 1)
     live = [y for y in range(w.output_size) if any(row[y] != 0 for row in kept_rows)]
-    reduced = Channel(
-        len(kept_rows),
-        len(live),
-        tuple(tuple(row[y] for y in live) for row in kept_rows),
-    )
+    # An irreducible target is returned as itself, so a repeated call
+    # reads its cached image instead of scaling a fresh copy.
+    reduced = w
+    if (len(kept_rows), len(live)) != (w.input_size, w.output_size):
+        reduced = Channel(
+            len(kept_rows),
+            len(live),
+            tuple(tuple(row[y] for y in live) for row in kept_rows),
+        )
     input_map = DeterministicMap(w.input_size, reduced.input_size, tuple(to_red))
     output_injection = DeterministicMap(
         reduced.output_size, w.output_size, tuple(y + 1 for y in live)
@@ -196,7 +202,7 @@ def contains(
     w_red, input_map, output_injection = _reduce_target(w)
     n = w_red.input_size
     enforce_cap(wp.input_size**n, max_pairs, "encoder enumeration", "elements")
-    outcome, pairs, wp_image = _master(wp, w_red)
+    outcome, pairs = _master(wp, w_red)
     if outcome.tag != FEASIBLE:
         # No pair prices positive: the restricted dual separates the
         # target from every column, not only from the ones found.
@@ -222,7 +228,7 @@ def contains(
             )
             weights.append(((f, g), alpha))
     witness = ContainmentWitness(tuple(weights))
-    _verify_witness(witness, wp, w, wp_image)
+    _verify_witness(witness, wp, w)
     return OrderingVerdict(tag=CONTAINS, witness=witness)
 
 
@@ -233,14 +239,14 @@ def _master(wp: Channel, target: Channel, identity_encoder: bool = False):
     columns priced by the game of its Farkas dual against wp. With
     identity_encoder, secret u may only be sent to input u: only each
     secret's score table on its own input row is built, so pricing scores
-    one encoder. Returns the outcome, the pairs entered as 0-based images, in
-    column order, and wp's (d_W, ints), row-major.
+    one encoder. Returns the outcome and the pairs entered as 0-based
+    images, in column order.
     """
     m = target.output_size
     # A pair column sums entries of one wp row, so its denominators divide
     # d_W; with the target's, they fix the master's scale L.
-    d_t, target_ints = scaled_ints(p for row in target.rows for p in row)
-    d_w, wp_ints = scaled_ints(p for row in wp.rows for p in row)
+    d_t, target_ints = target._image
+    d_w, wp_ints = wp._image
     scale = lcm(d_t, d_w)
     m_p, factor = wp.output_size, scale // d_w
     pairs = []
@@ -270,19 +276,15 @@ def _master(wp: Channel, target: Channel, identity_encoder: bool = False):
         return _pair_ints(wp_ints, m_p, f_img, g_img, m, factor)
 
     outcome = priced_hull([v * (scale // d_t) for v in target_ints], price, scale)
-    return outcome, pairs, (d_w, wp_ints)
+    return outcome, pairs
 
 
-def _verify_witness(
-    witness: ContainmentWitness, wp: Channel, w: Channel, wp_image=None
-):
+def _verify_witness(witness: ContainmentWitness, wp: Channel, w: Channel):
     """Rebuild Σ α·D_g∘wp∘D_f entry by entry on ints and compare it with w.
 
-    The weights are scaled to ints over their common denominator d_α and
-    wp to ints over d_W (one scaled_ints each; wp_image, if given, is
-    (d_W, ints) of wp row-major as the caller already scaled it), so the
-    rebuilt channel is an int matrix over d_α·d_W, compared with w by
-    cross-multiplication.
+    The weights are scaled to ints over their common denominator d_α, and
+    wp is read as its integer image over d_W, so the rebuilt channel is an
+    int matrix over d_α·d_W, compared with w by cross-multiplication.
     """
     weights = [weight for _pair, weight in witness.basis_weights]
     if any(weight <= 0 for weight in weights):
@@ -290,7 +292,7 @@ def _verify_witness(
     d_alpha, alphas = scaled_ints(weights)
     if sum(alphas) != d_alpha:
         raise InternalCheckError("witness weights do not sum to 1")
-    d_w, wp_ints = wp_image or scaled_ints(p for row in wp.rows for p in row)
+    d_w, wp_ints = wp._image
     m_p = wp.output_size
     rebuilt = [[0] * w.output_size for _ in range(w.input_size)]
     for ((f, g), _weight), alpha in zip(witness.basis_weights, alphas):
@@ -330,7 +332,7 @@ def degraded_from(w: Channel, wp: Channel) -> Channel | None:
         raise DimensionMismatchError("degraded_from: input alphabets differ")
     if w == wp:
         return identity_channel(w.output_size)
-    outcome, pairs, _wp_image = _master(wp, w, identity_encoder=True)
+    outcome, pairs = _master(wp, w, identity_encoder=True)
     if outcome.tag != FEASIBLE:
         return None
     t_rows = [[ZERO] * w.output_size for _ in range(wp.output_size)]
@@ -347,14 +349,14 @@ def input_degraded_from(w: Channel, wp: Channel) -> Channel | None:
     """Some input randomizer R with w = wp ∘ R, or None if none exists.
 
     Row x of R is the weight vector of row x of w as a convex combination
-    of the rows of wp, one hull program per row; wp's rows are scaled to
-    ints once for all of them.
+    of the rows of wp, one hull program per row; every program reads wp's
+    rows from its integer image.
     """
     if w.output_size != wp.output_size:
         raise DimensionMismatchError("input_degraded_from: output alphabets differ")
     if w == wp:
         return identity_channel(w.input_size)
-    group = _ScaledGroup.of(wp.rows)
+    group = _ScaledGroup(*wp._image, wp.input_size, wp.output_size)
     r_rows = []
     for row in w.rows:
         outcome = solve_feasibility(hull_lp(row, group))

@@ -182,12 +182,20 @@ def optimal_error_probability(
     """Exact minimum ML error probability over all (n, M)-codebooks.
 
     The error probability is symmetric in the messages, so codebooks are
-    enumerated as multisets of codewords.
+    enumerated as multisets of codewords. Every cap is checked before any
+    word or codebook is built: the multisets, the M codewords of a
+    codebook against max_codebooks (more than M multisets when the channel
+    has two inputs or more, so only a one-input channel can fail on M
+    alone), and the |Y|^n output blocks. A 1×1 channel has one block and
+    one codebook for every n.
     """
     if n < 1 or big_m < 1:
         raise ValueError("blocklength and message count must be >= 1")
     codebooks = _codebook_count(w.input_size, n, big_m, max_codebooks)
     enforce_cap(codebooks, max_codebooks, "codebook enumeration", "multisets")
+    enforce_cap(big_m, max_codebooks, "codebook enumeration", "codewords per codebook")
+    blocks = _power(w.output_size, n, max_output_blocks)
+    enforce_cap(blocks, max_output_blocks, "output enumeration", "blocks")
     words = list(product(range(1, w.input_size + 1), repeat=n))
     best = None
     for codebook in combinations_with_replacement(words, big_m):
@@ -200,19 +208,30 @@ def optimal_error_probability(
     return best
 
 
+def _power(base: int, n: int, cap: int):
+    """base**n, or None when bit lengths alone show it exceeds cap.
+
+    No number much past the cap is built: for base of bit length b ≥ 2,
+    2^(n·(b − 1)) ≤ base**n < 2^(2·n·(b − 1)).
+    """
+    if base > 1 and n * (base.bit_length() - 1) >= cap.bit_length():
+        return None
+    return base**n
+
+
 def _codebook_count(symbols: int, n: int, size: int, cap: int):
     """C(symbols**n + size − 1, size), the multisets of size codewords of
     length n, or None when bit lengths alone show it exceeds cap.
 
-    No number much past the cap is built. For symbols of bit length
-    b ≥ 2, 2^(n·(b − 1)) ≤ symbols**n < 2^(2·n·(b − 1)), and there are at
-    least as many codebooks as words. The count is C(t, k) with t = words
-    + size − 1 and k = min(size, words − 1); as t − k ≥ k it is at least
-    2^k, so math.comb runs only for k below cap's bit length.
+    No number much past the cap is built. There are at least as many
+    codebooks as words, so none is counted once _power gives up on the
+    words. The count is C(t, k) with t = words + size − 1 and
+    k = min(size, words − 1); as t − k ≥ k it is at least 2^k, so
+    math.comb runs only for k below cap's bit length.
     """
-    if symbols > 1 and n * (symbols.bit_length() - 1) >= cap.bit_length():
+    words = _power(symbols, n, cap)
+    if words is None:
         return None
-    words = symbols**n
     k = min(size, words - 1)
     if k >= cap.bit_length():
         return None

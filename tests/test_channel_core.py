@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chanord import brm, channel_core, cpc, lp_solver, metric, ordering
 from chanord.channel_core import (
     Alphabet,
+    Channel,
     DeterministicMap,
     bsc,
     channel_from_json,
@@ -21,7 +23,9 @@ from chanord.channel_core import (
     tv_distance,
 )
 from chanord.errors import DimensionMismatchError
-from chanord.rational import ONE, ZERO, Rat
+from chanord.metric import brm_distance_lower_bound
+from chanord.ordering import contains, input_degraded_from
+from chanord.rational import ONE, ZERO, Rat, scaled_ints
 
 
 def small_channels(max_size=3, max_den=8):
@@ -212,3 +216,52 @@ def test_memoized_deterministic_equals_a_freshly_built_channel():
         # An equal map built anew shares the one channel.
         assert deterministic(DeterministicMap(n, m, tuple(f.image))) is deterministic(f)
     assert deterministic.cache_info().maxsize is not None
+
+
+def test_channel_image_is_its_rows_scaled_once():
+    # A channel's int image is scaled_ints of its rows, kept as a tuple
+    # on first use; it is no field, so neither ==, hash nor repr sees it.
+    for seed in range(8):
+        w = random_channel(1 + seed % 3, 1 + seed // 3, 4400 + seed, 12)
+        plain = Channel(w.input_size, w.output_size, w.rows)
+        before = (hash(w), repr(w))
+        d, ints = w._image
+        assert (d, list(ints)) == scaled_ints(p for row in w.rows for p in row)
+        assert type(ints) is tuple and all(type(v) is int for v in ints)
+        assert w._image is w._image
+        assert "_image" in vars(w) and "_image" not in vars(plain)
+        assert w == plain and hash(w) == hash(plain) and repr(w) == repr(plain)
+        assert (hash(w), repr(w)) == before
+
+
+def test_oracles_scale_each_channel_once(monkeypatch):
+    # Every int form of a channel is read from its image: within one call
+    # no channel's entries are scaled twice, and a repeated call scales
+    # none. scaled_ints is recorded wherever a library module calls it.
+    scaled = []
+
+    def recording(values):
+        values = tuple(values)
+        scaled.append(values)
+        return scaled_ints(values)
+
+    for module in (channel_core, brm, cpc, lp_solver, metric, ordering):
+        monkeypatch.setattr(module, "scaled_ints", recording)
+    r = random_channel(3, 2, 4500, 6)
+    calls = [
+        # Contained, so the witness is checked; separated, so the gap is
+        # re-derived on the rational games.
+        (contains, identity_channel(2), bsc("1/4")),
+        (contains, bsc("1/4"), identity_channel(2)),
+        (input_degraded_from, compose(bsc("1/4"), r), bsc("1/4")),
+        (brm_distance_lower_bound, identity_channel(2), bsc("1/4")),
+    ]
+    for oracle, *channels in calls:
+        entries = {tuple(p for row in w.rows for p in row) for w in channels}
+        scaled.clear()
+        oracle(*channels)
+        first = [values for values in scaled if values in entries]
+        assert 0 < len(first) == len(set(first))
+        scaled.clear()
+        oracle(*channels)
+        assert not entries.intersection(scaled)

@@ -10,6 +10,7 @@ from chanord.channel_core import (
     channel_from_json,
     channel_to_json,
     identity_channel,
+    make_channel,
     random_channel,
 )
 from chanord import cli, metric, ordering, params
@@ -356,18 +357,42 @@ def test_a_cap_failure_with_an_unprintable_count_exits_2(capsys, tmp_path):
     assert "has at least 2^14300 elements (cap 65536)" in err
 
 
-# 2^n words decide the first three by bit length; in the last, 2^19 words
-# do not, and the count C(2^19 + 399999, 400000) is at least 2^400000.
+MULTISETS = "codebook enumeration has more than 1000000 multisets (cap 1000000)"
+ONE_INPUT = make_channel([["1/3", "2/3"]])
+
+
+# On the BSC, 2^n words decide the first three by bit length; in the
+# fourth, 2^19 words do not, and the count C(2^19 + 399999, 400000) is at
+# least 2^400000. A one-input channel has a single multiset for every n
+# and M, so its blocks and its codewords are capped on their own.
 @pytest.mark.parametrize(
-    "n, m", [("20", "400000"), ("30", "100000000"), ("100000000", "2"), ("19", "400000")]
+    "w, n, m, message",
+    [
+        *(
+            pytest.param(bsc("1/10"), n, m, MULTISETS, id=f"{n}-{m}")
+            for n, m in [
+                ("20", "400000"), ("30", "100000000"), ("100000000", "2"), ("19", "400000")
+            ]
+        ),
+        pytest.param(
+            ONE_INPUT, "100000000", "2",
+            "output enumeration has more than 1000000 blocks (cap 1000000)",
+            id="one-input-100000000-2",
+        ),
+        pytest.param(
+            ONE_INPUT, "2", "100000000",
+            "codebook enumeration has 100000000 codewords per codebook (cap 1000000)",
+            id="one-input-2-100000000",
+        ),
+    ],
 )
-def test_perr_decides_a_huge_codebook_count_at_once(capsys, write_channel, n, m):
-    a = write_channel("a.json", bsc("1/10"))
+def test_perr_decides_a_huge_codebook_count_at_once(capsys, write_channel, w, n, m, message):
+    a = write_channel("a.json", w)
     started = time.perf_counter()
     code, report, err = run_cli(capsys, "perr", a, "--n", n, "--M", m)
     assert time.perf_counter() - started < 1.0
     assert code == 2 and report is None
-    assert "codebook enumeration has more than 1000000 multisets (cap 1000000)" in err
+    assert message in err
 
 
 def test_cap_messages_print_the_count_or_a_power_of_two_below_it():

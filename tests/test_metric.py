@@ -143,27 +143,26 @@ def test_generated_ascent_step_matches_the_full_program():
     for seed in range(8):
         w1 = random_channel(2, 2, 9000 + seed, 8)
         w2 = random_channel(2, 2, 9100 + seed, 8)
-        image1, image2 = metric._image(w1), metric._image(w2)
-        scale = lcm(image1[0], image2[0])
+        scale = lcm(w1._image[0], w2._image[0])
         for n, m in ((1, 2), (2, 1), (2, 2)):
             sample = _sample_payoff(seed, 0, n, m)
             payoff = rows_of(sample, m)
             _v1, pair1 = optimal_average_payoff(
                 BrmGame(n, 2, 2, m, payoff, w1)
             )
-            opt2 = metric._opt(w2, image2, n, m, sample, DEFAULT_MAX_PAIRS)
+            opt2 = metric._opt(w2, n, m, sample, DEFAULT_MAX_PAIRS, {})
             active = pair_column(w1, *pair1)
             pieces = all_simulation_columns(w2, n, m)
             full = _restricted_ascent(
                 ints_at(scale, active), [ints_at(scale, p) for p in pieces],
-                scale, n, m,
+                scale, n, m, {},
             )
             generated, opt_at = _ascent_step(
-                ints_at(scale, active), w2, image2, opt2, scale, n, m,
-                DEFAULT_MAX_PAIRS,
+                ints_at(scale, active), w2, opt2, scale, n, m,
+                DEFAULT_MAX_PAIRS, {}, {},
             )
             assert opt_at == metric._opt(
-                w2, image2, n, m, generated, DEFAULT_MAX_PAIRS
+                w2, n, m, generated, DEFAULT_MAX_PAIRS, {}
             )
             assert objective(active, pieces, rows_of(generated, m)) == objective(
                 active, pieces, rows_of(full, m)
@@ -176,7 +175,7 @@ def test_restricted_ascent_ignores_a_positive_scaling():
     for seed in range(10):
         w1 = random_channel(2, 3, 9200 + seed, 8)
         w2 = random_channel(3, 2, 9300 + seed, 8)
-        scale = lcm(metric._image(w1)[0], metric._image(w2)[0])
+        scale = lcm(w1._image[0], w2._image[0])
         for n, m in ((1, 2), (2, 2), (2, 3), (3, 2)):
             payoff = rows_of(_sample_payoff(seed, 1, n, m), m)
             _v1, pair1 = optimal_average_payoff(BrmGame(n, 2, 3, m, payoff, w1))
@@ -188,13 +187,13 @@ def test_restricted_ascent_ignores_a_positive_scaling():
                 ints_at(scale, column)
                 for column in [pair_column(w2, *pair2)] + columns[::step]
             ]
-            base = _restricted_ascent(active, pieces, scale, n, m)
+            base = _restricted_ascent(active, pieces, scale, n, m, {})
             for factor in (Rat(1, n), Rat(1, 7), Rat(5)):
                 # The columns times p/q are the same ints times p over
                 # scale·q.
                 p, q = int(factor.numerator), int(factor.denominator)
                 scaled = [[p * v for v in vec] for vec in [active] + pieces]
-                again = _restricted_ascent(scaled[0], scaled[1:], scale * q, n, m)
+                again = _restricted_ascent(scaled[0], scaled[1:], scale * q, n, m, {})
                 assert again == base
 
 
@@ -290,14 +289,14 @@ def test_search_optima_equal_those_of_the_rational_games():
     # once: the same value and optimal pair, and the same cap failure.
     for seed in range(8):
         w = random_channel(1 + seed % 3, 2 + seed % 2, 9400 + seed, 8)
-        image = metric._image(w)
+        image = w._image
         for n, m in ((1, 1), (1, 2), (2, 2), (2, 3), (3, 2)):
             for trial in (2, 3):
                 sample = _sample_payoff(seed, trial, n, m)
                 payoff = rows_of(sample, m)
                 game = BrmGame(n, w.input_size, w.output_size, m, payoff, w)
                 total, f_img, g_img = metric._opt(
-                    w, image, n, m, sample, DEFAULT_MAX_PAIRS
+                    w, n, m, sample, DEFAULT_MAX_PAIRS, {}
                 )
                 got = Rat(total, image[0] * sample[0] * n), (
                     DeterministicMap(n, w.input_size, tuple(x + 1 for x in f_img)),
@@ -306,7 +305,7 @@ def test_search_optima_equal_those_of_the_rational_games():
                 assert got == optimal_average_payoff(game)
     cap = w.input_size**n - 1
     with pytest.raises(ResourceLimitError) as caught:
-        metric._opt(w, image, n, m, sample, cap)
+        metric._opt(w, n, m, sample, cap, {})
     with pytest.raises(ResourceLimitError) as expected:
         optimal_average_payoff(game, cap)
     assert str(caught.value) == str(expected.value)

@@ -197,6 +197,34 @@ def test_codebook_cap_boundary_is_the_exact_multiset_count():
             optimal_error_probability(n, m, w, max_codebooks=count - 1)
 
 
+def test_one_input_codebooks_are_capped_before_any_word_is_built(monkeypatch):
+    # A one-input channel has one multiset of M codewords for every n, so
+    # M is capped against max_codebooks and the |Y|^n blocks against
+    # max_output_blocks, both before a word or a codebook exists.
+    w = make_channel([["1/3", "2/3"]])
+    assert optimal_error_probability(3, 5, w, max_codebooks=5) == Rat(4, 5)
+    assert optimal_error_probability(2, 2, w, max_output_blocks=4) == Rat(1, 2)
+
+    def no_words(*_args, **_kwargs):
+        raise AssertionError("a word was built")
+
+    monkeypatch.setattr(params, "product", no_words)
+    cases = [
+        ((3, 6, w), {"max_codebooks": 5}, r"has 6 codewords per codebook \(cap 5\)"),
+        ((10**8, 1, w), {}, r"has more than 1000000 blocks \(cap 1000000\)"),
+        ((1, 10**8, w), {}, r"has 100000000 codewords per codebook \(cap 1000000\)"),
+        ((2, 1, w), {"max_output_blocks": 3}, r"has more than 3 blocks \(cap 3\)"),
+        # With two inputs or more, M codewords make more than M multisets.
+        ((1, 7, bsc("1/4")), {"max_codebooks": 6}, r"has 8 multisets \(cap 6\)"),
+    ]
+    for args, caps, message in cases:
+        with pytest.raises(ResourceLimitError, match=message):
+            optimal_error_probability(*args, **caps)
+    monkeypatch.undo()
+    # A 1×1 channel has one block and one codebook for every n.
+    assert optimal_error_probability(10**4, 3, make_channel([[1]]), 3, 1) == Rat(2, 3)
+
+
 def test_output_block_cap_prints_the_exact_count():
     enc, w = Encoder(1, 2, ((1, 1),)), identity_channel(3)
     assert ml_error_probability(enc, w, max_output_blocks=9) == ZERO
