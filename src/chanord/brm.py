@@ -317,9 +317,9 @@ def region_subset(
     scales, to drop repeats of b and of a, so each distinct
     point of a not among b's is checked once, in order of first
     appearance. Those keys are a's points as ints at that lcm, and
-    lp_solver.hull_outcomes answers them from one warm tableau: one basis
-    is built from b's generators, and each point is one dual-simplex
-    repair of it, with only the right-hand side changing from point to
+    lp_solver.hull_outcomes answers them from one warm basis, built
+    from b's generators: each point is one dual-simplex repair of it,
+    with only the right-hand side changing from point to
     point. When b's program has a redundant row (b is empty, or its points
     lie in a proper affine subspace), the warm routine answers no point
     and every one is solved cold, one program each. The first generator

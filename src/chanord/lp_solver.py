@@ -1,9 +1,11 @@
 """Exact rational simplex for equality-form linear programs.
 
 Programs are max cᵀx subject to A·x = b, x ≥ 0, with every coefficient an
-exact rational. The solver is a dense-tableau two-phase simplex with
-Bland's pivoting rule, so it terminates on every input; nothing is ever
-rounded. A program is its integer image, L·[A | b] as Python ints (L > 0
+exact rational. The solver is a two-phase simplex with Bland's pivoting
+rule, so it terminates on every input; nothing is ever rounded. One-shot
+programs and priced masters pivot a dense tableau; the dual repairs of
+hull_outcomes pivot a compact basis that keeps only D·B⁻¹ and the
+right-hand side (a revised simplex). A program is its integer image, L·[A | b] as Python ints (L > 0
 a common denominator), and its rational objective c; A and b are read
 back from the image. standard_lp scales the caller's rationals once
 (rational.scaled_ints), and hull_lp builds the image of one hull
@@ -40,22 +42,25 @@ the master's image: a Farkas dual over every column entered so far, a
 point over its support.
 
 hull_outcomes answers hull programs that share their generators and
-differ only in the point, one after another, from one live tableau. One
-basis is built from the generators before any point: the tableau of
-their rows with a zero right-hand side, each artificial pivoted out onto
-the first nonzero original column of its row (a crash basis). Every
-point, the first included, enters as a new right-hand side,
-(D·B⁻¹)·(s·L·b), computed as append_column computes a column, and the
-image's b becomes the new L·b, which the exit checks read. With a zero
-objective every basis is dual feasible, so dual simplex repairs the
+differ only in the point, one after another, from one warm basis. The
+basis is built from the generators before any point: each row of their
+program, with a zero right-hand side, is pivoted onto the first original
+column with a nonzero entry in it (a crash basis). Only D·B⁻¹, the
+right-hand side and the columns of L·A are kept: a tableau entry is row
+i of D·B⁻¹ times column j of L·A, as append_column computes a column,
+and a repair pivot reads one row and one column of them. Every point,
+the first included, enters as a new right-hand side, (D·B⁻¹)·(L·b), and
+the image's b becomes the new L·b, which the exit checks read. With a
+zero objective every basis is dual feasible, so dual simplex repairs the
 basis under the least-index rule (Lemke 1954, Bland 1977): the row of
-negative rhs whose basic index is smallest leaves, the smallest original
+negative rhs whose basic index is smallest leaves, the first original
 column with a negative entry in that row enters, and artificials never
 enter. All rhs nonnegative is a FEASIBLE point; a negative row with no
-negative entry is INFEASIBLE, with Farkas dual −(s ⊙ that row's
-artificial block). The crash basis is made of original columns only if
-the program has full row rank: when the crash drops a redundant row (a
-degenerate or empty group), hull_outcomes answers no point.
+negative entry is INFEASIBLE, with Farkas dual −(that row of D·B⁻¹)/D.
+The pivots, vertices and duals are those of the dense tableau. The
+crash basis is made of original columns only if the program has full
+row rank: when the crash meets a redundant row (a degenerate or empty
+group), hull_outcomes answers no point.
 
 The pivot budget is a number of pivots per LP solve: one call of
 solve_feasibility or maximize may pivot DEFAULT_MAX_PIVOTS (100,000)
@@ -248,8 +253,13 @@ class _Tableau:
     (p·t − f·v) // D, v being the pivot row's entry in t's column, and
     makes p the new D (Edmonds 1967, Bareiss 1968): every entry is then a
     minor of the initial rows, so each division is exact. Only expelling
-    an artificial or a dual repair can pivot on a negative entry; all
-    rows and D are then negated to keep D positive.
+    an artificial can pivot on a negative entry; all rows and D are then
+    negated to keep D positive.
+
+    It is the primal kernel of solve_feasibility, maximize and
+    priced_hull, whose programs are tall or square, so the artificial
+    block is most of each row. The dual repairs of hull_outcomes run on
+    _WarmBasis, which keeps only that block and the rhs column.
 
     Scaling [A | b] by one L > 0 multiplies the phase-one reduced costs of
     the original columns by L and all ratio-test quotients of one column
@@ -305,11 +315,7 @@ class _Tableau:
         return z
 
     def _pivot(self, z, pr: int, pc: int):
-        self.pivots_used += 1
-        if self.pivots_used > self.max_pivots:
-            raise ResourceLimitError(
-                f"simplex pivot budget exceeded ({self.max_pivots})"
-            )
+        _spend_pivot(self)
         row = self.rows[pr]
         p = row[pc]
         d = self.denom
@@ -319,8 +325,8 @@ class _Tableau:
         if z is not None:
             z[:] = _eliminate(z, row, p, d, pc)
         if p < 0:
-            # Only an expulsion or a dual repair pivots on a negative
-            # entry, and neither keeps a reduced-cost row.
+            # Only an expulsion pivots on a negative entry, and it keeps
+            # no reduced-cost row.
             self.rows = [[-v for v in r] for r in self.rows]
             p = -p
         self.denom = p
@@ -394,14 +400,6 @@ class _Tableau:
         d = self.denom
         return [sign * (d + z[self.ncols + k]) for k, sign in enumerate(self.row_signs)]
 
-    def row_farkas(self, i):
-        """The Farkas dual of row i, ints over D, when its rhs is negative
-        and its original entries nonnegative: the row is its artificial
-        block times the initial rows [s·L·A | I | s·L·b], so y =
-        −(s ⊙ that block) has yᵀ(L·A) ≤ 0 and yᵀ(L·b) > 0."""
-        block = self.rows[i][self.ncols : self.ncols + self.num_orig_rows]
-        return [-sign * v for sign, v in zip(self.row_signs, block)]
-
     def optimal_duals(self, z):
         """(prices, value) of phase two under costs Lc·c, as ints.
 
@@ -411,6 +409,13 @@ class _Tableau:
         """
         prices = [-sign * z[self.ncols + k] for k, sign in enumerate(self.row_signs)]
         return prices, -z[-1]
+
+
+def _spend_pivot(state):
+    """Count one pivot against the budget of a _Tableau or _WarmBasis."""
+    state.pivots_used += 1
+    if state.pivots_used > state.max_pivots:
+        raise ResourceLimitError(f"simplex pivot budget exceeded ({state.max_pivots})")
 
 
 def _eliminate(target, row, p, d, pc):
@@ -497,9 +502,10 @@ def _phase_one(tab: _Tableau):
     return None
 
 
-def _feasibility_outcome(tab: _Tableau, farkas) -> LpOutcome:
-    """The verified answer after phase one: the point of the expelled
-    tableau when farkas is None, else the Farkas dual farkas/D."""
+def _feasibility_outcome(tab, farkas) -> LpOutcome:
+    """The verified answer of a _Tableau after phase one, or of a
+    _WarmBasis after a repair: the point of its basis when farkas is None,
+    else the Farkas dual farkas/D."""
     if farkas is not None:
         dual = _rationals(enumerate(farkas), tab.denom, len(farkas))
         return LpOutcome(tag=INFEASIBLE, dual_certificate=dual)
@@ -584,74 +590,141 @@ def hull_outcomes(
     points_ints, group: _ScaledGroup, scale: int, max_pivots: int = DEFAULT_MAX_PIVOTS
 ):
     """The verified answers to hull_lp(point, group), point after point,
-    from one live tableau.
+    from one warm basis.
 
     points_ints yields each point as L·point, ints at the caller's scale
     L; every program is hull_lp's, on its image at the lcm of L and the
     group's scale, and only its right-hand side changes from point to
     point. One basis is built from the generators before the first point:
-    the tableau of the group's rows with a zero right-hand side, each
-    artificial pivoted out onto the first nonzero original column of its
-    row (a crash basis of original columns). Each point then enters as a
-    new right-hand side and is repaired by dual simplex pivots (see
-    _warm_outcome). Yields one LpOutcome per point, as exact rationals,
-    verified on that point's image. max_pivots bounds the pivots of each
-    point; the first point's budget also covers the crash.
+    each row of the group's program, with a zero right-hand side, pivoted
+    onto its first original column with a nonzero entry (a crash basis of
+    original columns). Each point then enters as a new right-hand side and
+    is repaired by dual simplex pivots (see _WarmBasis). Yields one
+    LpOutcome per point, as exact rationals, verified on that point's
+    image. max_pivots bounds the pivots of each point; the first point's
+    budget also covers the crash.
 
     A basis of original columns exists only if the program has full row
-    rank. When the crash drops a redundant row (the generators lie in a
+    rank. When the crash meets a redundant row (the generators lie in a
     proper affine subspace, or there are none), nothing is yielded: the
     caller answers every point cold. A point whose length is not the
     generators' raises DimensionMismatchError.
     """
     common = lcm(scale, group.scale)
     point_factor = common // scale
-    rows = _hull_rows(group, group.length, common)
-    tab = _Tableau((rows, (0,) * len(rows)), group.size, max_pivots)
-    tab.drop_redundant_and_expel_artificials()
-    if len(tab.rows) < len(rows):
+    basis = _WarmBasis(_hull_rows(group, group.length, common), group.size, max_pivots)
+    if not basis.crash():
         return
     for point in points_ints:
         if len(point) != group.length:
             raise DimensionMismatchError("generator length does not match the point")
-        yield _warm_outcome(tab, (rows, (*(v * point_factor for v in point), common)))
-        tab.pivots_used = 0
+        yield basis.repair((*(v * point_factor for v in point), common))
+        basis.pivots_used = 0
 
 
-def _warm_outcome(tab: _Tableau, image) -> LpOutcome:
-    """The verified answer for a new image (same L·A, new L·b) from the
-    tableau's basis of original columns: the crash basis for the first
-    point of hull_outcomes, the previous point's basis for each later one.
+class _WarmBasis:
+    """The basis of hull_outcomes, kept compact for dual repairs.
 
-    The new rhs is (D·B⁻¹)·(s·L·b), as append_column computes a column.
-    With a zero objective every basis is dual feasible, so dual simplex
-    repairs it under the least-index rule (Bland 1977): the row of
-    negative rhs whose basic index is smallest leaves, and the smallest
-    original column with a negative entry in that row enters; artificial
-    columns never enter. Every rhs nonnegative is a FEASIBLE basic point;
-    a negative row with no negative entry proves the program INFEASIBLE
-    (row_farkas).
+    A revised simplex (Dantzig & Orchard-Hays 1954): the state is the
+    basis list, the rows of [D·B⁻¹ | rhs] as Python ints over one shared
+    positive denominator D, and the columns of L·A, transposed once. These
+    are the artificial block and the rhs column of the _Tableau that
+    starts from [L·A | I | 0] and pivots alike, so every pivot, vertex and
+    dual is the dense tableau's. Entry (i, j) of that tableau is row i of
+    D·B⁻¹ times column j of L·A, as append_column computes it, and is
+    computed only where a pivot rule reads it; a repair pivot needs one
+    row and one column, not the whole tableau; map stops at the shorter
+    of a row and a column, so the rhs never enters that product. The
+    crash starts from a zero right-hand side, so every row sign is +1.
     """
-    tab.image = image
-    start, r = tab.ncols, tab.num_orig_rows
-    signed = [sign * v for sign, v in zip(tab.row_signs, image[1])]
-    for row in tab.rows:
-        row[-1] = sum(map(mul, row[start : start + r], signed))
-    while True:
-        pr = -1
-        for i, row in enumerate(tab.rows):
-            if row[-1] < 0 and (pr < 0 or tab.basis[i] < tab.basis[pr]):
-                pr = i
-        if pr < 0:
-            return _feasibility_outcome(tab, None)
-        row = tab.rows[pr]
-        pc = -1
-        for j in range(start):
-            if row[j] < 0:
-                pc = j
-                break
-        if pc < 0:
-            farkas = tab.row_farkas(pr)
-            _check_farkas(image, farkas, start)
-            return _feasibility_outcome(tab, farkas)
-        tab._pivot(None, pr, pc)
+
+    def __init__(self, rows, ncols: int, max_pivots: int):
+        r = len(rows)
+        self.ncols = ncols
+        self.columns = list(zip(*rows))
+        self.image = (rows, (0,) * r)
+        self.rows = [[0] * i + [1] + [0] * (r - i) for i in range(r)]
+        self.basis = list(range(ncols, ncols + r))
+        self.denom = 1
+        self.max_pivots = max_pivots
+        self.pivots_used = 0
+
+    def _pivot(self, pr: int, pc: int):
+        """The Bareiss pivot of _Tableau on [D·B⁻¹ | rhs], with column pc's
+        entries computed for every row."""
+        _spend_pivot(self)
+        column = self.columns[pc]
+        row = self.rows[pr]
+        p = sum(map(mul, row, column))
+        d = self.denom
+        for i, target in enumerate(self.rows):
+            if i != pr:
+                f = sum(map(mul, target, column))
+                if f == 0:
+                    self.rows[i] = [p * t // d for t in target]
+                else:
+                    self.rows[i] = [(p * t - f * v) // d for t, v in zip(target, row)]
+        if p < 0:
+            self.rows = [[-v for v in r] for r in self.rows]
+            p = -p
+        self.denom = p
+        self.basis[pr] = pc
+
+    def crash(self) -> bool:
+        """Pivot each row onto the first original column with a nonzero
+        entry in it, entry by entry; False if some row has none (a
+        redundant row, left on its artificial)."""
+        full_rank = True
+        for i in range(len(self.rows)):
+            row = self.rows[i]
+            for j, column in enumerate(self.columns):
+                if sum(map(mul, row, column)):
+                    self._pivot(i, j)
+                    break
+            else:
+                full_rank = False
+        return full_rank
+
+    def repair(self, b) -> LpOutcome:
+        """The verified answer for the right-hand side b = L·b′, from the
+        current basis of original columns.
+
+        The new rhs is (D·B⁻¹)·b. With a zero objective every basis is
+        dual feasible, so dual simplex repairs it under the least-index
+        rule (Lemke 1954, Bland 1977): the row of negative rhs whose basic
+        index is smallest leaves, and the first original column with a
+        negative entry in that row enters. Every rhs nonnegative is a
+        FEASIBLE basic point; a negative row with no negative entry
+        proves the program INFEASIBLE (row_farkas).
+        """
+        self.image = (self.image[0], b)
+        for row in self.rows:
+            row[-1] = sum(map(mul, row, b))
+        while True:
+            pr = -1
+            for i, row in enumerate(self.rows):
+                if row[-1] < 0 and (pr < 0 or self.basis[i] < self.basis[pr]):
+                    pr = i
+            if pr < 0:
+                return _feasibility_outcome(self, None)
+            row = self.rows[pr]
+            for j, column in enumerate(self.columns):
+                if sum(map(mul, row, column)) < 0:
+                    self._pivot(pr, j)
+                    break
+            else:
+                farkas = self.row_farkas(pr)
+                _check_farkas(self.image, farkas, self.ncols)
+                return _feasibility_outcome(self, farkas)
+
+    def support(self):
+        """[(j, r_j)] over the basic point's nonzero coordinates x_j = r_j/D;
+        every basic column is original."""
+        return [(bi, row[-1]) for bi, row in zip(self.basis, self.rows) if row[-1] != 0]
+
+    def row_farkas(self, i):
+        """The Farkas dual of row i, ints over D, when its rhs is negative
+        and its original entries nonnegative: that tableau row is
+        y′ᵀ[L·A | L·b] for y′ row i of D·B⁻¹, so y = −y′ has
+        yᵀ(L·A) ≤ 0 and yᵀ(L·b) > 0."""
+        return [-v for v in self.rows[i][:-1]]

@@ -25,7 +25,7 @@ from itertools import combinations_with_replacement, product
 
 from .channel_core import Channel
 from .errors import ResourceLimitError, enforce_cap
-from .rational import ONE, ZERO
+from .rational import ONE, ZERO, Rat
 
 DEFAULT_MAX_OUTPUT_BLOCKS = 10**6
 DEFAULT_MAX_CODEBOOKS = 10**6
@@ -188,6 +188,11 @@ def optimal_error_probability(
     has two inputs or more, so only a one-input channel can fail on M
     alone), and the |Y|^n output blocks. A 1×1 channel has one block and
     one codebook for every n.
+
+    A one-input channel has one word, so every codebook is M copies of
+    it; each output block credits its likelihood once, the rows sum to 1,
+    and the answer is 1 − 1/M for every n, with no word or codebook
+    built once the caps pass.
     """
     if n < 1 or big_m < 1:
         raise ValueError("blocklength and message count must be >= 1")
@@ -196,6 +201,8 @@ def optimal_error_probability(
     enforce_cap(big_m, max_codebooks, "codebook enumeration", "codewords per codebook")
     blocks = _power(w.output_size, n, max_output_blocks)
     enforce_cap(blocks, max_output_blocks, "output enumeration", "blocks")
+    if w.input_size == 1:
+        return ONE - Rat(1, big_m)
     words = list(product(range(1, w.input_size + 1), repeat=n))
     best = None
     for codebook in combinations_with_replacement(words, big_m):

@@ -3,7 +3,7 @@
 Everything here recomputes results by brute force or direct formula
 evaluation, deliberately avoiding the library's own algorithmic paths;
 the exceptions, rational_hull_program, cold_start_contains,
-rational_contains, fraction_caratheodory_reduce,
+dense_hull_outcomes, rational_contains, fraction_caratheodory_reduce,
 fraction_skew_compose_cpc, rational_group_degraded_from and
 rational_brm_distance_lower_bound, are earlier forms of an algorithm,
 kept as the reference of the form that replaced them.
@@ -12,7 +12,7 @@ kept as the reference of the form that replaced them.
 import math
 from itertools import combinations, islice, product
 
-from chanord import metric, ordering
+from chanord import lp_solver, metric, ordering
 from chanord.brm import BrmGame, optimal_average_payoff
 from chanord.channel_core import Channel, DeterministicMap, compose
 from chanord.cpc import DEFAULT_MAX_PAIRS, CpcChannel, CpcTerm, as_channel, pair_column
@@ -335,6 +335,25 @@ def brute_force_optimal_average(game):
     return brute_force_optimal_pair(game)[0]
 
 
+def brute_force_error_probability(n, big_m, w):
+    """Least ML error probability over every ordered (n, M)-codebook, each
+    scored from its definition: 1 − (1/M)·Σ over output blocks of the
+    largest likelihood Π W(y_i | x_i) among its codewords."""
+    words = list(product(range(w.input_size), repeat=n))
+    best = None
+    for codebook in product(words, repeat=big_m):
+        credited = ZERO
+        for block in product(range(w.output_size), repeat=n):
+            credited += max(
+                math.prod((w.rows[x][y] for x, y in zip(word, block)), start=ONE)
+                for word in codebook
+            )
+        error = ONE - credited / big_m
+        if best is None or error < best:
+            best = error
+    return best
+
+
 def all_simulation_columns(wp, x, y):
     """Every column D_g ∘ wp ∘ D_f, one per deterministic pair, flattened
     row-major: |X'|^x · y^|Y'| of them, duplicates kept."""
@@ -480,6 +499,54 @@ def point_by_point(on_point):
             yield out
 
     return wrapper
+
+
+def dense_hull_outcomes(
+    points_ints, group, scale, max_pivots=lp_solver.DEFAULT_MAX_PIVOTS
+):
+    """lp_solver.hull_outcomes as it ran on the dense tableau: the crash
+    and every dual repair pivot a _Tableau of [L·A | I | rhs], as wide as
+    the group's generators, with the Farkas dual read off the artificial
+    block of the leaving row. The same pivots, answers and per-point pivot
+    counts as the compact basis that replaced it.
+    """
+    common = math.lcm(scale, group.scale)
+    point_factor = common // scale
+    rows = lp_solver._hull_rows(group, group.length, common)
+    tab = lp_solver._Tableau((rows, (0,) * len(rows)), group.size, max_pivots)
+    tab.drop_redundant_and_expel_artificials()
+    if len(tab.rows) < len(rows):
+        return
+    for point in points_ints:
+        if len(point) != group.length:
+            raise DimensionMismatchError("generator length does not match the point")
+        yield _dense_warm_outcome(tab, (rows, (*(v * point_factor for v in point), common)))
+        tab.pivots_used = 0
+
+
+def _dense_warm_outcome(tab, image):
+    """One point of dense_hull_outcomes: the new rhs (D·B⁻¹)·(s·L·b), then
+    dual simplex under the least-index rule on the whole tableau."""
+    tab.image = image
+    start, r = tab.ncols, tab.num_orig_rows
+    signed = [sign * v for sign, v in zip(tab.row_signs, image[1])]
+    for row in tab.rows:
+        row[-1] = sum(v * b for v, b in zip(row[start : start + r], signed))
+    while True:
+        pr = -1
+        for i, row in enumerate(tab.rows):
+            if row[-1] < 0 and (pr < 0 or tab.basis[i] < tab.basis[pr]):
+                pr = i
+        if pr < 0:
+            return lp_solver._feasibility_outcome(tab, None)
+        row = tab.rows[pr]
+        pc = next((j for j in range(start) if row[j] < 0), -1)
+        if pc < 0:
+            block = row[start : start + r]
+            farkas = [-sign * v for sign, v in zip(tab.row_signs, block)]
+            lp_solver._check_farkas(image, farkas, start)
+            return lp_solver._feasibility_outcome(tab, farkas)
+        tab._pivot(None, pr, pc)
 
 
 def rational_price(wp, n, m, scale, pairs, max_pairs=DEFAULT_MAX_PAIRS):

@@ -8,6 +8,7 @@ from oracles import (
     check_farkas,
     check_optimal,
     check_primal,
+    dense_hull_outcomes,
     matrix_rank,
     point_by_point,
     rational_hull_program,
@@ -32,6 +33,7 @@ from chanord.lp_solver import (
     StandardLp,
     _ScaledGroup,
     _Tableau,
+    _WarmBasis,
     _eliminate,
     hull_lp,
     hull_outcomes,
@@ -842,9 +844,9 @@ def per_point_pivots(monkeypatch, points_ints, group, scale, **budget):
     """(outcomes, pivots of each point) of hull_outcomes, as far as it
     gets, and the error it stopped with, if any."""
     pivots = []
-    original = _Tableau._pivot
+    original = _WarmBasis._pivot
     monkeypatch.setattr(
-        _Tableau, "_pivot", lambda tab, *args: pivots.append(1) or original(tab, *args)
+        _WarmBasis, "_pivot", lambda tab, *args: pivots.append(1) or original(tab, *args)
     )
     outcomes, counts = [], []
     try:
@@ -926,8 +928,87 @@ def test_every_warm_exit_check_rejects_a_tampered_certificate(
     ]
     answers = hull_outcomes(points, group, 1)
     next(answers)  # the first point, answered before the tampering
-    original = getattr(_Tableau, method)
-    monkeypatch.setattr(_Tableau, method, lambda tab, *args: change(original(tab, *args)))
+    original = getattr(_WarmBasis, method)
+    monkeypatch.setattr(_WarmBasis, method, lambda tab, *args: change(original(tab, *args)))
     with pytest.raises(InternalCheckError) as caught:
         list(answers)
     assert str(caught.value) == message
+
+
+def wide_sequence(seed):
+    """(points, generators) of one seeded sequence with 300 to 340
+    generators in 2–3 dimensions, drawn on a coarse grid so some repeat;
+    the 12 points are generators, mixtures of two or three of them, and
+    random points, some far outside the hull."""
+
+    def draw(*words, bound):
+        return counter_int(seed, 7, *words, bound=bound)
+
+    def rat(*words):
+        return Rat(draw(*words, bound=40) - 20, 1 + draw(*words, 1, bound=5))
+
+    dim = 2 + draw(0, bound=1)
+    count = 300 + draw(1, bound=40)
+    generators = [tuple(rat(2, g, i) for i in range(dim)) for g in range(count)]
+    points = []
+    for k in range(12):
+        form = draw(3, k, bound=2)
+        chosen = [generators[draw(4, k, j, bound=count - 1)] for j in range(3)]
+        if form == 0:
+            points.append(chosen[0])
+        elif form == 1:
+            weights = [Rat(1 + draw(5, k, j, bound=3)) for j in range(3)]
+            total = sum(weights)
+            points.append(tuple(
+                sum((wgt / total * gen[i] for wgt, gen in zip(weights, chosen)), start=ZERO)
+                for i in range(dim)
+            ))
+        else:
+            points.append(tuple(4 * rat(6, k, i) for i in range(dim)))
+    return points, generators
+
+
+def counted_answers(monkeypatch, kernel, answers):
+    """(answers, pivots of each, the error it stopped with or None) of a
+    hull_outcomes generator, counting the pivots of the kernel class."""
+    pivots, outcomes, counts = [], [], []
+    original = kernel._pivot
+    monkeypatch.setattr(kernel, "_pivot", lambda tab, *args: pivots.append(1) or original(tab, *args))
+    try:
+        for out in answers:
+            counts.append(len(pivots) - sum(counts))
+            outcomes.append(out)
+    except ResourceLimitError as error:
+        return outcomes, counts, str(error)
+    finally:
+        monkeypatch.undo()
+    return outcomes, counts, None
+
+
+@pytest.mark.parametrize("kind", (*WARM_KINDS, "wide"))
+def test_compact_basis_repairs_as_the_dense_tableau(monkeypatch, kind):
+    """The compact basis of hull_outcomes answers every point as the
+    dense tableau of oracles.dense_hull_outcomes does: tags, primal
+    points, Farkas duals and the pivots of each point, under the default
+    budget and under budgets that stop it part way."""
+    tags, repairs = [], 0
+    for seed in range(4 if kind == "wide" else 30):
+        points, generators = wide_sequence(seed) if kind == "wide" else warm_sequence(kind, seed)
+        group = _ScaledGroup.of(generators)
+        scale, ints = scaled_points(points)
+        compact = counted_answers(monkeypatch, _WarmBasis, hull_outcomes(ints, group, scale))
+        dense = counted_answers(monkeypatch, _Tableau, dense_hull_outcomes(ints, group, scale))
+        assert compact == dense
+        tags += [out.tag for out in compact[0]]
+        repairs += sum(compact[1][1:])
+        for budget in sorted({1, 2, max(compact[1], default=1) - 1} - {0}):
+            assert counted_answers(
+                monkeypatch, _WarmBasis, hull_outcomes(ints, group, scale, max_pivots=budget)
+            ) == counted_answers(
+                monkeypatch, _Tableau, dense_hull_outcomes(ints, group, scale, max_pivots=budget)
+            )
+    if kind in ("random", "repeated", "wide"):
+        assert min(tags.count(tag) for tag in (FEASIBLE, INFEASIBLE)) >= 4, tags
+        assert repairs >= 4
+    else:
+        assert tags == []

@@ -1,11 +1,16 @@
 import math
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import binary_entropy_capacity_nats, two_input_capacity
+from oracles import (
+    binary_entropy_capacity_nats,
+    brute_force_error_probability,
+    two_input_capacity,
+)
 
 from chanord.channel_core import (
     bsc,
@@ -223,6 +228,31 @@ def test_one_input_codebooks_are_capped_before_any_word_is_built(monkeypatch):
     monkeypatch.undo()
     # A 1×1 channel has one block and one codebook for every n.
     assert optimal_error_probability(10**4, 3, make_channel([[1]]), 3, 1) == Rat(2, 3)
+
+
+def test_one_input_error_probability_builds_no_word_or_codebook(monkeypatch):
+    # Every codebook of a one-input channel is M copies of its one word,
+    # so the answer is 1 − 1/M for every n, with nothing enumerated.
+    w, single = make_channel([["1/3", "2/3"]]), make_channel([[1]])
+    small = [
+        (n, big_m, ch)
+        for ch in (w, single, make_channel([["1/5", "3/10", "1/2"]]))
+        for n in (1, 2, 3)
+        for big_m in (1, 2, 3, 4)
+    ]
+    expected = [brute_force_error_probability(*case) for case in small]
+
+    def no_enumeration(*_args, **_kwargs):
+        raise AssertionError("a word or a codebook was built")
+
+    monkeypatch.setattr(params, "product", no_enumeration)
+    monkeypatch.setattr(params, "combinations_with_replacement", no_enumeration)
+    assert [optimal_error_probability(*case) for case in small] == expected
+    for big_m in (10**5, 10**6):
+        assert optimal_error_probability(1, big_m, w) == 1 - Rat(1, big_m)
+    start = time.perf_counter()
+    assert optimal_error_probability(10**8, 3, single) == Rat(2, 3)
+    assert time.perf_counter() - start < 1
 
 
 def test_output_block_cap_prints_the_exact_count():
