@@ -15,9 +15,10 @@ simulates: by the paper's characterization the strategy is a
 convex-product channel, wiring W through it gives a channel U -> V, and
 the payoff of u is that channel's row u against l(u, ·).
 
-The game optimum is one int core, _best_pair: it walks every encoder
-f: U -> X over the tables, and encoders sharing a prefix of images share
-its partial score sums. optimal_average_payoff wraps it for rational
+The game optimum is one int core, _best_pair: it walks the encoders
+f: U -> X over the tables, encoders sharing a prefix of images share its
+partial score sums, and a prefix whose bound cannot beat the best total
+found is skipped. optimal_average_payoff wraps it for rational
 games. Containment prices its columns on it directly, with the master's
 int dual as l, and the metric search scores each distinct payoff of its
 ascent on it once; both read each channel's integer image and build a
@@ -184,32 +185,58 @@ def _best_pair(tables):
     |Y|·|V| integer additions and |Y| maxima. Only a strict improvement
     replaces the best, so the first optimal encoder is kept, and per
     output the smallest optimal decoder image.
+
+    A prefix is pruned by a bound (Land & Doig 1960): no completion of
+    images[:d] totals more than Σ_y max_v partial[y][v] plus, for each
+    later secret u ≥ d, max_x Σ_y max_v tables[u][x][y][v], since a max of
+    a sum is at most the sum of the maxima. A prefix whose bound is at most
+    the best total found is skipped. Its completions could at best tie
+    the best, and a tie found later never replaces it, so the value and
+    the reported pair are those of the full scan.
     """
     x_size, y_size, v_size = len(tables[0]), len(tables[0][0]), len(tables[0][0][0])
+    # tail[u] bounds what secrets u, u + 1, ... can add to any prefix;
+    # the empty prefix is never tested, so tail[0] is not needed.
+    tail = [0] * (len(tables) + 1)
+    for u in range(len(tables) - 1, 0, -1):
+        tail[u] = tail[u + 1] + max(sum(map(max, table)) for table in tables[u])
     # An odometer over encoders in itertools.product order, without
     # recursion: partial[u] holds the score sums of images[:u], so moving
     # position d recomputes only the sums from d on. The last secret's
-    # images are scanned directly against its prefix.
+    # images are scanned directly against its prefix, their totals summed
+    # without building lists; the winner's sums are rebuilt once at the
+    # end to read off its decoder.
     last = len(tables) - 1
+    adds = [add] * y_size
     images = [0] * last
     partial = [[[0] * v_size for _ in range(y_size)]] + [None] * last
     best_total = None
     d = 0
     while True:
-        for u in range(d, last):
-            partial[u + 1] = _plus(partial[u], tables[u][images[u]])
-        for x, row in enumerate(tables[last]):
-            sums = _plus(partial[last], row)
-            total = sum(max(acc) for acc in sums)
-            if best_total is None or total > best_total:
-                best_total, best_sums, best_images = total, sums, (*images, x)
-        d = last - 1
+        u = d
+        while u < last:
+            partial[u + 1] = sums = _plus(partial[u], tables[u][images[u]])
+            if best_total is not None and sum(map(max, sums)) + tail[u + 1] <= best_total:
+                break
+            u += 1
+        else:
+            for x, table in enumerate(tables[last]):
+                total = sum(map(max, map(map, adds, partial[last], table)))
+                if best_total is None or total > best_total:
+                    best_total, best_images = total, (*images, x)
+            u = last - 1
+        # Advance the odometer at position u: the last one scanned, or the
+        # pruned one.
+        d = u
         while d >= 0 and images[d] == x_size - 1:
             d -= 1
         if d < 0:
             break
         images[d] += 1
         images[d + 1 :] = [0] * (last - d - 1)
+    best_sums = partial[0]
+    for table, x in zip(tables, best_images):
+        best_sums = _plus(best_sums, table[x])
     # max returns the first maximal index, the smallest optimal decoder.
     g_img = tuple(max(range(v_size), key=acc.__getitem__) for acc in best_sums)
     return best_total, best_images, g_img

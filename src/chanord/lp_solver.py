@@ -3,19 +3,25 @@
 Programs are max cᵀx subject to A·x = b, x ≥ 0, with every coefficient an
 exact rational. The solver is a two-phase simplex with Bland's pivoting
 rule, so it terminates on every input; nothing is ever rounded. One-shot
-programs and priced masters pivot a dense tableau; the dual repairs of
-hull_outcomes pivot a compact basis that keeps only D·B⁻¹ and the
-right-hand side (a revised simplex). A program is its integer image, L·[A | b] as Python ints (L > 0
-a common denominator), and its rational objective c; A and b are read
-back from the image. standard_lp scales the caller's rationals once
-(rational.scaled_ints), and hull_lp builds the image of one hull
-question from ints a caller may already hold. The tableau starts from
-that image, keeps every row as Python ints over one shared positive
-denominator D, and pivots integer-preserving (Edmonds–Bareiss), so the
-inner loops never build a rational, whichever backend rational.py
-picks. One global L, rather than a scale per row, keeps every sign
-test and tie of the rational simplex, hence its pivot path, vertex and
-duals. A row whose pivot-column entry is 0 only rescales at a pivot,
+programs and priced masters pivot a condensed tableau, which stores only
+the nonbasic columns and the right-hand side (a dictionary, as in Avis's
+lrs); the dual repairs of hull_outcomes pivot a compact basis that keeps
+only D·B⁻¹ and the right-hand side (a revised simplex). A program is its
+integer image, L·[A | b] as Python ints (L > 0 a common denominator),
+and its rational objective c; A and b are read back from the image.
+standard_lp scales the caller's rationals once (rational.scaled_ints),
+and hull_lp builds the image of one hull question from ints a caller may
+already hold. The tableau starts from that image, keeps every row as
+Python ints over one shared positive denominator D, and pivots
+integer-preserving (Edmonds–Bareiss), so the inner loops never build a
+rational, whichever backend rational.py picks. One global L, rather than
+a scale per row, keeps every sign test and tie of the rational simplex,
+hence its pivot path, vertex and duals. A basic column of the dense
+tableau is D times a unit vector, so the condensed tableau leaves it
+implicit: a row is n + 1 ints for n original columns, however many rows
+(hence artificials) the program has, and Bland's rule reads the nonbasic
+variables in index order, originals first, so each pivot is the dense
+tableau's. A row whose pivot-column entry is 0 only rescales at a pivot,
 p·t // D, and skips the pivot row; in a tall hull program most rows do.
 
 Every answer carries a certificate that is re-verified exactly against
@@ -35,11 +41,12 @@ generators are priced one at a time instead of listed (Dantzig–Wolfe
 1960, Gilmore–Gomory 1961). Its master speaks its integer image: the
 caller fixes L up front and passes L·point, the pricer receives the
 checked Farkas dual as ints over D and returns L·a as ints, and the
-column enters the live tableau as (D·B⁻¹)·(s·L·a); Bland's rule then
-continues phase one from the current basis. Rationals are built once,
-for the final answer. Every restricted answer is verified as above, on
-the master's image: a Farkas dual over every column entered so far, a
-point over its support.
+column enters the live tableau as (D·B⁻¹)·(s·L·a), with the phase-one
+reduced cost y·(L·a) that the Farkas dual y priced it at; Bland's rule
+then continues phase one from the current basis and its kept phase-one
+row. Rationals are built once, for the final answer. Every restricted
+answer is verified as above, on the master's image: a Farkas dual over
+every column entered so far, a point over its support.
 
 hull_outcomes answers hull programs that share their generators and
 differ only in the point, one after another, from one warm basis. The
@@ -76,6 +83,7 @@ returning an unverified answer.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -238,28 +246,45 @@ class LpOutcome:
 
 
 class _Tableau:
-    """Dense simplex tableau of Python ints over one shared denominator.
+    """Condensed simplex tableau of Python ints over one shared denominator.
 
-    Column layout: [original 0..c-1 | artificial c..c+r-1 | rhs]. The
-    artificial block tracks B⁻¹, which is what the Farkas and optimality
-    dual extractions read. The tableau is rows / denom: every row, and
-    every reduced-cost row, holds ints over the one positive denom D.
+    Each row holds the entries of the nonbasic variables, in slot order,
+    then the rhs: r rows of width n + 1 in place of the dense tableau's
+    [original 0..c-1 | artificial c..c+r-1 | rhs], whose r×r artificial
+    block and basic columns are not stored (integer pivoting on a
+    dictionary, as in Avis's lrs). Variables are numbered as the dense
+    columns: originals 0..c-1, then artificials c..c+r-1. nonbasic[s] is
+    the variable in slot s, order lists the slots by their variable, and
+    basis[i] is the variable basic at row i. The tableau is rows / denom:
+    every row, and every reduced-cost row, holds ints over the one
+    positive denom D.
 
-    The initial rows are [s·L·A_i | e_i | s·L·b_i], read off image, the
+    The initial rows are [s·L·A_i | s·L·b_i], read off image, the
     program's integer image (L·A, L·b), kept for the exit checks, with
-    s = ±1 making the rhs nonnegative; the artificial block stays the
-    identity. A pivot on entry p leaves its row as it is, replaces each
-    other entry t of a row whose pivot-column entry is f by
-    (p·t − f·v) // D, v being the pivot row's entry in t's column, and
-    makes p the new D (Edmonds 1967, Bareiss 1968): every entry is then a
-    minor of the initial rows, so each division is exact. Only expelling
-    an artificial can pivot on a negative entry; all rows and D are then
-    negated to keep D positive.
+    s = ±1 making the rhs nonnegative; artificial i is basic at row i. A
+    pivot on entry p leaves its row as it is, replaces each other entry t
+    of a row whose pivot-column entry is f by (p·t − f·v) // D, v being
+    the pivot row's entry in t's slot, and makes p the new D (Edmonds 1967,
+    Bareiss 1968): every entry is then a minor of the initial rows, so
+    each division is exact. A basic column of the dense tableau is D·e_i,
+    so the leaving variable takes the entering one's slot with the entries
+    that step gives it: D_old at the pivot row, −f in every other row and
+    in the reduced-cost row. Only expelling an artificial can pivot on a
+    negative entry; all rows and D are then negated to keep D positive.
 
-    It is the primal kernel of solve_feasibility, maximize and
-    priced_hull, whose programs are tall or square, so the artificial
-    block is most of each row. The dual repairs of hull_outcomes run on
-    _WarmBasis, which keeps only that block and the rhs column.
+    Bland's rule scans the slots in order, originals first, then
+    artificials, so every entering choice, ratio test and tie is the dense
+    tableau's, and so are the pivots, vertex and duals. The duals are read
+    off the reduced costs of the artificials: a nonbasic one's at its
+    slot, 0 for a basic one or one whose row was dropped, as the dense
+    tableau reads them.
+
+    phase_one_row is the reduced-cost row of phase one (cost −1 on every
+    artificial), kept from one phase one to the next: a master of
+    priced_hull enters each priced column into it, so a round continues
+    from the row the last one left. It is the primal kernel of
+    solve_feasibility, maximize and priced_hull; the dual repairs of
+    hull_outcomes run on _WarmBasis.
 
     Scaling [A | b] by one L > 0 multiplies the phase-one reduced costs of
     the original columns by L and all ratio-test quotients of one column
@@ -282,74 +307,110 @@ class _Tableau:
         # signs lets duals be mapped back to the caller's row order.
         self.row_signs = [-1 if bval < 0 else 1 for bval in b]
         self.rows = [
-            [s * v for v in arow] + [0] * i + [1] + [0] * (r - i - 1) + [s * bval]
-            for i, (s, arow, bval) in enumerate(zip(self.row_signs, a_rows, b))
+            [s * v for v in arow] + [s * bval]
+            for s, arow, bval in zip(self.row_signs, a_rows, b)
         ]
         self.basis = list(range(ncols, ncols + r))
+        self.nonbasic = list(range(ncols))
+        self.order = list(range(ncols))
+        self.phase_one_row = self._zrow([0] * ncols + [-1] * r)
 
     def append_column(self, ints):
-        """Enter one more original column, given as L·a over the rows, at
-        the end of the original block, keeping the basis.
+        """Enter one more original column, given as L·a over the rows, as
+        variable c (the last original), keeping the basis.
 
-        Every stored row is its artificial block, D·B⁻¹, times the initial
-        rows [s·L·A | I | s·L·b] (a Bareiss pivot is a row operation), so
-        the new column's entries are that block times s·L·a, exact ints.
-        The artificial columns move one place right and keep their order
-        after every original column, so Bland's rule sees the same order.
+        Every stored row is D·B⁻¹ times the initial rows [s·L·A | s·L·b]
+        (a Bareiss pivot is a row operation), so the new column's entries
+        are D·B⁻¹ times s·L·a, exact ints: row i of D·B⁻¹ is the row's
+        entries at the nonbasic artificials' slots, and D at artificial k
+        if k is basic at row i. Its phase-one reduced cost is
+        Σ_k (D + z_k)·s_k·(L·a)_k, z_k the phase-one row at artificial k:
+        the Farkas dual of phase one times L·a. The artificials' indices
+        move one up and keep their order after every original, so Bland's
+        rule sees the same order.
         """
-        start, r = self.ncols, self.num_orig_rows
+        start, d = self.ncols, self.denom
         signed = [sign * v for sign, v in zip(self.row_signs, ints)]
-        for row in self.rows:
-            row.insert(start, sum(map(mul, row[start : start + r], signed)))
+        slots = [
+            (s, signed[v - start])
+            for s, v in enumerate(self.nonbasic)
+            if v >= start and signed[v - start]
+        ]
+        for row, bi in zip(self.rows, self.basis):
+            entry = sum(row[s] * a for s, a in slots)
+            if bi >= start:
+                entry += d * signed[bi - start]
+            row.insert(-1, entry)
+        z = self.phase_one_row
+        z.insert(-1, sum(map(mul, self.farkas_duals(z), ints)))
         self.basis = [bi + 1 if bi >= start else bi for bi in self.basis]
+        self.nonbasic = [v + 1 if v >= start else v for v in self.nonbasic] + [start]
+        insort(self.order, len(self.nonbasic) - 1, key=self.nonbasic.__getitem__)
         self.ncols += 1
 
     def _zrow(self, cost):
-        """Reduced-cost row over the denominator, for int per-column costs."""
+        """Reduced-cost row over the denominator, for int per-variable
+        costs: D·c at each slot, then minus c_B times each basic row."""
         d = self.denom
-        z = [d * c for c in cost] + [0]
+        z = [d * cost[v] for v in self.nonbasic] + [0]
         for bi, row in zip(self.basis, self.rows):
             cb = cost[bi]
             if cb != 0:
                 z = [zj - cb * v for zj, v in zip(z, row)]
         return z
 
+    def _first_slot(self, z, limit: int):
+        """The slot of the least variable below limit whose reduced cost in
+        z is positive, or −1: Bland's entering choice."""
+        for s in self.order:
+            if self.nonbasic[s] >= limit:
+                break
+            if z[s] > 0:
+                return s
+        return -1
+
     def _pivot(self, z, pr: int, pc: int):
+        """Pivot variable pc into the basis at row pr."""
         _spend_pivot(self)
+        slot = self.nonbasic.index(pc)
         row = self.rows[pr]
-        p = row[pc]
+        p = row[slot]
         d = self.denom
         for i, target in enumerate(self.rows):
             if i != pr:
-                self.rows[i] = _eliminate(target, row, p, d, pc)
+                f = target[slot]
+                self.rows[i] = target = _eliminate(target, row, p, d, slot)
+                target[slot] = -f
         if z is not None:
-            z[:] = _eliminate(z, row, p, d, pc)
+            f = z[slot]
+            z[:] = _eliminate(z, row, p, d, slot)
+            z[slot] = -f
+        row[slot] = d
         if p < 0:
             # Only an expulsion pivots on a negative entry, and it keeps
             # no reduced-cost row.
             self.rows = [[-v for v in r] for r in self.rows]
             p = -p
         self.denom = p
+        self.nonbasic[slot] = self.basis[pr]
         self.basis[pr] = pc
+        self.order.remove(slot)
+        insort(self.order, slot, key=self.nonbasic.__getitem__)
 
-    def run(self, cost, entering_limit: int):
-        """Bland-rule simplex on columns [0, entering_limit). Returns the
-        reduced-cost row at optimality; raises LpUnboundedError otherwise."""
-        z = self._zrow(cost)
+    def run(self, z, entering_limit: int):
+        """Bland-rule simplex on variables [0, entering_limit), pivoting the
+        reduced-cost row z in place to optimality; raises LpUnboundedError
+        otherwise."""
         while True:
-            pc = -1
-            for j in range(entering_limit):
-                if z[j] > 0:
-                    pc = j
-                    break
-            if pc < 0:
-                return z
+            slot = self._first_slot(z, entering_limit)
+            if slot < 0:
+                return
             # Smallest rhs / coeff over positive coeffs, compared by
             # cross-multiplication (D cancels); ties go to the smallest
             # basis index.
             pr = -1
             for i, row in enumerate(self.rows):
-                coeff = row[pc]
+                coeff = row[slot]
                 if coeff > 0:
                     if pr < 0:
                         pr, best_rhs, best_coeff = i, row[-1], coeff
@@ -359,27 +420,23 @@ class _Tableau:
                         pr, best_rhs, best_coeff = i, row[-1], coeff
             if pr < 0:
                 raise LpUnboundedError("objective unbounded above")
-            self._pivot(z, pr, pc)
+            self._pivot(z, pr, self.nonbasic[slot])
 
     def drop_redundant_and_expel_artificials(self):
         """After a zero-value phase 1, or from the start on a zero rhs,
         pivot each basic artificial out onto the first nonzero original
         column of its row; rows that admit no pivot are redundant and
-        removed."""
+        removed, and their artificials with them."""
         keep = []
         for i in range(len(self.rows)):
             if self.basis[i] < self.ncols:
                 keep.append(i)
                 continue
             row = self.rows[i]
-            pc = -1
-            for j in range(self.ncols):
-                if row[j] != 0:
-                    pc = j
-                    break
-            if pc < 0:
+            slot = next((s for s in self.order if self.nonbasic[s] < self.ncols and row[s]), -1)
+            if slot < 0:
                 continue  # all-zero constraint: drop
-            self._pivot(None, i, pc)
+            self._pivot(None, i, self.nonbasic[slot])
             keep.append(i)
         self.rows = [self.rows[i] for i in keep]
         self.basis = [self.basis[i] for i in keep]
@@ -393,12 +450,21 @@ class _Tableau:
             if bi < self.ncols and row[-1] != 0
         ]
 
+    def _artificial_costs(self, z):
+        """z's entry at each artificial, in row order: the reduced cost at
+        its slot when nonbasic, 0 when basic or its row was dropped."""
+        costs = [0] * self.num_orig_rows
+        for v, zj in zip(self.nonbasic, z):
+            if v >= self.ncols:
+                costs[v - self.ncols] = zj
+        return costs
+
     def farkas_duals(self, z):
-        """Negated phase-one duals times D, read off the artificial block.
-        L cancels in the artificial columns' phase-one reduced costs, so
-        the Farkas dual is these ints over D."""
+        """Negated phase-one duals times D, read off the artificials'
+        reduced costs. L cancels in the artificial columns' phase-one
+        reduced costs, so the Farkas dual is these ints over D."""
         d = self.denom
-        return [sign * (d + z[self.ncols + k]) for k, sign in enumerate(self.row_signs)]
+        return [sign * (d + zk) for sign, zk in zip(self.row_signs, self._artificial_costs(z))]
 
     def optimal_duals(self, z):
         """(prices, value) of phase two under costs Lc·c, as ints.
@@ -407,7 +473,7 @@ class _Tableau:
         1/L, so the dual prices are L·prices / (Lc·D) and the value is
         value / (Lc·D).
         """
-        prices = [-sign * z[self.ncols + k] for k, sign in enumerate(self.row_signs)]
+        prices = [-sign * zk for sign, zk in zip(self.row_signs, self._artificial_costs(z))]
         return prices, -z[-1]
 
 
@@ -492,8 +558,8 @@ def _phase_one(tab: _Tableau):
     """Phase one from the tableau's current basis: the checked Farkas dual,
     as ints over D, when artificials stay positive; else None, with them
     expelled."""
-    r = tab.num_orig_rows
-    z = tab.run([0] * tab.ncols + [-1] * r, tab.ncols + r)
+    z = tab.phase_one_row
+    tab.run(z, tab.ncols + tab.num_orig_rows)
     if z[-1] > 0:  # -value·L·D; positive iff artificials remain
         y = tab.farkas_duals(z)
         _check_farkas(tab.image, y, tab.ncols)
@@ -531,7 +597,8 @@ def maximize(lp: StandardLp, max_pivots: int = DEFAULT_MAX_PIVOTS) -> LpOutcome:
         raise LpInfeasibleError("maximize called on an infeasible program")
     objective_scale, cost = scaled_ints(lp.objective)
     # Artificial columns stay out of the entering scan; they only track B⁻¹.
-    z = tab.run(cost + [0] * tab.num_orig_rows, tab.ncols)
+    z = tab._zrow(cost + [0] * tab.num_orig_rows)
+    tab.run(z, tab.ncols)
     support = tab.support()
     prices, value = tab.optimal_duals(z)
     _check_optimal(tab.image, cost, support, tab.denom, prices, value)
@@ -628,7 +695,7 @@ class _WarmBasis:
     A revised simplex (Dantzig & Orchard-Hays 1954): the state is the
     basis list, the rows of [D·B⁻¹ | rhs] as Python ints over one shared
     positive denominator D, and the columns of L·A, transposed once. These
-    are the artificial block and the rhs column of the _Tableau that
+    are the artificial block and the rhs column of the dense tableau that
     starts from [L·A | I | 0] and pivots alike, so every pivot, vertex and
     dual is the dense tableau's. Entry (i, j) of that tableau is row i of
     D·B⁻¹ times column j of L·A, as append_column computes it, and is
@@ -650,7 +717,7 @@ class _WarmBasis:
         self.pivots_used = 0
 
     def _pivot(self, pr: int, pc: int):
-        """The Bareiss pivot of _Tableau on [D·B⁻¹ | rhs], with column pc's
+        """The Bareiss pivot of the dense tableau on [D·B⁻¹ | rhs], with column pc's
         entries computed for every row."""
         _spend_pivot(self)
         column = self.columns[pc]

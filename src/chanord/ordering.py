@@ -120,24 +120,28 @@ def _reduce_target(w: Channel):
     translation below) the witness semantics; it only shrinks the
     feasibility program. Returns (reduced channel, input map onto the kept
     representatives, output injection back into the original alphabet).
+    Both are found on w's integer image: over one denominator, equal rows
+    are equal int rows and a zero entry is a zero int.
     """
+    m, ints = w.output_size, w._image[1]
     first_of = {}
-    kept_rows = []
+    kept = []
     to_red = []
-    for row in w.rows:
+    for x in range(w.input_size):
+        row = ints[x * m : (x + 1) * m]
         if row not in first_of:
-            first_of[row] = len(kept_rows)
-            kept_rows.append(row)
+            first_of[row] = len(kept)
+            kept.append(x)
         to_red.append(first_of[row] + 1)
-    live = [y for y in range(w.output_size) if any(row[y] != 0 for row in kept_rows)]
+    live = [y for y in range(m) if any(ints[x * m + y] for x in kept)]
     # An irreducible target is returned as itself, so a repeated call
     # reads its cached image instead of scaling a fresh copy.
     reduced = w
-    if (len(kept_rows), len(live)) != (w.input_size, w.output_size):
+    if (len(kept), len(live)) != (w.input_size, m):
         reduced = Channel(
-            len(kept_rows),
+            len(kept),
             len(live),
-            tuple(tuple(row[y] for y in live) for row in kept_rows),
+            tuple(tuple(w.rows[x][y] for y in live) for x in kept),
         )
     input_map = DeterministicMap(w.input_size, reduced.input_size, tuple(to_red))
     output_injection = DeterministicMap(

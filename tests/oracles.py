@@ -3,7 +3,9 @@
 Everything here recomputes results by brute force or direct formula
 evaluation, deliberately avoiding the library's own algorithmic paths;
 the exceptions, rational_hull_program, cold_start_contains,
-dense_hull_outcomes, rational_contains, fraction_caratheodory_reduce,
+DenseTableau with dense_solve_feasibility, dense_priced_hull and
+dense_hull_outcomes, unpruned_best_pair, rational_contains,
+fraction_caratheodory_reduce,
 fraction_skew_compose_cpc, rational_group_degraded_from and
 rational_brm_distance_lower_bound, are earlier forms of an algorithm,
 kept as the reference of the form that replaced them.
@@ -11,16 +13,19 @@ kept as the reference of the form that replaced them.
 
 import math
 from itertools import combinations, islice, product
+from operator import mul
 
 from chanord import lp_solver, metric, ordering
-from chanord.brm import BrmGame, optimal_average_payoff
+from chanord.brm import BrmGame, _plus, optimal_average_payoff
 from chanord.channel_core import Channel, DeterministicMap, compose
 from chanord.cpc import DEFAULT_MAX_PAIRS, CpcChannel, CpcTerm, as_channel, pair_column
-from chanord.errors import DimensionMismatchError, InternalCheckError
+from chanord.errors import DimensionMismatchError, InternalCheckError, LpUnboundedError
 from chanord.lp_solver import (
     FEASIBLE,
     INFEASIBLE,
     LpOutcome,
+    _eliminate,
+    _spend_pivot,
     hull_lp,
     hull_outcomes,
     maximize,
@@ -501,11 +506,226 @@ def point_by_point(on_point):
     return wrapper
 
 
+class DenseTableau:
+    """Dense simplex tableau of Python ints over one shared denominator.
+
+    Column layout: [original 0..c-1 | artificial c..c+r-1 | rhs]. The
+    artificial block tracks B⁻¹, which is what the Farkas and optimality
+    dual extractions read. The tableau is rows / denom: every row, and
+    every reduced-cost row, holds ints over the one positive denom D.
+
+    The initial rows are [s·L·A_i | e_i | s·L·b_i], read off image, the
+    program's integer image (L·A, L·b), kept for the exit checks, with
+    s = ±1 making the rhs nonnegative; the artificial block stays the
+    identity. A pivot on entry p leaves its row as it is, replaces each
+    other entry t of a row whose pivot-column entry is f by
+    (p·t − f·v) // D, v being the pivot row's entry in t's column, and
+    makes p the new D (Edmonds 1967, Bareiss 1968): every entry is then a
+    minor of the initial rows, so each division is exact. Only expelling
+    an artificial can pivot on a negative entry; all rows and D are then
+    negated to keep D positive.
+
+    lp_solver._Tableau as it was before it stored only the nonbasic
+    columns: the reference that the condensed tableau must match pivot for
+    pivot (dense_solve_feasibility, dense_priced_hull), and the kernel of
+    dense_hull_outcomes.
+
+    Scaling [A | b] by one L > 0 multiplies the phase-one reduced costs of
+    the original columns by L and all ratio-test quotients of one column
+    by one common factor, and the int objective of phase two is c times
+    its own common denominator; so each sign test and tie falls as in the
+    same simplex on exact rationals, and the pivot sequence, vertex and
+    duals are identical. A separate scale per row would reweight the
+    artificials in the phase-one objective and could change Bland's
+    pivot path.
+    """
+
+    def __init__(self, image, ncols: int, max_pivots: int):
+        self.ncols = ncols
+        a_rows, b = self.image = image
+        self.num_orig_rows = r = len(b)
+        self.max_pivots = max_pivots
+        self.pivots_used = 0
+        self.denom = 1
+        # Row signs are flipped so the rhs is nonnegative; remembering the
+        # signs lets duals be mapped back to the caller's row order.
+        self.row_signs = [-1 if bval < 0 else 1 for bval in b]
+        self.rows = [
+            [s * v for v in arow] + [0] * i + [1] + [0] * (r - i - 1) + [s * bval]
+            for i, (s, arow, bval) in enumerate(zip(self.row_signs, a_rows, b))
+        ]
+        self.basis = list(range(ncols, ncols + r))
+
+    def append_column(self, ints):
+        """Enter one more original column, given as L·a over the rows, at
+        the end of the original block, keeping the basis.
+
+        Every stored row is its artificial block, D·B⁻¹, times the initial
+        rows [s·L·A | I | s·L·b] (a Bareiss pivot is a row operation), so
+        the new column's entries are that block times s·L·a, exact ints.
+        The artificial columns move one place right and keep their order
+        after every original column, so Bland's rule sees the same order.
+        """
+        start, r = self.ncols, self.num_orig_rows
+        signed = [sign * v for sign, v in zip(self.row_signs, ints)]
+        for row in self.rows:
+            row.insert(start, sum(map(mul, row[start : start + r], signed)))
+        self.basis = [bi + 1 if bi >= start else bi for bi in self.basis]
+        self.ncols += 1
+
+    def _zrow(self, cost):
+        """Reduced-cost row over the denominator, for int per-column costs."""
+        d = self.denom
+        z = [d * c for c in cost] + [0]
+        for bi, row in zip(self.basis, self.rows):
+            cb = cost[bi]
+            if cb != 0:
+                z = [zj - cb * v for zj, v in zip(z, row)]
+        return z
+
+    def _pivot(self, z, pr: int, pc: int):
+        _spend_pivot(self)
+        row = self.rows[pr]
+        p = row[pc]
+        d = self.denom
+        for i, target in enumerate(self.rows):
+            if i != pr:
+                self.rows[i] = _eliminate(target, row, p, d, pc)
+        if z is not None:
+            z[:] = _eliminate(z, row, p, d, pc)
+        if p < 0:
+            # Only an expulsion pivots on a negative entry, and it keeps
+            # no reduced-cost row.
+            self.rows = [[-v for v in r] for r in self.rows]
+            p = -p
+        self.denom = p
+        self.basis[pr] = pc
+
+    def run(self, cost, entering_limit: int):
+        """Bland-rule simplex on columns [0, entering_limit). Returns the
+        reduced-cost row at optimality; raises LpUnboundedError otherwise."""
+        z = self._zrow(cost)
+        while True:
+            pc = -1
+            for j in range(entering_limit):
+                if z[j] > 0:
+                    pc = j
+                    break
+            if pc < 0:
+                return z
+            # Smallest rhs / coeff over positive coeffs, compared by
+            # cross-multiplication (D cancels); ties go to the smallest
+            # basis index.
+            pr = -1
+            for i, row in enumerate(self.rows):
+                coeff = row[pc]
+                if coeff > 0:
+                    if pr < 0:
+                        pr, best_rhs, best_coeff = i, row[-1], coeff
+                        continue
+                    lhs, rhs = row[-1] * best_coeff, best_rhs * coeff
+                    if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[pr]):
+                        pr, best_rhs, best_coeff = i, row[-1], coeff
+            if pr < 0:
+                raise LpUnboundedError("objective unbounded above")
+            self._pivot(z, pr, pc)
+
+    def drop_redundant_and_expel_artificials(self):
+        """After a zero-value phase 1, or from the start on a zero rhs,
+        pivot each basic artificial out onto the first nonzero original
+        column of its row; rows that admit no pivot are redundant and
+        removed."""
+        keep = []
+        for i in range(len(self.rows)):
+            if self.basis[i] < self.ncols:
+                keep.append(i)
+                continue
+            row = self.rows[i]
+            pc = -1
+            for j in range(self.ncols):
+                if row[j] != 0:
+                    pc = j
+                    break
+            if pc < 0:
+                continue  # all-zero constraint: drop
+            self._pivot(None, i, pc)
+            keep.append(i)
+        self.rows = [self.rows[i] for i in keep]
+        self.basis = [self.basis[i] for i in keep]
+
+    def support(self):
+        """[(j, r_j)] over the basic point's nonzero coordinates x_j = r_j/D;
+        L scales A and b alike, so x needs only D."""
+        return [
+            (bi, row[-1])
+            for bi, row in zip(self.basis, self.rows)
+            if bi < self.ncols and row[-1] != 0
+        ]
+
+    def farkas_duals(self, z):
+        """Negated phase-one duals times D, read off the artificial block.
+        L cancels in the artificial columns' phase-one reduced costs, so
+        the Farkas dual is these ints over D."""
+        d = self.denom
+        return [sign * (d + z[self.ncols + k]) for k, sign in enumerate(self.row_signs)]
+
+    def optimal_duals(self, z):
+        """(prices, value) of phase two under costs Lc·c, as ints.
+
+        Against the original columns the artificial ones carry a factor
+        1/L, so the dual prices are L·prices / (Lc·D) and the value is
+        value / (Lc·D).
+        """
+        prices = [-sign * z[self.ncols + k] for k, sign in enumerate(self.row_signs)]
+        return prices, -z[-1]
+
+
+def dense_phase_one(tab):
+    """lp_solver._phase_one on a DenseTableau: the phase-one row is built
+    afresh from the current basis on every call."""
+    r = tab.num_orig_rows
+    z = tab.run([0] * tab.ncols + [-1] * r, tab.ncols + r)
+    if z[-1] > 0:
+        y = tab.farkas_duals(z)
+        lp_solver._check_farkas(tab.image, y, tab.ncols)
+        return y
+    tab.drop_redundant_and_expel_artificials()
+    return None
+
+
+def dense_solve_feasibility(lp, max_pivots=lp_solver.DEFAULT_MAX_PIVOTS):
+    """lp_solver.solve_feasibility on a DenseTableau."""
+    tab = DenseTableau((lp.a_ints, lp.b_ints), lp.num_cols, max_pivots)
+    return lp_solver._feasibility_outcome(tab, dense_phase_one(tab))
+
+
+def dense_priced_hull(point_ints, price, scale, max_pivots=lp_solver.DEFAULT_MAX_PIVOTS):
+    """lp_solver.priced_hull on a DenseTableau, whose phase-one row is
+    rebuilt every round."""
+    b = (*point_ints, scale)
+    tab = DenseTableau((tuple([] for _ in b), b), 0, max_pivots)
+    keys = set()
+    while True:
+        farkas = dense_phase_one(tab)
+        column = None if farkas is None else price(farkas)
+        if column is None:
+            return lp_solver._feasibility_outcome(tab, farkas)
+        if len(column) != len(point_ints):
+            raise DimensionMismatchError("generator length does not match the point")
+        ints = (*column, scale)
+        if ints in keys:
+            raise InternalCheckError("priced column is already in the master program")
+        keys.add(ints)
+        for arow, v in zip(tab.image[0], ints):
+            arow.append(v)
+        tab.append_column(ints)
+
+
 def dense_hull_outcomes(
     points_ints, group, scale, max_pivots=lp_solver.DEFAULT_MAX_PIVOTS
 ):
     """lp_solver.hull_outcomes as it ran on the dense tableau: the crash
-    and every dual repair pivot a _Tableau of [L·A | I | rhs], as wide as
+    and every dual repair pivot a DenseTableau of [L·A | I | rhs], as wide as
     the group's generators, with the Farkas dual read off the artificial
     block of the leaving row. The same pivots, answers and per-point pivot
     counts as the compact basis that replaced it.
@@ -513,7 +733,7 @@ def dense_hull_outcomes(
     common = math.lcm(scale, group.scale)
     point_factor = common // scale
     rows = lp_solver._hull_rows(group, group.length, common)
-    tab = lp_solver._Tableau((rows, (0,) * len(rows)), group.size, max_pivots)
+    tab = DenseTableau((rows, (0,) * len(rows)), group.size, max_pivots)
     tab.drop_redundant_and_expel_artificials()
     if len(tab.rows) < len(rows):
         return
@@ -547,6 +767,49 @@ def _dense_warm_outcome(tab, image):
             lp_solver._check_farkas(image, farkas, start)
             return lp_solver._feasibility_outcome(tab, farkas)
         tab._pivot(None, pr, pc)
+
+
+def unpruned_best_pair(tables):
+    """(best total, encoder images, decoder images) over int score tables.
+
+    The total of a pair is Σ_u Σ_y tables[u][f(u)][y][g(y)]; images are
+    0-based. Encoders are walked in itertools.product order, so encoders
+    sharing a prefix share its partial score sums and each encoder costs
+    |Y|·|V| integer additions and |Y| maxima. Only a strict improvement
+    replaces the best, so the first optimal encoder is kept, and per
+    output the smallest optimal decoder image.
+
+    brm._best_pair as it was before it pruned prefixes by a bound: every
+    encoder is scored, the reference the pruned scan must match.
+    """
+    x_size, y_size, v_size = len(tables[0]), len(tables[0][0]), len(tables[0][0][0])
+    # An odometer over encoders in itertools.product order, without
+    # recursion: partial[u] holds the score sums of images[:u], so moving
+    # position d recomputes only the sums from d on. The last secret's
+    # images are scanned directly against its prefix.
+    last = len(tables) - 1
+    images = [0] * last
+    partial = [[[0] * v_size for _ in range(y_size)]] + [None] * last
+    best_total = None
+    d = 0
+    while True:
+        for u in range(d, last):
+            partial[u + 1] = _plus(partial[u], tables[u][images[u]])
+        for x, row in enumerate(tables[last]):
+            sums = _plus(partial[last], row)
+            total = sum(max(acc) for acc in sums)
+            if best_total is None or total > best_total:
+                best_total, best_sums, best_images = total, sums, (*images, x)
+        d = last - 1
+        while d >= 0 and images[d] == x_size - 1:
+            d -= 1
+        if d < 0:
+            break
+        images[d] += 1
+        images[d + 1 :] = [0] * (last - d - 1)
+    # max returns the first maximal index, the smallest optimal decoder.
+    g_img = tuple(max(range(v_size), key=acc.__getitem__) for acc in best_sums)
+    return best_total, best_images, g_img
 
 
 def rational_price(wp, n, m, scale, pairs, max_pairs=DEFAULT_MAX_PAIRS):

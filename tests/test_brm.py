@@ -6,12 +6,15 @@ from oracles import (
     brute_force_optimal_average,
     brute_force_optimal_pair,
     brute_force_region_points,
+    unpruned_best_pair,
 )
 
 from chanord.brm import (
     BrmGame,
     PayoffRegionGenerators,
     Strategy,
+    _best_pair,
+    _score_tables,
     average_payoff,
     game_from_json,
     game_to_json,
@@ -287,6 +290,39 @@ def test_optimal_average_payoff_all_ties_pick_first_pair():
         game = BrmGame(u, x, y, v, zero, random_channel(x, y, u + 10 * x, 8))
         value, (f, g) = optimal_average_payoff(game)
         assert (value, f.image, g.image) == (ZERO, (1,) * u, (1,) * y)
+
+
+def score_table_kinds(u, x, y, v, seed):
+    """Int score tables tables[u][x][y][v] of one shape: signed, all zero,
+    all equal, tie-heavy (entries 0 or 1, and 0 or ±1), and W against an
+    all-ones dual, the first dual of an empty containment master."""
+
+    def drawn(lo, hi, kind):
+        entries = iter(
+            lo + counter_int(seed, kind, k, bound=hi - lo) for k in range(u * x * y * v)
+        )
+        return [[[[next(entries) for _ in range(v)] for _ in range(y)] for _ in range(x)]
+                for _ in range(u)]
+
+    w_ints = [counter_int(seed, 9, k, bound=3) for k in range(x * y)]
+    return [
+        drawn(-9, 9, 0),
+        drawn(0, 0, 1),
+        drawn(5, 5, 2),
+        drawn(0, 1, 3),
+        drawn(-1, 1, 4),
+        _score_tables(w_ints, [1] * (u * v), y, v),
+    ]
+
+
+def test_pruned_pricing_scan_matches_the_full_scan():
+    """_best_pair skips prefixes by a bound, yet returns the full scan's
+    total, first optimal encoder and smallest optimal decoders on every
+    shape up to 3 secrets, inputs, outputs and decisions."""
+    for shape in product(range(1, 4), repeat=4):
+        for seed in range(3):
+            for tables in score_table_kinds(*shape, seed):
+                assert _best_pair(tables) == unpruned_best_pair(tables), (shape, tables)
 
 
 def test_optimal_average_payoff_cap_boundary():

@@ -5,10 +5,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    DenseTableau,
     check_farkas,
     check_optimal,
     check_primal,
     dense_hull_outcomes,
+    dense_priced_hull,
+    dense_solve_feasibility,
     matrix_rank,
     point_by_point,
     rational_hull_program,
@@ -729,6 +732,103 @@ def test_master_pivot_budget_counts_every_round_and_the_expulsion(monkeypatch):
         priced_hull(point, price, 2, max_pivots=budget - 1)
 
 
+def counted_solve(monkeypatch, kernel, solve, *args, **kwargs):
+    """(the outcome, or the error it stopped with, and for each pivot of
+    the kernel class whether it was an expulsion) of one solve."""
+    pivots = []
+    original = kernel._pivot
+
+    def counting(tab, z, pr, pc):
+        pivots.append(z is None)  # only an expulsion pivots without a z row
+        original(tab, z, pr, pc)
+
+    monkeypatch.setattr(kernel, "_pivot", counting)
+    try:
+        out = solve(*args, **kwargs)
+    except ResourceLimitError as error:
+        out = str(error)
+    finally:
+        monkeypatch.undo()
+    return out, pivots
+
+
+def assert_pivots_as_dense(monkeypatch, solve, dense_solve, *args):
+    """solve and dense_solve give equal answers with equal pivots, and
+    both stop at a budget one short of them; returns the answer and the
+    pivots."""
+    got = counted_solve(monkeypatch, _Tableau, solve, *args)
+    assert got == counted_solve(monkeypatch, DenseTableau, dense_solve, *args)
+    out, pivots = got
+    assert counted_solve(monkeypatch, _Tableau, solve, *args, max_pivots=len(pivots)) == got
+    if pivots:
+        short = counted_solve(monkeypatch, _Tableau, solve, *args, max_pivots=len(pivots) - 1)
+        assert short == counted_solve(
+            monkeypatch, DenseTableau, dense_solve, *args, max_pivots=len(pivots) - 1
+        )
+        assert "pivot budget" in short[0]
+    return got
+
+
+@pytest.mark.parametrize("kind", ("random", "repeated", "affine"))
+def test_master_pivots_as_the_dense_master(monkeypatch, kind):
+    """priced_hull, on the condensed tableau with its phase-one row kept
+    across rounds, answers every seeded master of a listed pricer as the
+    dense master of oracles.dense_priced_hull does: the same outcome and
+    the same pivots over all rounds, the final expulsion included."""
+    tags, expulsions = [], 0
+    for seed in range(30):
+        points, generators = warm_sequence(kind, seed)
+        for point in points[:6]:
+            scale = common_scale(point, generators)
+            point_ints = [int(v * scale) for v in point]
+            price = listed_price(generators, scale)
+            out, pivots = assert_pivots_as_dense(
+                monkeypatch, priced_hull, dense_priced_hull, point_ints, price, scale
+            )
+            tags.append(out.tag)
+            expulsions += bool(pivots) and pivots[-1]
+    assert min(tags.count(tag) for tag in (FEASIBLE, INFEASIBLE)) >= 20, tags
+    assert expulsions >= 5
+
+
+def test_tall_feasibility_pivots_as_the_dense_tableau(monkeypatch):
+    """solve_feasibility answers the tall programs of Carathéodory
+    reduction, one row per coordinate of a mixture's support and one
+    column per atom, as the dense tableau does, pivot for pivot; and the
+    same programs with their point moved, most of them infeasible."""
+    programs = []
+
+    def recording(lp):
+        programs.append(lp)
+        return solve_feasibility(lp)
+
+    monkeypatch.setattr(cpc, "solve_feasibility", recording)
+    for seed in range(12):
+        x, xp, yp, y = (2 + counter_int(seed, 0, k, bound=1) for k in range(4))
+        terms = tuple(
+            cpc.CpcTerm(Rat(1 + counter_int(seed, 1, i, bound=3)),
+                        random_channel(x, xp, seed * 50 + i, 4),
+                        random_channel(yp, y, seed * 50 + i + 25, 4))
+            for i in range(3 + seed % 6)
+        )
+        total = sum((term.weight for term in terms), start=ZERO)
+        cpc.caratheodory_reduce(cpc.CpcChannel(
+            x, xp, yp, y, tuple(cpc.CpcTerm(t.weight / total, t.r, t.t) for t in terms)
+        ))
+    monkeypatch.undo()
+    tags = []
+    for lp in programs:
+        assert lp.num_rows > lp.num_cols
+        moved = StandardLp(lp.scale, lp.a_ints, (*lp.b_ints[1:-1], lp.b_ints[0], lp.b_ints[-1]),
+                           lp.objective)
+        for program in (lp, moved):
+            out, _pivots = assert_pivots_as_dense(
+                monkeypatch, solve_feasibility, dense_solve_feasibility, program
+            )
+            tags.append(out.tag)
+    assert min(tags.count(tag) for tag in (FEASIBLE, INFEASIBLE)) >= 6, tags
+
+
 def test_master_rejects_a_column_entered_twice_or_of_another_length():
     columns = iter([(0,), (0,)])
     with pytest.raises(InternalCheckError, match="already in the master"):
@@ -997,7 +1097,7 @@ def test_compact_basis_repairs_as_the_dense_tableau(monkeypatch, kind):
         group = _ScaledGroup.of(generators)
         scale, ints = scaled_points(points)
         compact = counted_answers(monkeypatch, _WarmBasis, hull_outcomes(ints, group, scale))
-        dense = counted_answers(monkeypatch, _Tableau, dense_hull_outcomes(ints, group, scale))
+        dense = counted_answers(monkeypatch, DenseTableau, dense_hull_outcomes(ints, group, scale))
         assert compact == dense
         tags += [out.tag for out in compact[0]]
         repairs += sum(compact[1][1:])
@@ -1005,7 +1105,7 @@ def test_compact_basis_repairs_as_the_dense_tableau(monkeypatch, kind):
             assert counted_answers(
                 monkeypatch, _WarmBasis, hull_outcomes(ints, group, scale, max_pivots=budget)
             ) == counted_answers(
-                monkeypatch, _Tableau, dense_hull_outcomes(ints, group, scale, max_pivots=budget)
+                monkeypatch, DenseTableau, dense_hull_outcomes(ints, group, scale, max_pivots=budget)
             )
     if kind in ("random", "repeated", "wide"):
         assert min(tags.count(tag) for tag in (FEASIBLE, INFEASIBLE)) >= 4, tags
