@@ -9,10 +9,11 @@ the simulated channel Σ_i α_i · T_i ∘ W' ∘ R_i.
 Skew-composition is only exposed on CpcChannel values: applied to a
 non-convex-product joint channel the same contraction formula need not
 produce a channel at all, so the type is the guard. It composes every
-term pair on integer images, from one scaling each of the R's and T's
-of either operand, and builds each distinct composed matrix once;
-deterministic channels, memoized in channel_core, are shared rather
-than rebuilt, here and in cpc_from_pairs.
+term pair on integer images, read from each R's and T's own image
+(Channel._image) at one denominator per operand and side, and builds
+each distinct composed matrix once, handing it its image; deterministic
+channels, memoized in channel_core, are shared rather than rebuilt, here
+and in cpc_from_pairs.
 
 The deterministic pairs (f, g) are the extreme points of this set. This
 module never lists them: pair_column builds the simulated column
@@ -28,15 +29,17 @@ the hull of its term atoms, and one vertex solve of that program keeps a
 basic solution. Its support is a set of linearly independent columns of
 [1; atoms], hence at most |support| + 1 ≤ dim + 1 affinely independent
 atoms, support being the coordinates where the channel is nonzero. The
-atoms and the point are built on the program's integer image, from one
-scaling of the weights and the int rows _int_matrices gives every R and
-every T (those skew-composition composes on), and the coordinates where
-the channel is 0 (every atom is 0 there) are left out of the program.
+atoms and the point are built on the program's integer image (_atoms),
+from one scaling of the weights and the int rows _int_matrices reads
+off every R and every T (those skew-composition composes on), and the
+coordinates where the channel is 0 (every atom is 0 there) are left out
+of the program. as_channel flattens the same int mixture.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 from operator import mul
 
 from .channel_core import (
@@ -103,30 +106,12 @@ def as_channel(v: CpcChannel) -> Channel:
     """Flatten to the joint channel V(x',y|x,y') = Σ_i α_i R_i(x'|x) T_i(y|y').
 
     Row index (x, y') and column index (x', y) are flattened row-major with
-    the second coordinate fastest, matching channel_product.
+    the second coordinate fastest, matching channel_product. The entries
+    are the int mixture of _atoms over d_α·d_R·d_T, one rational each.
     """
-    n = v.x_size * v.yp_size
+    scale, point, _atom_scale, _entries = _atoms(v)
     m = v.xp_size * v.y_size
-    rows = [[ZERO] * m for _ in range(n)]
-    for term in v.terms:
-        if term.weight == 0:
-            continue
-        for x in range(v.x_size):
-            rrow = term.r.rows[x]
-            for yp in range(v.yp_size):
-                trow = term.t.rows[yp]
-                out = rows[x * v.yp_size + yp]
-                for xp in range(v.xp_size):
-                    rv = rrow[xp]
-                    if rv == 0:
-                        continue
-                    w_rv = term.weight * rv
-                    base = xp * v.y_size
-                    for y in range(v.y_size):
-                        tv = trow[y]
-                        if tv != 0:
-                            out[base + y] += w_rv * tv
-    return Channel(n, m, tuple(tuple(row) for row in rows))
+    return _channel_over(tuple(tuple(point[i : i + m]) for i in range(0, len(point), m)), scale)
 
 
 def skew_compose_cpc(v: CpcChannel, vp: CpcChannel) -> CpcChannel:
@@ -136,12 +121,13 @@ def skew_compose_cpc(v: CpcChannel, vp: CpcChannel) -> CpcChannel:
     wires X -> X'' and Y'' -> Y with one term per term pair:
     (α_i·α'_j, R'_j ∘ R_i, T_i ∘ T'_j).
 
-    The compositions run on integer images: one scaled_ints each over the
-    R entries of v, the R entries of vp, the T entries of v and the T
-    entries of vp, so R'_j ∘ R_i is an int matrix product over d_R·d_R'
+    The compositions run on integer images: _int_matrices brings the R's
+    of v, the R's of vp, the T's of v and the T's of vp each to one
+    denominator, so R'_j ∘ R_i is an int matrix product over d_R·d_R'
     and T_i ∘ T'_j one over d_T·d_T'. Term pairs repeat their factors, so
-    each distinct composed matrix becomes one Channel per call; one whose
-    entries are all 0 or 1 is taken from deterministic.
+    each distinct composed matrix becomes one Channel per call, built
+    with its image; one whose entries are all 0 or 1 is taken from
+    deterministic.
     """
     if v.xp_size != vp.x_size or v.yp_size != vp.y_size:
         raise DimensionMismatchError("skew_compose_cpc: middle alphabets differ")
@@ -163,12 +149,19 @@ def skew_compose_cpc(v: CpcChannel, vp: CpcChannel) -> CpcChannel:
 
 
 def _int_matrices(channels):
-    """(d, each channel's rows as int tuples over d), from one scaled_ints
-    over every entry of channels of one shape."""
-    d, ints = scaled_ints(p for ch in channels for row in ch.rows for p in row)
-    n, m = channels[0].input_size, channels[0].output_size
-    rows = [tuple(ints[i : i + m]) for i in range(0, len(ints), m)]
-    return d, [tuple(rows[i : i + n]) for i in range(0, len(rows), n)]
+    """(d, each channel's rows as int tuples over d), d the lcm of the
+    channels' denominators: every channel's integer image (Channel._image)
+    brought to d, the d and ints one scaled_ints over all their entries
+    would give."""
+    d = lcm(*(ch._image[0] for ch in channels))
+    matrices = []
+    for ch in channels:
+        den, ints = ch._image
+        factor, m = d // den, ch.output_size
+        matrices.append(
+            tuple(tuple(map(factor.__mul__, ints[i : i + m])) for i in range(0, len(ints), m))
+        )
+    return d, matrices
 
 
 def _int_product(first, then):
@@ -178,13 +171,18 @@ def _int_product(first, then):
 
 
 def _channel_over(rows, d):
-    """The channel of int rows over d, each row summing to d."""
+    """The channel of int rows over d, each row summing to d, given its
+    integer image: the ints reduced to least terms, as Channel._image
+    would compute them."""
     if all(p == 0 or p == d for row in rows for p in row):
         image = tuple(row.index(d) + 1 for row in rows)
         return deterministic(DeterministicMap(len(rows), len(rows[0]), image))
-    return Channel(
+    channel = Channel(
         len(rows), len(rows[0]), tuple(tuple(Rat(p, d) for p in row) for row in rows)
     )
+    common = gcd(d, *(p for row in rows for p in row))
+    vars(channel)["_image"] = d // common, tuple(p // common for row in rows for p in row)
+    return channel
 
 
 def skew_compose_channel(v: CpcChannel, wp: Channel) -> Channel:
@@ -221,25 +219,15 @@ def pair_column(wp: Channel, f: DeterministicMap, g: DeterministicMap) -> tuple:
     return tuple(flat)
 
 
-def caratheodory_reduce(v: CpcChannel) -> CpcChannel:
-    """Shrink the term list without changing the flattened channel.
+def _atoms(v: CpcChannel):
+    """The integer mixture of v's terms: (d_α·d_R·d_T, Σ α_k·atom_k as
+    ints over it, d_R·d_T, [(first term, summed int weight, atom_k)]).
 
-    The program is built on its integer image: one scaled_ints over the
-    weights (d_α), and _int_matrices over every R (d_R) and over every T
-    (d_T). Terms of weight 0 are dropped and identical (R, T) atoms merged
-    on those int rows, first appearance first. Atom k is R_k ⊗ T_k as ints
-    over d_R·d_T, in as_channel's row-major order, and the point
-    Σ α_k·atom_k as ints over d_α·d_R·d_T. Where the point is 0 every atom
-    is 0 (positive weights, nonnegative entries), so those coordinate rows
-    read 0 = 0 and are left out: they never enter a ratio test nor the
-    phase-one cost, so the pivot path is the one of the full program.
-
-    One vertex solve of hull_lp(point, atoms) then re-weights the atoms.
-    Phase one returns a basic solution, whose nonzero weights sit on
-    linearly independent columns of [1; atoms]: the kept atoms are
-    affinely independent and number at most |support of the point| + 1
-    ≤ x·y'·x'·y + 1. The solver re-verifies that the new weights rebuild
-    the point exactly.
+    One scaled_ints over the weights (d_α), and _int_matrices over every R
+    (d_R) and over every T (d_T). Terms of weight 0 are dropped and
+    identical (R, T) atoms merged on those int rows, first appearance
+    first. Atom k is R_k ⊗ T_k as ints over d_R·d_T, flattened in
+    as_channel's row-major order.
     """
     terms = [term for term in v.terms if term.weight != 0]
     if not terms:
@@ -253,30 +241,53 @@ def caratheodory_reduce(v: CpcChannel) -> CpcChannel:
             merged[key][1] += alpha
         else:
             merged[key] = [term, alpha]
-    atoms = []
+    entries = []
     point = [0] * (v.x_size * v.yp_size * v.xp_size * v.y_size)
-    for (r_rows, t_rows), (_term, alpha) in merged.items():
+    for (r_rows, t_rows), (term, alpha) in merged.items():
         atom = []
         for r_row in r_rows:
             for t_row in t_rows:
                 for rv in r_row:
                     atom.extend([rv * tv for tv in t_row] if rv else (0,) * v.y_size)
-        atoms.append(atom)
+        entries.append((term, alpha, atom))
         point = [p + alpha * a for p, a in zip(point, atom)]
+    return alpha_scale * r_scale * t_scale, point, r_scale * t_scale, entries
+
+
+def caratheodory_reduce(v: CpcChannel) -> CpcChannel:
+    """Shrink the term list without changing the flattened channel.
+
+    The program is built on the integer mixture of _atoms, the one
+    as_channel flattens: atom k is R_k ⊗ T_k as ints over d_R·d_T, with
+    weight-0 terms dropped and identical atoms merged, and the point
+    Σ α_k·atom_k as ints over d_α·d_R·d_T. Where the point is 0 every atom
+    is 0 (positive weights, nonnegative entries), so those coordinate rows
+    read 0 = 0 and are left out: they never enter a ratio test nor the
+    phase-one cost, so the pivot path is the one of the full program.
+
+    One vertex solve of hull_lp(point, atoms) then re-weights the atoms.
+    Phase one returns a basic solution, whose nonzero weights sit on
+    linearly independent columns of [1; atoms]: the kept atoms are
+    affinely independent and number at most |support of the point| + 1
+    ≤ x·y'·x'·y + 1. The solver re-verifies that the new weights rebuild
+    the point exactly.
+    """
+    point_scale, point, atom_scale, entries = _atoms(v)
+    atoms = [atom for _term, _alpha, atom in entries]
     support = [i for i, p in enumerate(point) if p]
     dropped = [i for i, p in enumerate(point) if not p]
     if any(atom[i] for atom in atoms for i in dropped):
         raise InternalCheckError("an atom is nonzero where the mixture is zero")
-    dim, atom_scale = len(support), r_scale * t_scale
+    dim = len(support)
     flat = [atom[i] for atom in atoms for i in support]
     group = _ScaledGroup(atom_scale, flat, len(atoms), dim)
-    point_group = _ScaledGroup(alpha_scale * atom_scale, [point[i] for i in support], 1, dim)
+    point_group = _ScaledGroup(point_scale, [point[i] for i in support], 1, dim)
     outcome = solve_feasibility(hull_lp(point_group, group))
     if outcome.tag != FEASIBLE:
         raise InternalCheckError("convex-product channel is outside its atoms' hull")
     kept = tuple(
         CpcTerm(weight, term.r, term.t)
-        for weight, (term, _alpha) in zip(outcome.primal, merged.values())
+        for weight, (term, _alpha, _atom) in zip(outcome.primal, entries)
         if weight != 0
     )
     return CpcChannel(v.x_size, v.xp_size, v.yp_size, v.y_size, kept)

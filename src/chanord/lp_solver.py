@@ -2,27 +2,31 @@
 
 Programs are max cᵀx subject to A·x = b, x ≥ 0, with every coefficient an
 exact rational. The solver is a two-phase simplex with Bland's pivoting
-rule, so it terminates on every input; nothing is ever rounded. One-shot
-programs and priced masters pivot a condensed tableau, which stores only
-the nonbasic columns and the right-hand side (a dictionary, as in Avis's
-lrs); the dual repairs of hull_outcomes pivot a compact basis that keeps
-only D·B⁻¹ and the right-hand side (a revised simplex). A program is its
-integer image, L·[A | b] as Python ints (L > 0 a common denominator),
-and its rational objective c; A and b are read back from the image.
-standard_lp scales the caller's rationals once (rational.scaled_ints),
-and hull_lp builds the image of one hull question from ints a caller may
-already hold. The tableau starts from that image, keeps every row as
-Python ints over one shared positive denominator D, and pivots
-integer-preserving (Edmonds–Bareiss), so the inner loops never build a
-rational, whichever backend rational.py picks. One global L, rather than
-a scale per row, keeps every sign test and tie of the rational simplex,
-hence its pivot path, vertex and duals. A basic column of the dense
-tableau is D times a unit vector, so the condensed tableau leaves it
-implicit: a row is n + 1 ints for n original columns, however many rows
-(hence artificials) the program has, and Bland's rule reads the nonbasic
-variables in index order, originals first, so each pivot is the dense
-tableau's. A row whose pivot-column entry is 0 only rescales at a pivot,
-p·t // D, and skips the pivot row; in a tall hull program most rows do.
+rule, so it terminates on every input; nothing is ever rounded. A
+program is its integer image, L·[A | b] as Python ints (L > 0 a common
+denominator), and its rational objective c; A and b are read back from
+the image. standard_lp scales the caller's rationals once
+(rational.scaled_ints), and hull_lp builds the image of one hull question
+from ints a caller may already hold. One global L, rather than a scale
+per row, keeps every sign test and tie of the rational simplex, hence its
+pivot path, vertex and duals.
+
+One kernel, _Tableau, solves every program: a revised simplex (Dantzig &
+Orchard-Hays 1954) on a condensed inverse. Its rows are Python ints over
+one shared positive denominator D, pivoted integer-preserving
+(Edmonds–Bareiss), so the inner loops never build a rational, whichever
+backend rational.py picks. A row keeps D·B⁻¹ only at the nonbasic
+artificial columns, then the rhs; no original column is stored. A
+column is read from the image on demand, D·B⁻¹·(s·L·a) (s = ±1 the row
+signs), and Bland's scan prices an original as D·c_j + w·(s·L·a_j), w
+read off the reduced-cost row at the artificials. A row is thus as wide
+as the nonbasic artificials, plus one, whatever the program: r + 1 once a
+region's r rows are crashed, at most k + 1 on a master after k columns
+entered, at most n + 1 on a tall program of n columns. Bland's rule reads
+originals first, then artificials, in index order, so every pivot is the
+dense tableau's. A row whose pivot-column entry is 0 only rescales at a
+pivot, p·t // D, and skips the pivot row; in a tall hull program most
+rows do.
 
 Every answer carries a certificate that is re-verified exactly against
 the image, never against tableau rows, on ints; the exact rationals
@@ -41,33 +45,31 @@ generators are priced one at a time instead of listed (Dantzig–Wolfe
 1960, Gilmore–Gomory 1961). Its master speaks its integer image: the
 caller fixes L up front and passes L·point, the pricer receives the
 checked Farkas dual as ints over D and returns L·a as ints, and the
-column enters the live tableau as (D·B⁻¹)·(s·L·a), with the phase-one
-reduced cost y·(L·a) that the Farkas dual y priced it at; Bland's rule
-then continues phase one from the current basis and its kept phase-one
-row. Rationals are built once, for the final answer. Every restricted
-answer is verified as above, on the master's image: a Farkas dual over
-every column entered so far, a point over its support.
+column is appended to the image, with no row arithmetic: Bland's scan
+prices it from the phase-one row the last round left, and phase one
+continues from the current basis. Rationals are built once, for the
+final answer. Every restricted answer is verified as above, on the
+master's image: a Farkas dual over every column entered so far, a point
+over its support.
 
 hull_outcomes answers hull programs that share their generators and
-differ only in the point, one after another, from one warm basis. The
-basis is built from the generators before any point: each row of their
-program, with a zero right-hand side, is pivoted onto the first original
-column with a nonzero entry in it (a crash basis). Only D·B⁻¹, the
-right-hand side and the columns of L·A are kept: a tableau entry is row
-i of D·B⁻¹ times column j of L·A, as append_column computes a column,
-and a repair pivot reads one row and one column of them. Every point,
-the first included, enters as a new right-hand side, (D·B⁻¹)·(L·b), and
-the image's b becomes the new L·b, which the exit checks read. With a
-zero objective every basis is dual feasible, so dual simplex repairs the
-basis under the least-index rule (Lemke 1954, Bland 1977): the row of
-negative rhs whose basic index is smallest leaves, the first original
-column with a negative entry in that row enters, and artificials never
-enter. All rhs nonnegative is a FEASIBLE point; a negative row with no
-negative entry is INFEASIBLE, with Farkas dual −(that row of D·B⁻¹)/D.
-The pivots, vertices and duals are those of the dense tableau. The
-crash basis is made of original columns only if the program has full
-row rank: when the crash meets a redundant row (a degenerate or empty
-group), hull_outcomes answers no point.
+differ only in the point, one after another, on one tableau. The
+generators' program with a zero right-hand side is crashed first, each
+row's artificial expelled onto the first original column with a nonzero
+entry in that row (drop_redundant_and_expel_artificials); every row is
+then its row of D·B⁻¹ and the rhs. Every point, the first included,
+enters as a new right-hand side, (D·B⁻¹)·(L·b), and the image's b
+becomes the new L·b, which the exit checks read. With a zero objective
+every basis is dual feasible, so dual simplex repairs the basis under
+the least-index rule (Lemke 1954, Bland 1977): the row of negative rhs
+whose basic index is smallest leaves, the first original column with a
+negative entry in that row enters, and artificials never enter. All rhs
+nonnegative is a FEASIBLE point; a negative row with no negative entry
+is INFEASIBLE, with Farkas dual −(that row of D·B⁻¹)/D. The pivots,
+vertices and duals are those of the dense tableau. The crash basis is
+made of original columns only if the program has full row rank: when
+the crash meets a redundant row (a degenerate or empty group),
+hull_outcomes answers no point.
 
 The pivot budget is a number of pivots per LP solve: one call of
 solve_feasibility or maximize may pivot DEFAULT_MAX_PIVOTS (100,000)
@@ -83,7 +85,7 @@ returning an unverified answer.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -220,7 +222,7 @@ def hull_lp(point, generators) -> StandardLp:
     scale = lcm(point_scale, generators.scale)
     rows = _hull_rows(generators, len(point_ints), scale)
     factor = scale // point_scale
-    b_ints = (*(v * factor for v in point_ints), scale)
+    b_ints = (*map(factor.__mul__, point_ints), scale)
     return StandardLp(scale, tuple(rows), b_ints, (ZERO,) * generators.size)
 
 
@@ -233,7 +235,7 @@ def _hull_rows(group: _ScaledGroup, dim: int, scale: int):
     rows = [()] * dim
     if group.size:
         factor = scale // group.scale
-        rows = [tuple(v * factor for v in row) for row in group.int_rows]
+        rows = [tuple(map(factor.__mul__, row)) for row in group.int_rows]
     return [*rows, (scale,) * group.size]
 
 
@@ -246,45 +248,51 @@ class LpOutcome:
 
 
 class _Tableau:
-    """Condensed simplex tableau of Python ints over one shared denominator.
+    """The simplex kernel: a revised simplex on a condensed inverse.
 
-    Each row holds the entries of the nonbasic variables, in slot order,
-    then the rhs: r rows of width n + 1 in place of the dense tableau's
-    [original 0..c-1 | artificial c..c+r-1 | rhs], whose r×r artificial
-    block and basic columns are not stored (integer pivoting on a
-    dictionary, as in Avis's lrs). Variables are numbered as the dense
-    columns: originals 0..c-1, then artificials c..c+r-1. nonbasic[s] is
-    the variable in slot s, order lists the slots by their variable, and
-    basis[i] is the variable basic at row i. The tableau is rows / denom:
-    every row, and every reduced-cost row, holds ints over the one
-    positive denom D.
+    Variables are numbered as the columns of the dense tableau
+    [s·L·A | I | s·L·b] that starts from the program's integer image
+    (L·A, L·b), kept for the exit checks: originals 0..c-1, then
+    artificials c..c+r-1, with s = ±1 per row making the rhs nonnegative
+    (row_signs) and artificial i basic at row i; basis[i] is the variable
+    basic at row i. A Bareiss pivot is a row operation, so every row of
+    that tableau is D·B⁻¹ times the initial rows, over one shared
+    positive denominator D. A row here keeps only the part of D·B⁻¹ the
+    basis does not fix: its entries at the nonbasic artificials, one
+    slot each in artificial order (arts lists them), then the rhs. The
+    rest is implicit: D at the row's own artificial if that is basic, 0
+    at every other basic or dropped one. So a row holds one int per
+    nonbasic artificial, plus one.
 
-    The initial rows are [s·L·A_i | s·L·b_i], read off image, the
-    program's integer image (L·A, L·b), kept for the exit checks, with
-    s = ±1 making the rhs nonnegative; artificial i is basic at row i. A
-    pivot on entry p leaves its row as it is, replaces each other entry t
-    of a row whose pivot-column entry is f by (p·t − f·v) // D, v being
-    the pivot row's entry in t's slot, and makes p the new D (Edmonds 1967,
-    Bareiss 1968): every entry is then a minor of the initial rows, so
-    each division is exact. A basic column of the dense tableau is D·e_i,
-    so the leaving variable takes the entering one's slot with the entries
-    that step gives it: D_old at the pivot row, −f in every other row and
-    in the reduced-cost row. Only expelling an artificial can pivot on a
+    No original column is stored as tableau entries: columns holds the
+    image's columns, times the row signs, and _read computes a column's
+    entries when a pivot rule needs them, D·B⁻¹·(s·L·a): a row's slots
+    times the column at the slots, plus D·s_k·(L·a)_k at the row whose
+    artificial k is basic. The reduced-cost row z has the same slots,
+    with the objective value last. Bland's scan (run) prices an original
+    as D·c_j + w·(s·L·a_j), w being z at the slots less D times each
+    artificial's cost: D + z_k in phase one (cost −1 on every artificial,
+    c_j = 0, cost None) and z_k in phase two (cost holds the originals'
+    int costs), 0 at a dropped artificial.
+
+    A pivot on entry p leaves its row as it is, replaces each other entry
+    t of a row whose entering-column entry is f by (p·t − f·v) // D, v
+    being the pivot row's entry in t's slot, and makes p the new D
+    (Edmonds 1967, Bareiss 1968): every entry is then a minor of the
+    initial rows, so each division is exact. A leaving artificial gets
+    its slot back with the entries that step gives its column D·e_i:
+    D_old at the pivot row, −f in every other row and in z; an entering
+    one's slot becomes D·e_i and is dropped. A pivot without a
+    reduced-cost row (an expulsion or a dual repair) may pivot on a
     negative entry; all rows and D are then negated to keep D positive.
 
-    Bland's rule scans the slots in order, originals first, then
-    artificials, so every entering choice, ratio test and tie is the dense
-    tableau's, and so are the pivots, vertex and duals. The duals are read
-    off the reduced costs of the artificials: a nonbasic one's at its
-    slot, 0 for a basic one or one whose row was dropped, as the dense
-    tableau reads them.
-
-    phase_one_row is the reduced-cost row of phase one (cost −1 on every
-    artificial), kept from one phase one to the next: a master of
-    priced_hull enters each priced column into it, so a round continues
-    from the row the last one left. It is the primal kernel of
-    solve_feasibility, maximize and priced_hull; the dual repairs of
-    hull_outcomes run on _WarmBasis.
+    Bland's rule reads the originals, then the artificials, each in index
+    order, so every entering choice, ratio test and tie is the dense
+    tableau's, and so are the pivots, vertex and duals; the duals are read
+    off z at the artificials (_spread). phase_one_row is the reduced-cost
+    row of phase one, kept from one phase one to the next: a master of
+    priced_hull appends each priced column to the image, and the next
+    round continues from the row the last one left.
 
     Scaling [A | b] by one L > 0 multiplies the phase-one reduced costs of
     the original columns by L and all ratio-test quotients of one column
@@ -306,111 +314,133 @@ class _Tableau:
         # Row signs are flipped so the rhs is nonnegative; remembering the
         # signs lets duals be mapped back to the caller's row order.
         self.row_signs = [-1 if bval < 0 else 1 for bval in b]
-        self.rows = [
-            [s * v for v in arow] + [s * bval]
-            for s, arow, bval in zip(self.row_signs, a_rows, b)
-        ]
+        self.columns = list(zip(*a_rows)) or [()] * ncols
+        if -1 in self.row_signs:
+            self.columns = [tuple(map(mul, self.row_signs, column)) for column in self.columns]
+        self.rows = [[s * bval] for s, bval in zip(self.row_signs, b)]
         self.basis = list(range(ncols, ncols + r))
-        self.nonbasic = list(range(ncols))
-        self.order = list(range(ncols))
-        self.phase_one_row = self._zrow([0] * ncols + [-1] * r)
+        self.arts = []
+        self.cost = None
+        self.entering = None
+        self.phase_one_row = [sum(row[0] for row in self.rows)]
 
     def append_column(self, ints):
         """Enter one more original column, given as L·a over the rows, as
-        variable c (the last original), keeping the basis.
-
-        Every stored row is D·B⁻¹ times the initial rows [s·L·A | s·L·b]
-        (a Bareiss pivot is a row operation), so the new column's entries
-        are D·B⁻¹ times s·L·a, exact ints: row i of D·B⁻¹ is the row's
-        entries at the nonbasic artificials' slots, and D at artificial k
-        if k is basic at row i. Its phase-one reduced cost is
-        Σ_k (D + z_k)·s_k·(L·a)_k, z_k the phase-one row at artificial k:
-        the Farkas dual of phase one times L·a. The artificials' indices
-        move one up and keep their order after every original, so Bland's
-        rule sees the same order.
-        """
-        start, d = self.ncols, self.denom
-        signed = [sign * v for sign, v in zip(self.row_signs, ints)]
-        slots = [
-            (s, signed[v - start])
-            for s, v in enumerate(self.nonbasic)
-            if v >= start and signed[v - start]
-        ]
-        for row, bi in zip(self.rows, self.basis):
-            entry = sum(row[s] * a for s, a in slots)
-            if bi >= start:
-                entry += d * signed[bi - start]
-            row.insert(-1, entry)
-        z = self.phase_one_row
-        z.insert(-1, sum(map(mul, self.farkas_duals(z), ints)))
-        self.basis = [bi + 1 if bi >= start else bi for bi in self.basis]
-        self.nonbasic = [v + 1 if v >= start else v for v in self.nonbasic] + [start]
-        insort(self.order, len(self.nonbasic) - 1, key=self.nonbasic.__getitem__)
+        variable c (the last original), keeping the basis. Only the image
+        grows (the caller appends L·a to its rows): every row reads the
+        column on demand. The artificials' indices move one up and keep
+        their order after every original, so Bland's rule sees the same
+        order."""
+        self.columns.append(tuple(map(mul, self.row_signs, ints)))
+        self.basis = [bi + 1 if bi >= self.ncols else bi for bi in self.basis]
         self.ncols += 1
 
+    def _read(self, j):
+        """Variable j's entry in every row: a nonbasic artificial's slot, or
+        an original's column D·B⁻¹·(s·L·a_j)."""
+        start, d = self.ncols, self.denom
+        if j >= start:
+            slot = self.arts.index(j - start)
+            return [row[slot] for row in self.rows]
+        column = self.columns[j]
+        if len(self.arts) == self.num_orig_rows:
+            # Every artificial is nonbasic: the slots are all of D·B⁻¹.
+            return [sum(map(mul, row, column)) for row in self.rows]
+        # Else D·s_k·(L·a)_k at each row whose artificial k is basic, plus,
+        # slot by slot, the slot's column of D·B⁻¹ times the column's
+        # entry there, so that a zero entry costs nothing.
+        read = [d * column[bi - start] if bi >= start else 0 for bi in self.basis]
+        for slot, k in enumerate(self.arts):
+            if a := column[k]:
+                read = [v + a * row[slot] for v, row in zip(read, self.rows)]
+        return read
+
     def _zrow(self, cost):
-        """Reduced-cost row over the denominator, for int per-variable
-        costs: D·c at each slot, then minus c_B times each basic row."""
-        d = self.denom
-        z = [d * cost[v] for v in self.nonbasic] + [0]
+        """The reduced-cost row of phase two, for int costs of the originals
+        (every basic variable is one): minus c_B times each basic row."""
+        z = [0] * (len(self.arts) + 1)
         for bi, row in zip(self.basis, self.rows):
             cb = cost[bi]
             if cb != 0:
                 z = [zj - cb * v for zj, v in zip(z, row)]
         return z
 
-    def _first_slot(self, z, limit: int):
-        """The slot of the least variable below limit whose reduced cost in
-        z is positive, or −1: Bland's entering choice."""
-        for s in self.order:
-            if self.nonbasic[s] >= limit:
-                break
-            if z[s] > 0:
-                return s
-        return -1
-
     def _pivot(self, z, pr: int, pc: int):
-        """Pivot variable pc into the basis at row pr."""
+        """Pivot variable pc into the basis at row pr. run hands over the
+        entering column it read, with z's entry last (entering); an
+        expulsion or a repair has no z, and the column is read here."""
         _spend_pivot(self)
-        slot = self.nonbasic.index(pc)
-        row = self.rows[pr]
-        p = row[slot]
-        d = self.denom
-        for i, target in enumerate(self.rows):
-            if i != pr:
-                f = target[slot]
-                self.rows[i] = target = _eliminate(target, row, p, d, slot)
-                target[slot] = -f
+        column, self.entering = self.entering, None
+        if column is None:
+            column = self._read(pc)
+        row, p, d = self.rows[pr], column[pr], self.denom
+        # _eliminate on every other row, inline: this is the inner loop.
+        self.rows = targets = [
+            target if i == pr
+            else [p * t // d for t in target] if f == 0
+            else [(p * t - f * v) // d for t, v in zip(target, row)]
+            for i, (target, f) in enumerate(zip(self.rows, column))
+        ]
         if z is not None:
-            f = z[slot]
-            z[:] = _eliminate(z, row, p, d, slot)
-            z[slot] = -f
-        row[slot] = d
+            z[:] = _eliminate(z, row, p, d, column[-1])
+            targets = [*targets, z]
+        start = self.ncols
+        if pc >= start:
+            slot = self.arts.index(pc - start)
+            del self.arts[slot]
+            for target in targets:
+                del target[slot]
+        leaving = self.basis[pr]
+        if leaving >= start:
+            k = leaving - start
+            slot = bisect_left(self.arts, k)
+            self.arts.insert(slot, k)
+            for target, f in zip(targets, column):
+                target.insert(slot, -f)
+            row[slot] = d
         if p < 0:
-            # Only an expulsion pivots on a negative entry, and it keeps
-            # no reduced-cost row.
+            # Only a pivot without z (an expulsion or a dual repair) can
+            # be on a negative entry.
             self.rows = [[-v for v in r] for r in self.rows]
             p = -p
         self.denom = p
-        self.nonbasic[slot] = self.basis[pr]
         self.basis[pr] = pc
-        self.order.remove(slot)
-        insort(self.order, slot, key=self.nonbasic.__getitem__)
 
-    def run(self, z, entering_limit: int):
-        """Bland-rule simplex on variables [0, entering_limit), pivoting the
-        reduced-cost row z in place to optimality; raises LpUnboundedError
-        otherwise."""
+    def run(self, z):
+        """Bland-rule simplex, pivoting the reduced-cost row z in place to
+        optimality; raises LpUnboundedError otherwise. Artificials enter
+        in phase one only."""
         while True:
-            slot = self._first_slot(z, entering_limit)
-            if slot < 0:
+            # D·c_j + w·(s·L·a_j) at each original, in index order until
+            # one is positive; a basic original's is 0, so it is skipped.
+            # w is z at the slots less D times each artificial's cost: −1
+            # in phase one, where c_j = 0, and 0 in phase two.
+            d, basic, pc = self.denom, set(self.basis), -1
+            w = [d if self.cost is None else 0] * self.num_orig_rows
+            for k, zk in zip(self.arts, z):
+                w[k] += zk
+            if self.cost is None:
+                for j, column in enumerate(self.columns):
+                    if j not in basic and (reduced := sum(map(mul, w, column))) > 0:
+                        pc = j
+                        break
+                else:
+                    arts = zip(self.arts, z)
+                    pc = next((self.ncols + k for k, zk in arts if (reduced := zk) > 0), -1)
+            else:
+                for j, (c, column) in enumerate(zip(self.cost, self.columns)):
+                    if j not in basic and (reduced := d * c + sum(map(mul, w, column))) > 0:
+                        pc = j
+                        break
+            if pc < 0:
                 return
+            column = self._read(pc)
+            column.append(reduced)
             # Smallest rhs / coeff over positive coeffs, compared by
             # cross-multiplication (D cancels); ties go to the smallest
             # basis index.
             pr = -1
-            for i, row in enumerate(self.rows):
-                coeff = row[slot]
+            for i, (row, coeff) in enumerate(zip(self.rows, column)):
                 if coeff > 0:
                     if pr < 0:
                         pr, best_rhs, best_coeff = i, row[-1], coeff
@@ -420,26 +450,67 @@ class _Tableau:
                         pr, best_rhs, best_coeff = i, row[-1], coeff
             if pr < 0:
                 raise LpUnboundedError("objective unbounded above")
-            self._pivot(z, pr, self.nonbasic[slot])
+            self.entering = column
+            self._pivot(z, pr, pc)
 
     def drop_redundant_and_expel_artificials(self):
         """After a zero-value phase 1, or from the start on a zero rhs,
         pivot each basic artificial out onto the first nonzero original
         column of its row; rows that admit no pivot are redundant and
-        removed, and their artificials with them."""
+        removed, and their artificials with them. A basic original's
+        entry is 0 in every row but its own, so only the nonbasic ones
+        are read."""
+        basic = set(self.basis)
         keep = []
         for i in range(len(self.rows)):
-            if self.basis[i] < self.ncols:
-                keep.append(i)
-                continue
-            row = self.rows[i]
-            slot = next((s for s in self.order if self.nonbasic[s] < self.ncols and row[s]), -1)
-            if slot < 0:
-                continue  # all-zero constraint: drop
-            self._pivot(None, i, self.nonbasic[slot])
+            if self.basis[i] >= self.ncols:
+                y = self._inverse_row(i)
+                for j, column in enumerate(self.columns):
+                    if j not in basic and sum(map(mul, y, column)):
+                        self._pivot(None, i, j)
+                        basic.add(j)
+                        break
+                else:
+                    continue  # all-zero constraint: drop
             keep.append(i)
-        self.rows = [self.rows[i] for i in keep]
-        self.basis = [self.basis[i] for i in keep]
+        if len(keep) < len(self.rows):
+            self.rows = [self.rows[i] for i in keep]
+            self.basis = [self.basis[i] for i in keep]
+
+    def repair(self, b) -> LpOutcome:
+        """The verified answer for the right-hand side b = L·b′, from a
+        basis of original columns, all rows signed +1.
+
+        Every artificial is then nonbasic, so a row's slots are its whole
+        row of D·B⁻¹ and its new rhs is that row times b. With a zero
+        objective every basis is dual feasible, so dual simplex repairs it
+        under the least-index rule (Lemke 1954, Bland 1977): the row of
+        negative rhs whose basic index is smallest leaves, and the first
+        original column with a negative entry in that row enters. Every
+        rhs nonnegative is a FEASIBLE basic point; a negative row with no
+        negative entry proves the program INFEASIBLE (row_farkas).
+        """
+        self.image = (self.image[0], b)
+        for row in self.rows:
+            row[-1] = sum(map(mul, row, b))
+        while True:
+            pr = -1
+            for i, row in enumerate(self.rows):
+                if row[-1] < 0 and (pr < 0 or self.basis[i] < self.basis[pr]):
+                    pr = i
+            if pr < 0:
+                return _feasibility_outcome(self, None)
+            # The slots are every artificial, in order, so row pr times
+            # column j of s·L·A is its entry there.
+            row = self.rows[pr]
+            for j, column in enumerate(self.columns):
+                if sum(map(mul, row, column)) < 0:
+                    self._pivot(None, pr, j)
+                    break
+            else:
+                farkas = self.row_farkas(pr)
+                _check_farkas(self.image, farkas, self.ncols)
+                return _feasibility_outcome(self, farkas)
 
     def support(self):
         """[(j, r_j)] over the basic point's nonzero coordinates x_j = r_j/D;
@@ -450,21 +521,29 @@ class _Tableau:
             if bi < self.ncols and row[-1] != 0
         ]
 
-    def _artificial_costs(self, z):
-        """z's entry at each artificial, in row order: the reduced cost at
-        its slot when nonbasic, 0 when basic or its row was dropped."""
-        costs = [0] * self.num_orig_rows
-        for v, zj in zip(self.nonbasic, z):
-            if v >= self.ncols:
-                costs[v - self.ncols] = zj
-        return costs
+    def _spread(self, vector, base):
+        """A row or z over every artificial, in row order: base plus its
+        slot at a nonbasic artificial, base alone at a basic or dropped
+        one."""
+        spread = [base] * self.num_orig_rows
+        for k, v in zip(self.arts, vector):
+            spread[k] += v
+        return spread
+
+    def _inverse_row(self, i):
+        """Row i of D·B⁻¹, in artificial order: its slots, D at its own
+        artificial if that is basic, 0 elsewhere. Its entry at original j
+        is this row times column j of s·L·A."""
+        y = self._spread(self.rows[i], 0)
+        if self.basis[i] >= self.ncols:
+            y[self.basis[i] - self.ncols] = self.denom
+        return y
 
     def farkas_duals(self, z):
-        """Negated phase-one duals times D, read off the artificials'
-        reduced costs. L cancels in the artificial columns' phase-one
+        """Negated phase-one duals times D: D plus z at each artificial,
+        times its row sign. L cancels in the artificial columns' phase-one
         reduced costs, so the Farkas dual is these ints over D."""
-        d = self.denom
-        return [sign * (d + zk) for sign, zk in zip(self.row_signs, self._artificial_costs(z))]
+        return list(map(mul, self.row_signs, self._spread(z, self.denom)))
 
     def optimal_duals(self, z):
         """(prices, value) of phase two under costs Lc·c, as ints.
@@ -473,26 +552,32 @@ class _Tableau:
         1/L, so the dual prices are L·prices / (Lc·D) and the value is
         value / (Lc·D).
         """
-        prices = [-sign * zk for sign, zk in zip(self.row_signs, self._artificial_costs(z))]
-        return prices, -z[-1]
+        return [-s * v for s, v in zip(self.row_signs, self._spread(z, 0))], -z[-1]
+
+    def row_farkas(self, i):
+        """The Farkas dual of row i, ints over D, when its rhs is negative
+        and its original entries nonnegative: that row is y′ᵀ[s·L·A | s·L·b]
+        for y′ row i of D·B⁻¹, so y = −y′ times the row signs has
+        yᵀ(L·A) ≤ 0 and yᵀ(L·b) > 0."""
+        return [-s * v for s, v in zip(self.row_signs, self._inverse_row(i))]
 
 
-def _spend_pivot(state):
-    """Count one pivot against the budget of a _Tableau or _WarmBasis."""
-    state.pivots_used += 1
-    if state.pivots_used > state.max_pivots:
-        raise ResourceLimitError(f"simplex pivot budget exceeded ({state.max_pivots})")
+def _spend_pivot(tab):
+    """Count one pivot against the tableau's budget."""
+    tab.pivots_used += 1
+    if tab.pivots_used > tab.max_pivots:
+        raise ResourceLimitError(f"simplex pivot budget exceeded ({tab.max_pivots})")
 
 
-def _eliminate(target, row, p, d, pc):
-    """(p·target − target[pc]·row) / d entrywise, exact by Bareiss.
+def _eliminate(target, row, p, d, f):
+    """(p·target − f·row) / d entrywise, exact by Bareiss, f the target's
+    entry in the pivot column.
 
-    A row whose multiplier target[pc] is 0 only rescales, p·t // d: the
-    same ints without the pivot row. Guarding its zero entries as well
+    A row whose multiplier f is 0 only rescales, p·t // d: the same ints
+    without the pivot row. Guarding its zero entries as well
     (`if t else 0`) was measured faster on the sparse Carathéodory rows
     but slower on the denser rows of the game regions, so it is not kept.
     """
-    f = target[pc]
     if f == 0:
         return [p * t // d for t in target]
     return [(p * t - f * v) // d for t, v in zip(target, row)]
@@ -547,10 +632,12 @@ def _check_optimal(image, cost, support, denom, prices, value):
 
 def _rationals(entries, den, width):
     """The exact rationals of a checked answer: entries (k, v) become
-    v/den at position k of a width-long tuple, ZERO elsewhere."""
+    v/den at position k of a width-long tuple, ZERO elsewhere (a zero v
+    builds no rational)."""
     out = [ZERO] * width
     for k, v in entries:
-        out[k] = Rat(v, den)
+        if v:
+            out[k] = Rat(v, den)
     return tuple(out)
 
 
@@ -559,7 +646,7 @@ def _phase_one(tab: _Tableau):
     as ints over D, when artificials stay positive; else None, with them
     expelled."""
     z = tab.phase_one_row
-    tab.run(z, tab.ncols + tab.num_orig_rows)
+    tab.run(z)
     if z[-1] > 0:  # -value·L·D; positive iff artificials remain
         y = tab.farkas_duals(z)
         _check_farkas(tab.image, y, tab.ncols)
@@ -569,9 +656,12 @@ def _phase_one(tab: _Tableau):
 
 
 def _feasibility_outcome(tab, farkas) -> LpOutcome:
-    """The verified answer of a _Tableau after phase one, or of a
-    _WarmBasis after a repair: the point of its basis when farkas is None,
-    else the Farkas dual farkas/D."""
+    """The verified answer of the one kernel, after phase one or after a
+    warm repair: the point of its basis when farkas is None, else the
+    Farkas dual farkas/D. Either way a row of the tableau holds one int
+    per nonbasic artificial, plus one: after phase one, one per
+    artificial that left the basis (at most n + 1 for n columns); after
+    a repair, r + 1 for the r rows of a crashed region."""
     if farkas is not None:
         dual = _rationals(enumerate(farkas), tab.denom, len(farkas))
         return LpOutcome(tag=INFEASIBLE, dual_certificate=dual)
@@ -595,13 +685,12 @@ def maximize(lp: StandardLp, max_pivots: int = DEFAULT_MAX_PIVOTS) -> LpOutcome:
     tab = _Tableau((lp.a_ints, lp.b_ints), lp.num_cols, max_pivots)
     if _phase_one(tab) is not None:
         raise LpInfeasibleError("maximize called on an infeasible program")
-    objective_scale, cost = scaled_ints(lp.objective)
-    # Artificial columns stay out of the entering scan; they only track B⁻¹.
-    z = tab._zrow(cost + [0] * tab.num_orig_rows)
-    tab.run(z, tab.ncols)
+    objective_scale, tab.cost = scaled_ints(lp.objective)
+    z = tab._zrow(tab.cost)
+    tab.run(z)
     support = tab.support()
     prices, value = tab.optimal_duals(z)
-    _check_optimal(tab.image, cost, support, tab.denom, prices, value)
+    _check_optimal(tab.image, tab.cost, support, tab.denom, prices, value)
     den = objective_scale * tab.denom
     return LpOutcome(
         tag=OPTIMAL,
@@ -624,8 +713,11 @@ def priced_hull(
     checked Farkas dual y, ints over D (l over the coordinates, c on the
     convexity row), goes to price(y); a positive multiple of a separating
     (l, c) still separates. price returns L·a as ints for a column a with
-    l·a + c > 0, or None when no column has one. Each column enters the
-    live tableau; no round starts over.
+    l·a + c > 0, or None when no column has one. Each column is appended
+    to the image, and phase one continues from the basis and phase-one
+    row the last round left; no row is touched and no round starts over.
+    A row holds one int per artificial that has left the basis, plus one:
+    at most k + 1 after k columns entered, however tall the master.
     Returns the last restricted outcome, as exact rationals: FEASIBLE with
     weights over the columns in the order price returned them, or
     INFEASIBLE with the dual y/D that price found no column against, hence
@@ -663,13 +755,16 @@ def hull_outcomes(
     L; every program is hull_lp's, on its image at the lcm of L and the
     group's scale, and only its right-hand side changes from point to
     point. One basis is built from the generators before the first point:
-    each row of the group's program, with a zero right-hand side, pivoted
-    onto its first original column with a nonzero entry (a crash basis of
-    original columns). Each point then enters as a new right-hand side and
-    is repaired by dual simplex pivots (see _WarmBasis). Yields one
-    LpOutcome per point, as exact rationals, verified on that point's
-    image. max_pivots bounds the pivots of each point; the first point's
-    budget also covers the crash.
+    the group's program with a zero right-hand side, each row's artificial
+    expelled onto the first original column with a nonzero entry in it
+    (drop_redundant_and_expel_artificials, a crash basis of original
+    columns). Every artificial is then nonbasic, so each row is its row of
+    D·B⁻¹ and the rhs, r + 1 ints for r rows however many generators
+    there are. Each point then enters as a new right-hand side and is
+    repaired by dual simplex pivots on the same tableau (_Tableau.repair).
+    Yields one LpOutcome per point, as exact rationals, verified on that
+    point's image. max_pivots bounds the pivots of each point; the first
+    point's budget also covers the crash.
 
     A basis of original columns exists only if the program has full row
     rank. When the crash meets a redundant row (the generators lie in a
@@ -679,119 +774,13 @@ def hull_outcomes(
     """
     common = lcm(scale, group.scale)
     point_factor = common // scale
-    basis = _WarmBasis(_hull_rows(group, group.length, common), group.size, max_pivots)
-    if not basis.crash():
+    rows = _hull_rows(group, group.length, common)
+    tab = _Tableau((rows, (0,) * len(rows)), group.size, max_pivots)
+    tab.drop_redundant_and_expel_artificials()
+    if len(tab.rows) < len(rows):
         return
     for point in points_ints:
         if len(point) != group.length:
             raise DimensionMismatchError("generator length does not match the point")
-        yield basis.repair((*(v * point_factor for v in point), common))
-        basis.pivots_used = 0
-
-
-class _WarmBasis:
-    """The basis of hull_outcomes, kept compact for dual repairs.
-
-    A revised simplex (Dantzig & Orchard-Hays 1954): the state is the
-    basis list, the rows of [D·B⁻¹ | rhs] as Python ints over one shared
-    positive denominator D, and the columns of L·A, transposed once. These
-    are the artificial block and the rhs column of the dense tableau that
-    starts from [L·A | I | 0] and pivots alike, so every pivot, vertex and
-    dual is the dense tableau's. Entry (i, j) of that tableau is row i of
-    D·B⁻¹ times column j of L·A, as append_column computes it, and is
-    computed only where a pivot rule reads it; a repair pivot needs one
-    row and one column, not the whole tableau; map stops at the shorter
-    of a row and a column, so the rhs never enters that product. The
-    crash starts from a zero right-hand side, so every row sign is +1.
-    """
-
-    def __init__(self, rows, ncols: int, max_pivots: int):
-        r = len(rows)
-        self.ncols = ncols
-        self.columns = list(zip(*rows))
-        self.image = (rows, (0,) * r)
-        self.rows = [[0] * i + [1] + [0] * (r - i) for i in range(r)]
-        self.basis = list(range(ncols, ncols + r))
-        self.denom = 1
-        self.max_pivots = max_pivots
-        self.pivots_used = 0
-
-    def _pivot(self, pr: int, pc: int):
-        """The Bareiss pivot of the dense tableau on [D·B⁻¹ | rhs], with column pc's
-        entries computed for every row."""
-        _spend_pivot(self)
-        column = self.columns[pc]
-        row = self.rows[pr]
-        p = sum(map(mul, row, column))
-        d = self.denom
-        for i, target in enumerate(self.rows):
-            if i != pr:
-                f = sum(map(mul, target, column))
-                if f == 0:
-                    self.rows[i] = [p * t // d for t in target]
-                else:
-                    self.rows[i] = [(p * t - f * v) // d for t, v in zip(target, row)]
-        if p < 0:
-            self.rows = [[-v for v in r] for r in self.rows]
-            p = -p
-        self.denom = p
-        self.basis[pr] = pc
-
-    def crash(self) -> bool:
-        """Pivot each row onto the first original column with a nonzero
-        entry in it, entry by entry; False if some row has none (a
-        redundant row, left on its artificial)."""
-        full_rank = True
-        for i in range(len(self.rows)):
-            row = self.rows[i]
-            for j, column in enumerate(self.columns):
-                if sum(map(mul, row, column)):
-                    self._pivot(i, j)
-                    break
-            else:
-                full_rank = False
-        return full_rank
-
-    def repair(self, b) -> LpOutcome:
-        """The verified answer for the right-hand side b = L·b′, from the
-        current basis of original columns.
-
-        The new rhs is (D·B⁻¹)·b. With a zero objective every basis is
-        dual feasible, so dual simplex repairs it under the least-index
-        rule (Lemke 1954, Bland 1977): the row of negative rhs whose basic
-        index is smallest leaves, and the first original column with a
-        negative entry in that row enters. Every rhs nonnegative is a
-        FEASIBLE basic point; a negative row with no negative entry
-        proves the program INFEASIBLE (row_farkas).
-        """
-        self.image = (self.image[0], b)
-        for row in self.rows:
-            row[-1] = sum(map(mul, row, b))
-        while True:
-            pr = -1
-            for i, row in enumerate(self.rows):
-                if row[-1] < 0 and (pr < 0 or self.basis[i] < self.basis[pr]):
-                    pr = i
-            if pr < 0:
-                return _feasibility_outcome(self, None)
-            row = self.rows[pr]
-            for j, column in enumerate(self.columns):
-                if sum(map(mul, row, column)) < 0:
-                    self._pivot(pr, j)
-                    break
-            else:
-                farkas = self.row_farkas(pr)
-                _check_farkas(self.image, farkas, self.ncols)
-                return _feasibility_outcome(self, farkas)
-
-    def support(self):
-        """[(j, r_j)] over the basic point's nonzero coordinates x_j = r_j/D;
-        every basic column is original."""
-        return [(bi, row[-1]) for bi, row in zip(self.basis, self.rows) if row[-1] != 0]
-
-    def row_farkas(self, i):
-        """The Farkas dual of row i, ints over D, when its rhs is negative
-        and its original entries nonnegative: that tableau row is
-        y′ᵀ[L·A | L·b] for y′ row i of D·B⁻¹, so y = −y′ has
-        yᵀ(L·A) ≤ 0 and yᵀ(L·b) > 0."""
-        return [-v for v in self.rows[i][:-1]]
+        yield tab.repair((*map(point_factor.__mul__, point), common))
+        tab.pivots_used = 0

@@ -288,7 +288,8 @@ def _verify_witness(witness: ContainmentWitness, wp: Channel, w: Channel):
 
     The weights are scaled to ints over their common denominator d_α, and
     wp is read as its integer image over d_W, so the rebuilt channel is an
-    int matrix over d_α·d_W, compared with w by cross-multiplication.
+    int matrix over d_α·d_W, compared with w's integer image by
+    cross-multiplication.
     """
     weights = [weight for _pair, weight in witness.basis_weights]
     if any(weight <= 0 for weight in weights):
@@ -308,11 +309,10 @@ def _verify_witness(witness: ContainmentWitness, wp: Channel, w: Channel):
             start = (xp - 1) * m_p
             for y, p in zip(g.image, wp_ints[start : start + m_p]):
                 row[y - 1] += alpha * p
-    scale = d_alpha * d_w
-    for row, target in zip(rebuilt, w.rows):
-        for v, p in zip(row, target):
-            if v * int(p.denominator) != int(p.numerator) * scale:
-                raise InternalCheckError("witness does not reconstruct the target channel")
+    scale, (d_t, target) = d_alpha * d_w, w._image
+    for v, t in zip((v for row in rebuilt for v in row), target):
+        if v * d_t != t * scale:
+            raise InternalCheckError("witness does not reconstruct the target channel")
 
 
 def shannon_equivalent(w1: Channel, w2: Channel, max_pairs: int = DEFAULT_MAX_PAIRS):
@@ -353,16 +353,18 @@ def input_degraded_from(w: Channel, wp: Channel) -> Channel | None:
     """Some input randomizer R with w = wp ∘ R, or None if none exists.
 
     Row x of R is the weight vector of row x of w as a convex combination
-    of the rows of wp, one hull program per row; every program reads wp's
-    rows from its integer image.
+    of the rows of wp, one hull program per row; every program reads both
+    channels' rows from their integer images.
     """
     if w.output_size != wp.output_size:
         raise DimensionMismatchError("input_degraded_from: output alphabets differ")
     if w == wp:
         return identity_channel(w.input_size)
     group = _ScaledGroup(*wp._image, wp.input_size, wp.output_size)
+    (d_w, w_ints), m = w._image, w.output_size
     r_rows = []
-    for row in w.rows:
+    for x in range(w.input_size):
+        row = _ScaledGroup(d_w, w_ints[x * m : (x + 1) * m], 1, m)
         outcome = solve_feasibility(hull_lp(row, group))
         if outcome.tag != FEASIBLE:
             return None
@@ -393,7 +395,8 @@ def _canonical_reduction(w: Channel) -> Channel:
     """A smaller channel Shannon-equivalent to w, with the equivalence checked.
 
     Starting from _reduce_target(w), one pass drops each row lying in the
-    hull of the rows still kept. Dropping such a row leaves the hull
+    hull of the rows still kept, every hull program read from the reduced
+    channel's integer image. Dropping such a row leaves the hull
     unchanged, so the kept rows K are exactly its extreme points, and every
     output keeps mass in K. The columns of K are then merged by their
     sum-normalized values, which are equal exactly when the columns are
@@ -403,11 +406,16 @@ def _canonical_reduction(w: Channel) -> Channel:
     construction.
     """
     base, _input_map, injection = _reduce_target(w)
-    kept = []
-    for i, row in enumerate(base.rows):
-        others = kept + list(base.rows[i + 1 :])
-        if not others or solve_feasibility(hull_lp(row, others)).tag != FEASIBLE:
-            kept.append(row)
+    (d, ints), m = base._image, base.output_size
+    int_rows = [ints[i : i + m] for i in range(0, len(ints), m)]
+    keep = []
+    for i, row in enumerate(int_rows):
+        others = [*keep, *range(i + 1, base.input_size)]
+        hull = _ScaledGroup(d, [v for k in others for v in int_rows[k]], len(others), m)
+        point = _ScaledGroup(d, row, 1, m)
+        if not others or solve_feasibility(hull_lp(point, hull)).tag != FEASIBLE:
+            keep.append(i)
+    kept = [base.rows[i] for i in keep]
     groups = {}
     for y in range(base.output_size):
         column = [row[y] for row in kept]

@@ -3,9 +3,9 @@
 Everything here recomputes results by brute force or direct formula
 evaluation, deliberately avoiding the library's own algorithmic paths;
 the exceptions, rational_hull_program, cold_start_contains,
-DenseTableau with dense_solve_feasibility, dense_priced_hull and
-dense_hull_outcomes, unpruned_best_pair, rational_contains,
-fraction_caratheodory_reduce,
+DenseTableau with dense_solve_feasibility, dense_maximize,
+dense_priced_hull and dense_hull_outcomes, unpruned_best_pair,
+rational_contains, fraction_caratheodory_reduce,
 fraction_skew_compose_cpc, rational_group_degraded_from and
 rational_brm_distance_lower_bound, are earlier forms of an algorithm,
 kept as the reference of the form that replaced them.
@@ -19,10 +19,16 @@ from chanord import lp_solver, metric, ordering
 from chanord.brm import BrmGame, _plus, optimal_average_payoff
 from chanord.channel_core import Channel, DeterministicMap, compose
 from chanord.cpc import DEFAULT_MAX_PAIRS, CpcChannel, CpcTerm, as_channel, pair_column
-from chanord.errors import DimensionMismatchError, InternalCheckError, LpUnboundedError
+from chanord.errors import (
+    DimensionMismatchError,
+    InternalCheckError,
+    LpInfeasibleError,
+    LpUnboundedError,
+)
 from chanord.lp_solver import (
     FEASIBLE,
     INFEASIBLE,
+    OPTIMAL,
     LpOutcome,
     _eliminate,
     _spend_pivot,
@@ -526,9 +532,9 @@ class DenseTableau:
     negated to keep D positive.
 
     lp_solver._Tableau as it was before it stored only the nonbasic
-    columns: the reference that the condensed tableau must match pivot for
-    pivot (dense_solve_feasibility, dense_priced_hull), and the kernel of
-    dense_hull_outcomes.
+    columns: the reference that the kernel, a revised simplex on a
+    condensed inverse, must match pivot for pivot (dense_solve_feasibility,
+    dense_maximize, dense_priced_hull, dense_hull_outcomes).
 
     Scaling [A | b] by one L > 0 multiplies the phase-one reduced costs of
     the original columns by L and all ratio-test quotients of one column
@@ -590,9 +596,9 @@ class DenseTableau:
         d = self.denom
         for i, target in enumerate(self.rows):
             if i != pr:
-                self.rows[i] = _eliminate(target, row, p, d, pc)
+                self.rows[i] = _eliminate(target, row, p, d, target[pc])
         if z is not None:
-            z[:] = _eliminate(z, row, p, d, pc)
+            z[:] = _eliminate(z, row, p, d, z[pc])
         if p < 0:
             # Only an expulsion pivots on a negative entry, and it keeps
             # no reduced-cost row.
@@ -699,6 +705,27 @@ def dense_solve_feasibility(lp, max_pivots=lp_solver.DEFAULT_MAX_PIVOTS):
     return lp_solver._feasibility_outcome(tab, dense_phase_one(tab))
 
 
+def dense_maximize(lp, max_pivots=lp_solver.DEFAULT_MAX_PIVOTS):
+    """lp_solver.maximize on a DenseTableau, with the same exit checks."""
+    tab = DenseTableau((lp.a_ints, lp.b_ints), lp.num_cols, max_pivots)
+    if dense_phase_one(tab) is not None:
+        raise LpInfeasibleError("maximize called on an infeasible program")
+    objective_scale, cost = scaled_ints(lp.objective)
+    z = tab.run(cost + [0] * tab.num_orig_rows, tab.ncols)
+    support = tab.support()
+    prices, value = tab.optimal_duals(z)
+    lp_solver._check_optimal(tab.image, cost, support, tab.denom, prices, value)
+    den = objective_scale * tab.denom
+    return LpOutcome(
+        tag=OPTIMAL,
+        primal=lp_solver._rationals(support, tab.denom, tab.ncols),
+        dual_certificate=lp_solver._rationals(
+            ((k, lp.scale * p) for k, p in enumerate(prices)), den, len(prices)
+        ),
+        value=Rat(value, den),
+    )
+
+
 def dense_priced_hull(point_ints, price, scale, max_pivots=lp_solver.DEFAULT_MAX_PIVOTS):
     """lp_solver.priced_hull on a DenseTableau, whose phase-one row is
     rebuilt every round."""
@@ -728,7 +755,7 @@ def dense_hull_outcomes(
     and every dual repair pivot a DenseTableau of [L·A | I | rhs], as wide as
     the group's generators, with the Farkas dual read off the artificial
     block of the leaving row. The same pivots, answers and per-point pivot
-    counts as the compact basis that replaced it.
+    counts as the kernel's crash and dual repairs.
     """
     common = math.lcm(scale, group.scale)
     point_factor = common // scale

@@ -24,7 +24,7 @@ from chanord.channel_core import (
 )
 from chanord.errors import DimensionMismatchError
 from chanord.metric import brm_distance_lower_bound
-from chanord.ordering import contains, input_degraded_from
+from chanord.ordering import contains, input_degraded_from, srank_upper_bound
 from chanord.rational import ONE, ZERO, Rat, scaled_ints
 
 
@@ -234,10 +234,36 @@ def test_channel_image_is_its_rows_scaled_once():
         assert (hash(w), repr(w)) == before
 
 
+def _random_cpc(x, xp, yp, y, seed):
+    """A two-term convex-product channel of seeded randomizers."""
+    terms = tuple(
+        cpc.CpcTerm(
+            weight, random_channel(x, xp, seed + k, 5), random_channel(yp, y, seed + k + 1, 5)
+        )
+        for k, weight in ((0, Rat(1, 3)), (2, Rat(2, 3)))
+    )
+    return cpc.CpcChannel(x, xp, yp, y, terms)
+
+
+def _witness_chain(v, vp):
+    return cpc.caratheodory_reduce(cpc.skew_compose_cpc(v, vp))
+
+
+def _channels_of(value):
+    """The channels an oracle's argument or answer holds."""
+    if isinstance(value, Channel):
+        return [value]
+    if isinstance(value, cpc.CpcChannel):
+        return [w for term in value.terms for w in (term.r, term.t)]
+    return []
+
+
 def test_oracles_scale_each_channel_once(monkeypatch):
     # Every int form of a channel is read from its image: within one call
-    # no channel's entries are scaled twice, and a repeated call scales
-    # none. scaled_ints is recorded wherever a library module calls it.
+    # no channel's entries are scaled twice, alone or among other
+    # channels', and no row of a channel is scaled by itself; a repeated
+    # call scales none. scaled_ints is recorded wherever a library module
+    # calls it.
     scaled = []
 
     def recording(values):
@@ -247,6 +273,11 @@ def test_oracles_scale_each_channel_once(monkeypatch):
 
     for module in (channel_core, brm, cpc, lp_solver, metric, ordering):
         monkeypatch.setattr(module, "scaled_ints", recording)
+
+    def holding(entries):
+        n = len(entries)
+        return [v for v in scaled if any(v[i : i + n] == entries for i in range(len(v) - n + 1))]
+
     r = random_channel(3, 2, 4500, 6)
     calls = [
         # Contained, so the witness is checked; separated, so the gap is
@@ -255,13 +286,21 @@ def test_oracles_scale_each_channel_once(monkeypatch):
         (contains, bsc("1/4"), identity_channel(2)),
         (input_degraded_from, compose(bsc("1/4"), r), bsc("1/4")),
         (brm_distance_lower_bound, identity_channel(2), bsc("1/4")),
+        # Skew-composition then Carathéodory reduction, as a witness chain.
+        (_witness_chain, _random_cpc(2, 3, 3, 2, 4600), _random_cpc(3, 2, 2, 3, 4700)),
+        # The last row mixes the first two, so one hull program keeps it out.
+        (srank_upper_bound, make_channel([["1/10", "9/10"], ["1/2", "1/2"], ["3/10", "7/10"]])),
     ]
-    for oracle, *channels in calls:
-        entries = {tuple(p for row in w.rows for p in row) for w in channels}
-        scaled.clear()
-        oracle(*channels)
-        first = [values for values in scaled if values in entries]
-        assert 0 < len(first) == len(set(first))
-        scaled.clear()
-        oracle(*channels)
-        assert not entries.intersection(scaled)
+    for oracle, *args in calls:
+        for run in range(2):
+            scaled.clear()
+            answer = oracle(*args)
+            channels = [w for value in (*args, answer) for w in _channels_of(value)]
+            entries = {tuple(p for row in w.rows for p in row) for w in channels}
+            rows = {row for w in channels if w.input_size > 1 for row in w.rows}
+            assert not rows.intersection(scaled), oracle.__name__
+            counts = [len(holding(e)) for e in entries]
+            if run == 0:
+                assert 0 < sum(counts) and max(counts) == 1, oracle.__name__
+            else:
+                assert sum(counts) == 0, oracle.__name__

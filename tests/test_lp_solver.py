@@ -10,6 +10,7 @@ from oracles import (
     check_optimal,
     check_primal,
     dense_hull_outcomes,
+    dense_maximize,
     dense_priced_hull,
     dense_solve_feasibility,
     matrix_rank,
@@ -36,7 +37,6 @@ from chanord.lp_solver import (
     StandardLp,
     _ScaledGroup,
     _Tableau,
-    _WarmBasis,
     _eliminate,
     hull_lp,
     hull_outcomes,
@@ -380,7 +380,7 @@ def test_eliminate_is_the_bareiss_update_with_and_without_a_multiplier(data):
     p = data.draw(ints.filter(bool))
     d = data.draw(st.integers(1, 10**6))
     f = target[pc]
-    assert _eliminate(target, row, p, d, pc) == [
+    assert _eliminate(target, row, p, d, f) == [
         (p * t - f * v) // d for t, v in zip(target, row)
     ]
 
@@ -829,6 +829,100 @@ def test_tall_feasibility_pivots_as_the_dense_tableau(monkeypatch):
     assert min(tags.count(tag) for tag in (FEASIBLE, INFEASIBLE)) >= 6, tags
 
 
+def read_on_demand_program(kind, seed):
+    """A seeded tall feasibility program (more rows than columns, the
+    point moved off the range for a third of the seeds) or a wide
+    maximize program bounded by a convexity row."""
+
+    def draw(*words, bound):
+        return counter_int(seed, 11, kind == "tall", *words, bound=bound)
+
+    rows, cols = (6 + draw(0, bound=3), 3 + draw(1, bound=2)) if kind == "tall" else (
+        3 + draw(0, bound=2), 5 + draw(1, bound=3)
+    )
+    matrix = [[Rat(draw(2, i, j, bound=6) - 3) for j in range(cols)] for i in range(rows)]
+    x = [Rat(draw(3, j, bound=2)) for j in range(cols)]
+    rhs = [sum((a * v for a, v in zip(row, x)), start=ZERO) for row in matrix]
+    if kind == "tall" and draw(4, bound=2) == 0:
+        rhs[0] += 1
+    if kind == "maximize":
+        matrix.append([ONE] * cols)
+        rhs.append(sum(x, start=ZERO) or ONE)
+    return standard_lp(matrix, rhs, [Rat(draw(5, j, bound=6) - 3) for j in range(cols)])
+
+
+def pivot_path(monkeypatch, kernel, solve, *args):
+    """(the answer or the error it raised, every pivot of the kernel class
+    as (row, variable, expulsion), and for _Tableau how often an original
+    re-entered after leaving and how often a column was read while an
+    artificial was basic)."""
+    path, left, counts = [], set(), {"re-entered": 0, "read with a basic artificial": 0}
+    pivot = kernel._pivot
+
+    def recording(tab, z, pr, pc):
+        path.append((pr, pc, z is None))
+        counts["re-entered"] += pc in left
+        if tab.basis[pr] < tab.ncols:
+            left.add(tab.basis[pr])
+        pivot(tab, z, pr, pc)
+
+    monkeypatch.setattr(kernel, "_pivot", recording)
+    if kernel is _Tableau:
+        read = _Tableau._read
+
+        def reading(tab, j):
+            basic = j < tab.ncols and any(bi >= tab.ncols for bi in tab.basis)
+            counts["read with a basic artificial"] += basic
+            return read(tab, j)
+
+        monkeypatch.setattr(_Tableau, "_read", reading)
+    try:
+        out = solve(*args)
+    except LpInfeasibleError as error:
+        out = type(error).__name__
+    finally:
+        monkeypatch.undo()
+    return out, path, counts
+
+
+@pytest.mark.parametrize("kind", ("tall", "priced", "maximize"))
+def test_columns_read_on_demand_pivot_as_the_dense_tableau(monkeypatch, kind):
+    """Every original column is read from the image when a pivot rule
+    needs it: D·B⁻¹ at the slots times the column, plus D·s_k·(L·a)_k at
+    a row whose artificial k is still basic. Tall programs, priced masters
+    and maximize programs pivot as the dense tableau does, row for row and
+    variable for variable, where an original leaves the basis and enters
+    it again and where a column is read beside a basic artificial; the
+    tall and maximize programs also match the rational reference simplex.
+    """
+    counts = {"re-entered": 0, "read with a basic artificial": 0}
+    for seed in range(120):
+        if kind == "priced":
+            points, generators = warm_sequence("random", seed // 3)
+            scale = common_scale(points[seed % 3], generators)
+            point = [int(v * scale) for v in points[seed % 3]]
+            args = (point, listed_price(generators, scale), scale)
+            solve, dense_solve = priced_hull, dense_priced_hull
+        else:
+            args = (read_on_demand_program(kind, seed),)
+            solve, dense_solve = {
+                "tall": (solve_feasibility, dense_solve_feasibility),
+                "maximize": (maximize, dense_maximize),
+            }[kind]
+        out, path, seen = pivot_path(monkeypatch, _Tableau, solve, *args)
+        assert (out, path) == pivot_path(monkeypatch, DenseTableau, dense_solve, *args)[:2]
+        for name, count in seen.items():
+            counts[name] += count > 0
+        if kind != "priced":
+            tag, primal, dual, value, pivots = reference_simplex(args[0], kind == "maximize")
+            assert len(path) == pivots
+            expected = (tag, primal, dual, value)
+            if tag == INFEASIBLE and kind == "maximize":
+                expected = (tag,)
+            assert solve_outcome(solve, args[0], pivots) == expected
+    assert min(counts.values()) >= 10, counts
+
+
 def test_master_rejects_a_column_entered_twice_or_of_another_length():
     columns = iter([(0,), (0,)])
     with pytest.raises(InternalCheckError, match="already in the master"):
@@ -944,9 +1038,9 @@ def per_point_pivots(monkeypatch, points_ints, group, scale, **budget):
     """(outcomes, pivots of each point) of hull_outcomes, as far as it
     gets, and the error it stopped with, if any."""
     pivots = []
-    original = _WarmBasis._pivot
+    original = _Tableau._pivot
     monkeypatch.setattr(
-        _WarmBasis, "_pivot", lambda tab, *args: pivots.append(1) or original(tab, *args)
+        _Tableau, "_pivot", lambda tab, *args: pivots.append(1) or original(tab, *args)
     )
     outcomes, counts = [], []
     try:
@@ -1028,8 +1122,8 @@ def test_every_warm_exit_check_rejects_a_tampered_certificate(
     ]
     answers = hull_outcomes(points, group, 1)
     next(answers)  # the first point, answered before the tampering
-    original = getattr(_WarmBasis, method)
-    monkeypatch.setattr(_WarmBasis, method, lambda tab, *args: change(original(tab, *args)))
+    original = getattr(_Tableau, method)
+    monkeypatch.setattr(_Tableau, method, lambda tab, *args: change(original(tab, *args)))
     with pytest.raises(InternalCheckError) as caught:
         list(answers)
     assert str(caught.value) == message
@@ -1096,14 +1190,14 @@ def test_compact_basis_repairs_as_the_dense_tableau(monkeypatch, kind):
         points, generators = wide_sequence(seed) if kind == "wide" else warm_sequence(kind, seed)
         group = _ScaledGroup.of(generators)
         scale, ints = scaled_points(points)
-        compact = counted_answers(monkeypatch, _WarmBasis, hull_outcomes(ints, group, scale))
+        compact = counted_answers(monkeypatch, _Tableau, hull_outcomes(ints, group, scale))
         dense = counted_answers(monkeypatch, DenseTableau, dense_hull_outcomes(ints, group, scale))
         assert compact == dense
         tags += [out.tag for out in compact[0]]
         repairs += sum(compact[1][1:])
         for budget in sorted({1, 2, max(compact[1], default=1) - 1} - {0}):
             assert counted_answers(
-                monkeypatch, _WarmBasis, hull_outcomes(ints, group, scale, max_pivots=budget)
+                monkeypatch, _Tableau, hull_outcomes(ints, group, scale, max_pivots=budget)
             ) == counted_answers(
                 monkeypatch, DenseTableau, dense_hull_outcomes(ints, group, scale, max_pivots=budget)
             )
