@@ -31,7 +31,7 @@ arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import product
 from math import gcd, lcm
 from operator import add
@@ -43,11 +43,13 @@ from .lp_solver import FEASIBLE, _ScaledGroup, hull_lp, hull_outcomes, solve_fea
 from .rational import (
     ONE,
     ZERO,
+    OnFirstRead,
     Rat,
     parse_rat_matrix,
     parse_size,
     rat_str,
     scaled_ints,
+    unbuilt,
 )
 
 
@@ -106,10 +108,16 @@ class Strategy:
 
 @dataclass(frozen=True)
 class PayoffRegionGenerators:
-    """One payoff vector per deterministic pair; the region is their hull."""
+    """One payoff vector per deterministic pair; the region is their hull.
+
+    A region built as PayoffRegionGenerators(u_size, points) holds the
+    points given. One made by region_generators holds only its int image,
+    and builds its points from it on first read (rational.unbuilt with
+    _points); the two compare, hash and print alike.
+    """
 
     u_size: int
-    points: tuple
+    points: tuple = OnFirstRead()
 
     def __post_init__(self):
         if any(len(point) != self.u_size for point in self.points):
@@ -121,6 +129,26 @@ class PayoffRegionGenerators:
         least common denominator: scaled_ints of the points, on first use.
         region_generators sets it from the ints it summed."""
         return scaled_ints(v for point in self.points for v in point)
+
+
+def _points(dim: int, scale: int, flat):
+    """The points of an int image: flat over scale, dim coordinates each.
+    One rational is built per distinct value, shared by every coordinate
+    that has it."""
+    rats = {v: Rat(v, scale) for v in set(flat)}
+    return tuple(
+        tuple(map(rats.__getitem__, flat[k : k + dim])) for k in range(0, len(flat), dim)
+    )
+
+
+def _point_ints(region):
+    """(d, each point of region as ints over d), cut from its _image, so a
+    region made by region_generators builds no point here. A region of
+    no coordinates was built from its points, which give the count."""
+    scale, flat = region._image
+    dim = region.u_size
+    count = len(flat) // dim if dim else len(region.points)
+    return scale, [flat[k * dim : (k + 1) * dim] for k in range(count)]
 
 
 @dataclass(frozen=True)
@@ -301,18 +329,18 @@ def region_generators(
     Raises ResourceLimitError when the |X|^|U| · |V|^|Y| pairs exceed
     max_pairs; that failure is a budget statement, never a verdict.
 
-    Coordinates are summed on ints over d_W·d_l, and one rational is
-    built per distinct total, shared by every coordinate that has it.
-    Those ints, reduced to the least common denominator, are the
-    region's int image, handed over to region_subset.
+    Coordinates are summed on ints over d_W·d_l. Those ints, reduced to
+    the least common denominator, are the region's int image, and the
+    region holds nothing else: region_subset reads only the image, and
+    the points are built from it on first read, one rational per
+    distinct value (_points), equal to the totals over d_W·d_l.
     """
     count = g.x_size**g.u_size * g.v_size**g.y_size
     enforce_cap(count, max_pairs, "deterministic-pair basis", "elements")
     d_w, w_ints = g.randomizer._image
     d_l, l_ints = scaled_ints(c for row in g.payoff_matrix for c in row)
     scale, tables = d_w * d_l, _score_tables(w_ints, l_ints, g.y_size, g.v_size)
-    rat = cache(lambda total: Rat(total, scale))
-    points, flat = [], []
+    flat = []
     for f_img in product(range(g.x_size), repeat=g.u_size):
         # choices[y][v] holds every secret's score when g sends y to v.
         choices = [
@@ -320,15 +348,13 @@ def region_generators(
             for y in range(g.y_size)
         ]
         for picks in product(*choices):
-            totals = list(map(sum, zip(*picks)))
-            flat.extend(totals)
-            points.append(tuple(map(rat, totals)))
-    region = PayoffRegionGenerators(g.u_size, tuple(points))
+            flat.extend(map(sum, zip(*picks)))
     # The points' least common denominator is scale over the gcd of scale
     # and every total, so this is exactly what _image would compute.
     common = gcd(scale, *flat)
-    vars(region)["_image"] = scale // common, [v // common for v in flat]
-    return region
+    image = scale // common, [v // common for v in flat]
+    fields = {"u_size": g.u_size, "_image": image}
+    return unbuilt(PayoffRegionGenerators, fields, points=(_points, (g.u_size, *image)))
 
 
 def region_subset(
@@ -349,33 +375,38 @@ def region_subset(
     with only the right-hand side changing from point to
     point. When b's program has a redundant row (b is empty, or its points
     lie in a proper affine subspace), the warm routine answers no point
-    and every one is solved cold, one program each. The first generator
-    found outside is returned, as the rational point, as the violator.
+    and every one is solved cold, one program each, the point handed to
+    hull_lp as a group of one generator of a's ints. The first generator
+    found outside is the violator, the one rational point built here:
+    a's ints over a's scale, equal to that point of a. Only the images
+    are read, never the points, so regions made by region_generators
+    build no rational inside inclusion.
     """
     if a.u_size != b.u_size:
         raise DimensionMismatchError("regions live in different payoff spaces")
     dim = a.u_size
-    b_scale, b_ints = b._image
-    a_scale, a_ints = a._image
+    b_scale, b_points = _point_ints(b)
+    a_scale, a_points = _point_ints(a)
     common = lcm(a_scale, b_scale)
     b_unique = {}  # key -> ints of b's first point with it
-    for k in range(len(b.points)):
-        ints = b_ints[k * dim : (k + 1) * dim]
+    for ints in b_points:
         b_unique.setdefault(_key(ints, common // b_scale), ints)
     flat = [v for ints in b_unique.values() for v in ints]
     b_group = _ScaledGroup(b_scale, flat, len(b_unique), dim)
-    pending = {}  # key -> index of a's first point with it, if not b's
-    for k in range(len(a.points)):
-        key = _key(a_ints[k * dim : (k + 1) * dim], common // a_scale)
+    pending = {}  # key -> ints of a's first point with it, if not b's
+    for ints in a_points:
+        key = _key(ints, common // a_scale)
         if key not in b_unique:
-            pending.setdefault(key, k)
+            pending.setdefault(key, ints)
     warm = hull_outcomes(pending, b_group, common)
-    for k in pending.values():
+    for ints in pending.values():
         outcome = next(warm, None)
         if outcome is None:  # b's program has a redundant row
-            outcome = solve_feasibility(hull_lp(a.points[k], b_group))
+            point = _ScaledGroup(a_scale, ints, 1, dim)
+            outcome = solve_feasibility(hull_lp(point, b_group))
         if outcome.tag != FEASIBLE:
-            return RegionInclusion(inside_all=False, violator=a.points[k])
+            violator = tuple(Rat(v, a_scale) for v in ints)
+            return RegionInclusion(inside_all=False, violator=violator)
     return RegionInclusion(inside_all=True)
 
 

@@ -170,17 +170,20 @@ def channel_product(w1: Channel, w2: Channel) -> Channel:
 
 
 def tv_distance(w1: Channel, w2: Channel):
-    """Channel distance: half the max over inputs of the L1 row difference."""
+    """Channel distance: half the max over inputs of the L1 row difference.
+
+    Computed on the integer images: with W1 = a/d₁ and W2 = b/d₂, a row's
+    L1 difference is Σ|a·d₂ − b·d₁| over d₁·d₂, so the distance is one
+    rational, the largest such sum over 2·d₁·d₂.
+    """
     if (w1.input_size, w1.output_size) != (w2.input_size, w2.output_size):
         raise DimensionMismatchError("tv_distance: shapes differ")
-    worst = ZERO
-    for r1, r2 in zip(w1.rows, w2.rows):
-        total = ZERO
-        for p1, p2 in zip(r1, r2):
-            total += abs(p1 - p2)
-        if total > worst:
-            worst = total
-    return worst / 2
+    (d1, ints1), (d2, ints2), m = w1._image, w2._image, w1.output_size
+    worst = max(
+        sum(abs(a * d2 - b * d1) for a, b in zip(ints1[k : k + m], ints2[k : k + m]))
+        for k in range(0, len(ints1), m)
+    )
+    return Rat(worst, 2 * d1 * d2)
 
 
 def random_channel(n: int, m: int, seed: int, denominator_bound: int) -> Channel:

@@ -29,8 +29,10 @@ pivot, p·t // D, and skips the pivot row; in a tall hull program most
 rows do.
 
 Every answer carries a certificate that is re-verified exactly against
-the image, never against tableau rows, on ints; the exact rationals
-returned are built from the very ints that were checked:
+the image, never against tableau rows, on ints, before it is returned.
+The answer keeps the very ints that were checked, and builds its exact
+rationals from them on first read (LpOutcome); a caller that reads only
+the tag builds none:
 
   feasible    -> a primal point with A·x = b and x ≥ 0 exactly; a basic
                  point x = r/D has at most one nonzero per row, so the
@@ -47,10 +49,10 @@ caller fixes L up front and passes L·point, the pricer receives the
 checked Farkas dual as ints over D and returns L·a as ints, and the
 column is appended to the image, with no row arithmetic: Bland's scan
 prices it from the phase-one row the last round left, and phase one
-continues from the current basis. Rationals are built once, for the
-final answer. Every restricted answer is verified as above, on the
-master's image: a Farkas dual over every column entered so far, a point
-over its support.
+continues from the current basis. Rationals are built only for the
+final answer, on first read. Every restricted answer is verified as
+above, on the master's image: a Farkas dual over every column entered
+so far, a point over its support.
 
 hull_outcomes answers hull programs that share their generators and
 differ only in the point, one after another, on one tableau. The
@@ -99,7 +101,7 @@ from .errors import (
     LpUnboundedError,
     ResourceLimitError,
 )
-from .rational import ZERO, Rat, scaled_ints
+from .rational import ZERO, OnFirstRead, Rat, scaled_ints, unbuilt
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -241,10 +243,18 @@ def _hull_rows(group: _ScaledGroup, dim: int, scale: int):
 
 @dataclass(frozen=True)
 class LpOutcome:
+    """A verified answer: its tag and the exact rationals of its certificate.
+
+    An answer of the solver holds the ints its exit check read, and
+    builds each rational field from them on first read (rational.unbuilt,
+    with _rationals or Rat); one built as LpOutcome(...) holds the values
+    given. The two compare, hash and print alike.
+    """
+
     tag: str
-    primal: tuple | None = None
-    dual_certificate: tuple | None = None
-    value: object | None = None
+    primal: tuple | None = OnFirstRead(None)
+    dual_certificate: tuple | None = OnFirstRead(None)
+    value: object | None = OnFirstRead(None)
 
 
 class _Tableau:
@@ -658,16 +668,17 @@ def _phase_one(tab: _Tableau):
 def _feasibility_outcome(tab, farkas) -> LpOutcome:
     """The verified answer of the one kernel, after phase one or after a
     warm repair: the point of its basis when farkas is None, else the
-    Farkas dual farkas/D. Either way a row of the tableau holds one int
-    per nonbasic artificial, plus one: after phase one, one per
-    artificial that left the basis (at most n + 1 for n columns); after
-    a repair, r + 1 for the r rows of a crashed region."""
+    Farkas dual farkas/D, each built on first read. Either way a row of
+    the tableau holds one int per nonbasic artificial, plus one: after
+    phase one, one per artificial that left the basis (at most n + 1 for
+    n columns); after a repair, r + 1 for the r rows of a crashed region."""
     if farkas is not None:
-        dual = _rationals(enumerate(farkas), tab.denom, len(farkas))
-        return LpOutcome(tag=INFEASIBLE, dual_certificate=dual)
+        dual = (list(enumerate(farkas)), tab.denom, len(farkas))
+        return unbuilt(LpOutcome, {"tag": INFEASIBLE}, dual_certificate=(_rationals, dual))
     support = tab.support()
     _check_primal(tab.image, support, tab.denom)
-    return LpOutcome(tag=FEASIBLE, primal=_rationals(support, tab.denom, tab.ncols))
+    primal = (support, tab.denom, tab.ncols)
+    return unbuilt(LpOutcome, {"tag": FEASIBLE}, primal=(_rationals, primal))
 
 
 def solve_feasibility(lp: StandardLp, max_pivots: int = DEFAULT_MAX_PIVOTS) -> LpOutcome:
@@ -692,13 +703,13 @@ def maximize(lp: StandardLp, max_pivots: int = DEFAULT_MAX_PIVOTS) -> LpOutcome:
     prices, value = tab.optimal_duals(z)
     _check_optimal(tab.image, tab.cost, support, tab.denom, prices, value)
     den = objective_scale * tab.denom
-    return LpOutcome(
-        tag=OPTIMAL,
-        primal=_rationals(support, tab.denom, tab.ncols),
-        dual_certificate=_rationals(
-            ((k, lp.scale * p) for k, p in enumerate(prices)), den, len(prices)
-        ),
-        value=Rat(value, den),
+    dual = [(k, lp.scale * p) for k, p in enumerate(prices)]
+    return unbuilt(
+        LpOutcome,
+        {"tag": OPTIMAL},
+        primal=(_rationals, (support, tab.denom, tab.ncols)),
+        dual_certificate=(_rationals, (dual, den, len(dual))),
+        value=(Rat, (value, den)),
     )
 
 
@@ -718,10 +729,11 @@ def priced_hull(
     row the last round left; no row is touched and no round starts over.
     A row holds one int per artificial that has left the basis, plus one:
     at most k + 1 after k columns entered, however tall the master.
-    Returns the last restricted outcome, as exact rationals: FEASIBLE with
-    weights over the columns in the order price returned them, or
-    INFEASIBLE with the dual y/D that price found no column against, hence
-    a hyperplane separating point from every column price knows.
+    Returns the last restricted outcome, its exact rationals built on
+    first read: FEASIBLE with weights over the columns in the order price
+    returned them, or INFEASIBLE with the dual y/D that price found no
+    column against, hence a hyperplane separating point from every column
+    price knows.
 
     max_pivots bounds the pivots of the whole master, every restricted
     solve and the final expulsion together.
@@ -762,8 +774,10 @@ def hull_outcomes(
     D·B⁻¹ and the rhs, r + 1 ints for r rows however many generators
     there are. Each point then enters as a new right-hand side and is
     repaired by dual simplex pivots on the same tableau (_Tableau.repair).
-    Yields one LpOutcome per point, as exact rationals, verified on that
-    point's image. max_pivots bounds the pivots of each point; the first
+    Yields one LpOutcome per point, verified on that point's image, that
+    holds the checked ints and builds its exact rationals from them on
+    first read: a caller that reads only the tag, as region_subset does,
+    builds none. max_pivots bounds the pivots of each point; the first
     point's budget also covers the crash.
 
     A basis of original columns exists only if the program has full row

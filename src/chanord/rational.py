@@ -4,6 +4,10 @@ All library values are exact rationals; only the capacity iteration uses
 floats. gmpy2's mpq is used when available (much faster), falling back to
 the stdlib Fraction. Both types print as "p/q" (or "p" for integers) and
 hash/compare interchangeably.
+
+Hot loops run on ints (scaled_ints), and an answer checked on ints keeps
+them: its rational fields are OnFirstRead, built when a caller first
+reads them (unbuilt).
 """
 
 from __future__ import annotations
@@ -30,6 +34,47 @@ def scaled_ints(values):
     dens = [int(v.denominator) for v in values]
     d = lcm(*dens)
     return d, [int(v.numerator) * (d // q) for v, q in zip(values, dens)]
+
+
+class OnFirstRead:
+    """A field of a frozen dataclass that an instance may hold as ints and
+    build, as exact rationals, on first read.
+
+    A non-data descriptor: the dataclass's __init__ stores the value it is
+    given in the instance dict, which shadows this, so an instance built
+    from rationals reads them as a plain field. An instance made by
+    unbuilt() holds (build, args) under the field's name in _unbuilt
+    instead; the first read stores build(*args) in the instance dict and
+    returns it. ==, hash, repr and dataclasses.replace read fields as
+    attributes, so they see the same values either way. default is the
+    field's default, read off the class; with none the field has none.
+    """
+
+    def __init__(self, *default):
+        self.default = default
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            if not self.default:
+                raise AttributeError(self.name)
+            return self.default[0]
+        pending = instance._unbuilt.get(self.name)
+        value = self.default[0] if pending is None else pending[0](*pending[1])
+        vars(instance)[self.name] = value
+        return value
+
+
+def unbuilt(cls, fields: dict, **pending):
+    """An instance of the frozen dataclass cls, made without __init__ or
+    its checks: fields are set as given, and each name=(build, args) in
+    pending is an OnFirstRead field built on first read. An OnFirstRead
+    field in neither reads as its default."""
+    instance = object.__new__(cls)
+    vars(instance).update(fields, _unbuilt=pending)
+    return instance
 
 
 def parse_rat(text: str):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -9,6 +10,7 @@ from oracles import (
     unpruned_best_pair,
 )
 
+from chanord import brm, lp_solver
 from chanord.brm import (
     BrmGame,
     PayoffRegionGenerators,
@@ -628,3 +630,71 @@ def test_region_subset_solves_a_degenerate_region_cold(monkeypatch):
     for degenerate, runs in answers.items():
         assert {inside for inside, _cold in runs} == {True, False}, runs
         assert all(cold == (5 if degenerate else 0) for inside, cold in runs if inside), runs
+
+
+def test_region_generators_read_as_the_plain_region():
+    # region_generators hands over only the int image, and the points are
+    # built from it on first read. Whatever is read first (==, hash, repr,
+    # the points, or a dataclasses.replace copy), the region is the one
+    # built from its points, with the same image.
+    shapes = [(1, 2, 2, 2), (2, 1, 3, 2), (2, 2, 2, 1), (2, 3, 2, 2), (3, 2, 2, 3)]
+    for seed, shape in enumerate(shapes):
+        for game in oracle_games(*shape, seed + 1800):
+            plain = PayoffRegionGenerators(game.u_size, region_generators(game).points)
+            assert region_generators(game) == plain
+            assert hash(region_generators(game)) == hash(plain)
+            assert repr(region_generators(game)) == repr(plain)
+            assert replace(region_generators(game)) == plain
+            region = region_generators(game)
+            assert region._image == plain._image
+            assert region.points == plain.points
+            assert list(region.points) == brute_force_region_points(game)
+            assert region == plain and repr(region) == repr(plain)
+
+
+def counted_rationals(monkeypatch):
+    """A list that records the arguments of every rational built through
+    brm.Rat or lp_solver.Rat from now on."""
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Rat(*args)
+
+    monkeypatch.setattr(brm, "Rat", counted)
+    monkeypatch.setattr(lp_solver, "Rat", counted)
+    return built
+
+
+def test_region_inclusion_builds_no_rational(monkeypatch):
+    # Inclusion reads the regions' int images only: a region of W·T lies
+    # inside the region of W, and generating both and testing inclusion
+    # builds no rational, warm or cold (a payoff row with equal entries
+    # puts W's points on a line). The converse builds one rational per
+    # coordinate of its violator, and reading the points builds one per
+    # distinct value of the image.
+    cold = []
+    monkeypatch.setattr(
+        brm, "solve_feasibility", lambda lp: cold.append(lp) or solve_feasibility(lp)
+    )
+    built, violators = counted_rationals(monkeypatch), 0
+    for seed in range(8):
+        u, x, y, v = 2, 2, 2 + seed % 2, 2
+        clean = random_channel(x, y, 3400 + seed, 6)
+        noisy = compose(random_channel(y, y, 3500 + seed, 4), clean)
+        payoff_m = random_payoff(u, v, 3600 + seed)
+        if seed % 4 == 3:
+            payoff_m = ((Rat(1, 4), Rat(1, 4)), payoff_m[1])
+        built.clear()
+        inner = region_generators(BrmGame(u, x, y, v, payoff_m, noisy))
+        outer = region_generators(BrmGame(u, x, y, v, payoff_m, clean))
+        assert region_subset(inner, outer).inside_all
+        assert built == []
+        converse = region_subset(outer, inner)
+        assert len(built) == (0 if converse.inside_all else u)
+        violators += not converse.inside_all
+        built.clear()
+        points = outer.points
+        assert len(built) == len(set(outer._image[1]))
+        assert converse.violator in (None, *points)
+    assert cold and violators >= 3

@@ -123,6 +123,24 @@ def test_tv_distance_values():
         tv_distance(w, random_channel(2, 3, 3, 9))
 
 
+@settings(max_examples=60)
+@given(
+    seeds=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+    n=st.integers(1, 3),
+    m=st.integers(1, 4),
+    dens=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+)
+def test_tv_distance_on_images_is_the_rational_formula(seeds, n, m, dens):
+    # Half the largest L1 row difference, summed in rational arithmetic:
+    # the images give the same value and the same repr.
+    a, b = (random_channel(n, m, s, d) for s, d in zip(seeds, dens))
+    for w1, w2 in ((a, b), (b, a), (a, a)):
+        rows = zip(w1.rows, w2.rows)
+        expected = max(sum((abs(p - q) for p, q in zip(r1, r2)), start=ZERO) for r1, r2 in rows) / 2
+        got = tv_distance(w1, w2)
+        assert got == expected and repr(got) == repr(expected)
+
+
 @settings(max_examples=40)
 @given(v=small_channels(), w=small_channels())
 def test_compose_rows_sum_to_one(v, w):

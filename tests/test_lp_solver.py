@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,7 @@ from chanord.lp_solver import (
     FEASIBLE,
     INFEASIBLE,
     OPTIMAL,
+    LpOutcome,
     StandardLp,
     _ScaledGroup,
     _Tableau,
@@ -1206,3 +1208,98 @@ def test_compact_basis_repairs_as_the_dense_tableau(monkeypatch, kind):
         assert repairs >= 4
     else:
         assert tags == []
+
+
+def eager(out):
+    """The LpOutcome of out's values, built by its constructor."""
+    return LpOutcome(out.tag, out.primal, out.dual_certificate, out.value)
+
+
+def assert_read_as_eager(answers, expected):
+    """answers() solves afresh and returns solver outcomes with no field
+    built yet; expected lists the dense oracle's eager outcomes. Whatever
+    is read first (==, hash, repr, one field, or a dataclasses.replace
+    copy), the outcomes are expected's, and stay so once read."""
+    fields = {"primal", "dual_certificate", "value"}
+    assert all(not fields & vars(out).keys() for out in answers())
+    assert answers() == expected
+    assert list(map(hash, answers())) == list(map(hash, expected))
+    assert list(map(repr, answers())) == list(map(repr, expected))
+    assert [replace(out) for out in answers()] == expected
+    for name in sorted(fields):
+        got = answers()
+        assert [getattr(out, name) for out in got] == [getattr(out, name) for out in expected]
+        assert got == expected and list(map(repr, got)) == list(map(repr, expected))
+        marked = [replace(out, tag="read") for out in got]
+        assert marked == [replace(out, tag="read") for out in expected]
+
+
+def seeded_answers(solver, seed):
+    """(answers, expected) for one seeded program of the tests above, or
+    None for an infeasible maximize program: answers() solves it afresh,
+    and expected lists the dense oracle's answers as eager outcomes."""
+    if solver in ("feasibility", "maximize"):
+        lp = read_on_demand_program("tall" if solver == "feasibility" else "maximize", seed)
+        if solver == "feasibility":
+            return lambda: [solve_feasibility(lp)], [eager(dense_solve_feasibility(lp))]
+        try:
+            return lambda: [maximize(lp)], [dense_maximize(lp)]
+        except LpInfeasibleError:
+            return None
+    wide = solver == "warm" and seed < 2
+    points, generators = wide_sequence(seed) if wide else warm_sequence("random", seed)
+    if solver == "priced":
+        scale = common_scale([v for point in points for v in point], generators)
+        chosen = [[int(v * scale) for v in point] for point in points[seed % 3 :: 3]]
+        price = listed_price(generators, scale)
+        return (
+            lambda: [priced_hull(point, price, scale) for point in chosen],
+            [eager(dense_priced_hull(point, price, scale)) for point in chosen],
+        )
+    group = _ScaledGroup.of(generators)
+    scale, ints = scaled_points(points)
+    return (
+        lambda: list(hull_outcomes(ints, group, scale)),
+        list(map(eager, dense_hull_outcomes(ints, group, scale))),
+    )
+
+
+@pytest.mark.parametrize("solver", ("feasibility", "maximize", "priced", "warm"))
+def test_solver_outcomes_read_as_the_dense_eager_outcomes(solver):
+    """Each answer of the solver holds the ints its exit check read and
+    builds its rationals on first read; it compares, hashes and prints as
+    the eager LpOutcome of the dense oracle's answer."""
+    tags = []
+    for seed in range(24):
+        case = seeded_answers(solver, seed)
+        if case is not None:
+            assert_read_as_eager(*case)
+            tags += [out.tag for out in case[1]]
+    wanted = (OPTIMAL,) if solver == "maximize" else (FEASIBLE, INFEASIBLE)
+    assert min(tags.count(tag) for tag in wanted) >= 6, tags
+
+
+def test_a_feasible_warm_answer_builds_no_rational_until_read(monkeypatch):
+    # The weights of a FEASIBLE answer of hull_outcomes are built from its
+    # support on the first read of primal, one rational per nonzero
+    # weight, and only then.
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Rat(*args)
+
+    monkeypatch.setattr(lp_solver, "Rat", counted)
+    feasible = 0
+    for seed in range(10):
+        points, generators = warm_sequence("random", seed)
+        scale, ints = scaled_points(points)
+        for out in hull_outcomes(ints, _ScaledGroup.of(generators), scale):
+            if out.tag == FEASIBLE:
+                feasible += 1
+                assert built == []
+                weights = out.primal
+                assert len(built) == sum(1 for w in weights if w)
+                assert out.primal is weights  # built once, then read as stored
+            built.clear()
+    assert feasible >= 20
