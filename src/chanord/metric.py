@@ -66,6 +66,8 @@ DEFAULT_DIM_CAP = 3
 DEFAULT_BUDGET = 24
 _MAX_REFINE_STEPS = 8
 _SAMPLE_BOUND = 15
+# The ascent objective's z- and z+ coefficients, shared by every program.
+_OBJECTIVE_TAIL = (-ONE, ONE)
 
 
 @dataclass(frozen=True)
@@ -141,7 +143,7 @@ def _restricted_ascent(active, pieces, scale, n, m, solved):
         for coord, diff in enumerate(diffs)
     ]
     rows.append((scale,) * len(pieces) + (0,) * (dim + 2))
-    objective = (ZERO,) * (len(pieces) + dim) + (-ONE, ONE)
+    objective = (ZERO,) * (len(pieces) + dim) + _OBJECTIVE_TAIL
     lp = StandardLp(scale, tuple(rows), (0,) * dim + (scale,), objective)
     den, ints = scaled_ints(maximize(lp).dual_certificate[:dim])
     if any(v < 0 for v in ints) or sum(ints) != den:

@@ -31,14 +31,13 @@ the two degradedness witnesses, not with containment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 
 from .brm import BrmGame, _best_pair, _pair_ints, _score_tables, optimal_average_payoff
 from .channel_core import (
     Channel,
     DeterministicMap,
     compose,
-    deterministic,
     identity_channel,
 )
 from .cpc import DEFAULT_MAX_PAIRS, CpcChannel, cpc_from_pairs, skew_compose_channel
@@ -47,6 +46,7 @@ from .lp_solver import FEASIBLE, _ScaledGroup, hull_lp, priced_hull, solve_feasi
 from .rational import (
     ONE,
     ZERO,
+    Rat,
     parse_rat,
     parse_rat_matrix,
     parse_size,
@@ -398,14 +398,18 @@ def _canonical_reduction(w: Channel) -> Channel:
     hull of the rows still kept, every hull program read from the reduced
     channel's integer image. Dropping such a row leaves the hull
     unchanged, so the kept rows K are exactly its extreme points, and every
-    output keeps mass in K. The columns of K are then merged by their
-    sum-normalized values, which are equal exactly when the columns are
-    proportional. w = K∘R (input randomization) and K = T∘w_red (splitting
-    merged outputs back) are found and re-verified by input_degraded_from
-    and degraded_from; the converse directions are deterministic by
-    construction.
+    output keeps mass in K. The merge runs on the same ints: a column of K
+    is nonnegative and not zero, so two columns are proportional exactly
+    when they are equal once each is divided by the gcd of its ints. That
+    quotient keys the merged output, whose column is the key times the
+    sum of its columns' gcds, over d. _reduce_target drops only repeated
+    rows and mass-free outputs, so K put back into w's outputs is w's own
+    rows at the representatives. w = K∘R (input randomization) and
+    K = T∘w_red (splitting merged outputs back) are found and re-verified
+    by input_degraded_from and degraded_from; the converse directions are
+    deterministic by construction.
     """
-    base, _input_map, injection = _reduce_target(w)
+    base, input_map, _injection = _reduce_target(w)
     (d, ints), m = base._image, base.output_size
     int_rows = [ints[i : i + m] for i in range(0, len(ints), m)]
     keep = []
@@ -415,23 +419,15 @@ def _canonical_reduction(w: Channel) -> Channel:
         point = _ScaledGroup(d, row, 1, m)
         if not others or solve_feasibility(hull_lp(point, hull)).tag != FEASIBLE:
             keep.append(i)
-    kept = [base.rows[i] for i in keep]
-    groups = {}
-    for y in range(base.output_size):
-        column = [row[y] for row in kept]
-        total = sum(column, start=ZERO)
-        groups.setdefault(tuple(p / total for p in column), []).append(y)
-    w_red = Channel(
-        len(kept),
-        len(groups),
-        tuple(
-            tuple(sum((row[y] for y in ys), start=ZERO) for ys in groups.values())
-            for row in kept
-        ),
-    )
-    k = compose(
-        deterministic(injection), Channel(len(kept), base.output_size, tuple(kept))
-    )
+    merged = {}
+    for column in zip(*(int_rows[i] for i in keep)):
+        g = gcd(*column)
+        key = tuple(v // g for v in column)
+        merged[key] = merged.get(key, 0) + g
+    columns = [[Rat(v * total, d) for v in key] for key, total in merged.items()]
+    w_red = Channel(len(keep), len(merged), tuple(zip(*columns)))
+    reps = [w.rows[input_map.image.index(i + 1)] for i in keep]
+    k = Channel(len(keep), w.output_size, tuple(reps))
     if input_degraded_from(w, k) is None:
         raise InternalCheckError("a dropped row is not a mixture of the kept rows")
     if degraded_from(k, w_red) is None:

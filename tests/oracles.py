@@ -6,9 +6,10 @@ the exceptions, rational_hull_program, cold_start_contains,
 DenseTableau with dense_solve_feasibility, dense_maximize,
 dense_priced_hull and dense_hull_outcomes, unpruned_best_pair,
 rational_contains, fraction_caratheodory_reduce,
-fraction_skew_compose_cpc, rational_group_degraded_from and
-rational_brm_distance_lower_bound, are earlier forms of an algorithm,
-kept as the reference of the form that replaced them.
+fraction_skew_compose_cpc, rational_group_degraded_from,
+rational_brm_distance_lower_bound and rational_canonical_reduction, are
+earlier forms of an algorithm, kept as the reference of the form that
+replaced them.
 """
 
 import math
@@ -17,7 +18,7 @@ from operator import mul
 
 from chanord import lp_solver, metric, ordering
 from chanord.brm import BrmGame, _plus, optimal_average_payoff
-from chanord.channel_core import Channel, DeterministicMap, compose
+from chanord.channel_core import Channel, DeterministicMap, compose, deterministic
 from chanord.cpc import DEFAULT_MAX_PAIRS, CpcChannel, CpcTerm, as_channel, pair_column
 from chanord.errors import (
     DimensionMismatchError,
@@ -31,6 +32,7 @@ from chanord.lp_solver import (
     OPTIMAL,
     LpOutcome,
     _eliminate,
+    _ScaledGroup,
     _spend_pivot,
     hull_lp,
     hull_outcomes,
@@ -984,6 +986,47 @@ def rational_group_degraded_from(w, wp):
         m_from, m_to,
         tuple(outcome.primal[y2 * m_to : (y2 + 1) * m_to] for y2 in range(m_from)),
     )
+
+
+def rational_canonical_reduction(w):
+    """ordering._canonical_reduction as it merged on rationals: the same
+    hull pass over the reduced target's integer image, then every kept
+    column divided by its rational sum to key the proportional ones, the
+    merged channel built from rational sums, and K rebuilt by composing
+    the output injection with the kept rows. Both reduction witnesses are
+    checked as the library checks them. It is the reference the merge on
+    ints must agree with under == and repr.
+    """
+    base, _input_map, injection = ordering._reduce_target(w)
+    (d, ints), m = base._image, base.output_size
+    int_rows = [ints[i : i + m] for i in range(0, len(ints), m)]
+    keep = []
+    for i, row in enumerate(int_rows):
+        others = [*keep, *range(i + 1, base.input_size)]
+        hull = _ScaledGroup(d, [v for k in others for v in int_rows[k]], len(others), m)
+        point = _ScaledGroup(d, row, 1, m)
+        if not others or solve_feasibility(hull_lp(point, hull)).tag != FEASIBLE:
+            keep.append(i)
+    kept = [base.rows[i] for i in keep]
+    groups = {}
+    for y in range(m):
+        column = [row[y] for row in kept]
+        total = sum(column, start=ZERO)
+        groups.setdefault(tuple(p / total for p in column), []).append(y)
+    w_red = Channel(
+        len(kept),
+        len(groups),
+        tuple(
+            tuple(sum((row[y] for y in ys), start=ZERO) for ys in groups.values())
+            for row in kept
+        ),
+    )
+    k = compose(deterministic(injection), Channel(len(kept), m, tuple(kept)))
+    if ordering.input_degraded_from(w, k) is None:
+        raise InternalCheckError("a dropped row is not a mixture of the kept rows")
+    if ordering.degraded_from(k, w_red) is None:
+        raise InternalCheckError("merged output columns cannot be split back")
+    return w_red
 
 
 def rational_restricted_ascent(active, pieces, n, m):

@@ -631,3 +631,51 @@ def test_witness_json_round_trips_pair_by_pair():
         rebuilt = witness_from_json(obj)
         assert dict(rebuilt.basis_weights) == dict(witness.basis_weights)
         assert witness_to_json(rebuilt) == obj
+
+
+def _scrambled_copy(k, rng):
+    """A channel equivalent to k, with every shape the canonical reduction
+    undoes: each column of k split into up to three proportional columns
+    at seeded scales, a mass-free output, a row inside the hull of two
+    others, a repeated row, and rows and columns shuffled."""
+    splits = [
+        [rng.randint(1, 12) for _ in range(rng.randint(1, 3))] for _ in k.rows[0]
+    ]
+    rows = [
+        tuple(p * Rat(s, sum(split)) for p, split in zip(row, splits) for s in split)
+        + (ZERO,)
+        for row in k.rows
+    ]
+    if len(rows) > 1:
+        a, b = rng.sample(rows, 2)
+        t = Rat(rng.randint(1, 6), 7)
+        rows.append(tuple(t * p + (1 - t) * q for p, q in zip(a, b)))
+    rows.append(rng.choice(rows))
+    columns = list(range(len(rows[0])))
+    rng.shuffle(rows)
+    rng.shuffle(columns)
+    return Channel(
+        len(rows), len(columns), tuple(tuple(row[y] for y in columns) for row in rows)
+    )
+
+
+def test_canonical_reduction_matches_the_rational_merge():
+    # The merge on ints keys each column by its ints over their gcd and
+    # reads K from w's rows; the reference keys by rational column sums and
+    # composes the output injection with the kept rows.
+    rng = random.Random(4700)
+    cases = [
+        _scrambled_copy(random_channel(n, m, 4700 + 10 * n + m, 6), rng)
+        for n, m in product(range(1, 5), range(1, 4))
+    ]
+    cases += [random_channel(3, 4, 4800 + seed, 4) for seed in range(4)]
+    dropped_rows = merged_columns = 0
+    for w in cases:
+        reduced = ordering._canonical_reduction(w)
+        reference = oracles.rational_canonical_reduction(w)
+        assert reduced == reference and repr(reduced) == repr(reference)
+        assert srank_upper_bound(w) == max(reduced.input_size, reduced.output_size)
+        base = ordering._reduce_target(w)[0]
+        dropped_rows += reduced.input_size < base.input_size
+        merged_columns += reduced.output_size < base.output_size
+    assert dropped_rows >= 5 and merged_columns >= 5
