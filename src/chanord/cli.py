@@ -4,7 +4,9 @@ Every subcommand prints a single machine-parseable JSON report to stdout;
 verdicts always ship with their verifying object. Exit codes: 0 answered,
 1 usage or input error, 2 resource cap exceeded, 3 internal check failed
 (any other library error, such as a certificate failing its own
-re-verification). Reports are deterministic given inputs and seeds,
+re-verification). `rand` and `embed` build n·m channel entries from two
+flags, at most MAX_ENTRIES (10^6); a larger count exits 2 before any row
+is built. Reports are deterministic given inputs and seeds,
 except for the timing field.
 """
 
@@ -19,7 +21,7 @@ import time
 from .brm import game_from_json, optimal_average_payoff, region_generators, region_subset
 from .channel_core import channel_from_json, channel_to_json, random_channel, tv_distance
 from .cpc import DEFAULT_MAX_PAIRS
-from .errors import ChanordError, ResourceLimitError
+from .errors import ChanordError, ResourceLimitError, enforce_cap
 from .metric import brm_distance_lower_bound, metric_estimate_to_json
 from .ordering import (
     contains,
@@ -32,6 +34,10 @@ from .ordering import (
 )
 from .params import capacity_certificate, optimal_error_probability
 from .rational import rat_str
+
+# Entries n·m that rand and embed may build: rand takes about 7 s for 10^6
+# on a 2-core machine with Python 3.11.
+MAX_ENTRIES = 10**6
 
 
 class _UsageError(Exception):
@@ -148,12 +154,12 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("embed", help="canonical embedding of a channel")
     p.add_argument("a")
-    p.add_argument("--n2", type=int, required=True)
-    p.add_argument("--m2", type=int, required=True)
+    p.add_argument("--n2", type=_int_at_least(1), required=True)
+    p.add_argument("--m2", type=_int_at_least(1), required=True)
 
     p = sub.add_parser("rand", help="seeded random channel")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
+    p.add_argument("--m", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--den", type=int, default=16)
 
@@ -238,8 +244,10 @@ def _dispatch(args) -> dict:
         report["error_probability"] = rat_str(value)
     elif args.command == "embed":
         a = _load_channel(args.a)
+        enforce_cap(args.n2 * args.m2, MAX_ENTRIES, "embedding", "entries")
         report["channel"] = channel_to_json(embed(a, args.n2, args.m2))
     elif args.command == "rand":
+        enforce_cap(args.n * args.m, MAX_ENTRIES, "random channel", "entries")
         w = random_channel(args.n, args.m, args.seed, args.den)
         report["channel"] = channel_to_json(w)
     elif args.command == "srank":

@@ -418,3 +418,27 @@ def test_one_secret_or_one_action_dist_brm_reports_zero(capsys, write_channel):
             capsys, "dist-brm", a, b, flag, "1", "--max-pairs", "2"
         )
         assert code == 2 and report is None and "resource" in err.lower()
+
+
+# rand and embed build n·m entries from two flags: a count above
+# cli.MAX_ENTRIES exits 2 at once, before any row is built, and a count at
+# the cap (lowered here to 6, so the run is short) is answered. A size
+# below 1 is a usage error, so two negative sizes never multiply into a cap.
+@pytest.mark.parametrize("command, n, m", [("rand", "--n", "--m"), ("embed", "--n2", "--m2")])
+def test_rand_and_embed_cap_their_entries(capsys, write_channel, monkeypatch, command, n, m):
+    if command == "rand":
+        head = ["rand", "--seed", "1"]
+    else:
+        head = ["embed", write_channel("a.json", bsc("1/10"))]
+    started = time.perf_counter()
+    code, report, err = run_cli(capsys, *head, n, "1000000000", m, "2")
+    assert time.perf_counter() - started < 1.0
+    assert code == 2 and report is None
+    assert "has 2000000000 entries (cap 1000000)" in err
+    monkeypatch.setattr(cli, "MAX_ENTRIES", 6)
+    code, report, _err = run_cli(capsys, *head, n, "3", m, "2")
+    assert code == 0 and report["channel"]["input_size"] == 3
+    code, report, err = run_cli(capsys, *head, n, "4", m, "2")
+    assert code == 2 and report is None and "has 8 entries (cap 6)" in err
+    code, report, err = run_cli(capsys, *head, n, "-4", m, "-2")
+    assert code == 1 and report is None and "must be >= 1, got -4" in err
